@@ -33,7 +33,6 @@ from .snn import (
     COMM,
     SENSE,
     ForwardTrace,
-    NeuronState,
     SnnModel,
     decode_bits,
     forward,
@@ -44,7 +43,6 @@ from .snn import (
     save_model,
     sense_votes,
     spike_count,
-    srm_step,
 )
 from .training import (
     EpochStats,
@@ -77,7 +75,6 @@ __all__ = [
     "FormatVersionError",
     "ForwardTrace",
     "LossBreakdown",
-    "NeuronState",
     "ParamGradients",
     "ReceivedFrame",
     "SENSE",
@@ -114,7 +111,6 @@ __all__ = [
     "sense_votes",
     "sgd_step",
     "spike_count",
-    "srm_step",
     "surrogate_forward",
     "train",
     "unit_second_moment_scale",

@@ -7,8 +7,8 @@ records per-slot spike counts for an active/idle/active frame pattern.
 
 Every command is deterministic given its flags; the seed is echoed in every
 CSV so outputs are self-describing.  A JSON config file (--config) supplies
-defaults by flag name; explicit flags win.  Exit codes: 2 for bad flags or
-inconsistent inputs, 3 for I/O failures.
+defaults by flag name; explicit flags win.  Exit codes: 2 for bad flags,
+out-of-range values or inconsistent inputs, 3 for I/O failures.
 """
 
 from __future__ import annotations
@@ -77,6 +77,12 @@ def cmd_gen(args) -> int:
     alpha = _require_alpha(args) if args.mode == "ssac" else None
     cfg = _channel_config(args.snr_db)
     specs = [(args.out_train, args.n_train, args.seed), (args.out_test, args.n_test, args.seed + 1)]
+    # check both splits before writing either, so a bad test split leaves no train file
+    for _, n, seed in specs:
+        if n < 1:
+            raise UsageError(f"split sizes must be positive, got {n}")
+        if not 0 <= seed < 2**64:
+            raise UsageError(f"split seed {seed} does not fit an unsigned 64-bit integer")
     for path, n, seed in specs:
         ds = generate_dataset(
             cfg, args.L, args.Lb, n, mode=args.mode, master_seed=seed, alpha=alpha,
@@ -126,8 +132,6 @@ def _history_rows(name: str, history, seed: int):
 
 
 def cmd_train(args) -> int:
-    if not 0.0 <= args.beta <= 1.0:
-        raise UsageError(f"--beta must lie in [0, 1], got {args.beta}")
     alpha = _require_alpha(args) if args.mode == "ssac" else None
     dataset = load_dataset(args.data)
     results = _train_on(dataset, args, args.mode, alpha)
@@ -256,6 +260,8 @@ def cmd_sweep(args) -> int:
 # --- trace -----------------------------------------------------------------
 
 def cmd_trace(args) -> int:
+    if args.frame_slots < 0 or args.idle_slots < 0:
+        raise UsageError("--frame-slots and --idle-slots must be non-negative")
     model = load_model(args.model)
     L_b = _lb_of(model)
     if model.input_width != 4 * L_b:
@@ -422,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, FileFormatError) as exc:

@@ -74,11 +74,6 @@ def detection_error(model: SnnModel, dataset, sense_slot_start: int = 0) -> floa
     return detection_error_from_votes(br[:, sense_slot_start:, SENSE], dataset.targets)
 
 
-def _per_slot_spikes(model: SnnModel, inputs: np.ndarray) -> np.ndarray:
-    _, bh, _, br = forward_batch(model, inputs)
-    return bh.sum(axis=2) + br.sum(axis=2)
-
-
 def evaluate(model: SnnModel, dataset) -> EvalResult:
     """Full-frame evaluation of a jointly trained model."""
     if dataset.example_count == 0:

@@ -15,6 +15,9 @@ unit same-step term, so a pulse can influence the decision in its own slot;
 the refractory trace reproduces reset-by-subtraction with an exponentially
 fading penalty of threshold * exp(-k/tau_ref) k steps after a spike.  Analog
 inputs enter the hidden synapses exactly as spikes would.
+
+One batched engine, forward_batch, runs these recursions for every forward
+pass; forward and training.surrogate_forward are its B=1 views.
 """
 
 from __future__ import annotations
@@ -105,33 +108,13 @@ class SnnModel:
 
 
 @dataclass
-class NeuronState:
-    """Per-neuron filter state for one layer; zeroed at frame start."""
-
-    syn_fast: np.ndarray
-    syn_slow: np.ndarray
-    refractory: np.ndarray
-    potential: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "NeuronState":
-        return cls(*(np.zeros(n) for _ in range(4)))
-
-
-@dataclass
 class ForwardTrace:
-    """Everything one forward pass produced, step by step, for training."""
+    """Per-step potentials and spikes of one frame's forward pass."""
 
     hidden_potentials: np.ndarray   # (L, H)
     hidden_spikes: np.ndarray       # (L, H)
     readout_potentials: np.ndarray  # (L, 2)
     readout_spikes: np.ndarray      # (L, 2)
-    hidden_syn_fast: np.ndarray
-    hidden_syn_slow: np.ndarray
-    hidden_refractory: np.ndarray
-    readout_syn_fast: np.ndarray
-    readout_syn_slow: np.ndarray
-    readout_refractory: np.ndarray
 
     def __len__(self) -> int:
         return self.hidden_potentials.shape[0]
@@ -167,29 +150,6 @@ def init_model(
     )
 
 
-def srm_step(
-    state: NeuronState,
-    weighted_input: np.ndarray,
-    own_prev_spike: np.ndarray,
-    model: SnnModel,
-    threshold: float | None = None,
-) -> tuple[NeuronState, np.ndarray, np.ndarray]:
-    """Advance one layer by one step; returns (new state, spikes, potentials).
-
-    threshold defaults to the hidden threshold; pass model.readout_threshold
-    for the readout layer.
-    """
-    if threshold is None:
-        threshold = model.hidden_threshold
-    a_syn, a_mem, a_ref = model.decays()
-    q = a_syn * state.syn_fast + weighted_input
-    r = a_mem * state.syn_slow + q
-    s = a_ref * (state.refractory + own_prev_spike)
-    o = r - threshold * s
-    spikes = heaviside(o - threshold)
-    return NeuronState(syn_fast=q, syn_slow=r, refractory=s, potential=o), spikes, o
-
-
 def _frame_inputs(model: SnnModel, frame) -> np.ndarray:
     inputs = frame.slot_inputs if isinstance(frame, ReceivedFrame) else np.asarray(frame, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_width:
@@ -200,53 +160,13 @@ def _frame_inputs(model: SnnModel, frame) -> np.ndarray:
     return inputs
 
 
-def _run_trace(model: SnnModel, inputs: np.ndarray, spike_fn) -> ForwardTrace:
-    """Shared step loop for the hard and smoothed forward passes."""
-    L = inputs.shape[0]
-    H = model.hidden_count
-    hidden = NeuronState.zeros(H)
-    readout = NeuronState.zeros(2)
-    hidden_spikes = np.zeros(H)
-    readout_spikes = np.zeros(2)
-    a_syn, a_mem, a_ref = model.decays()
-    th_h, th_r = model.hidden_threshold, model.readout_threshold
-    rec = {name: np.zeros((L, H)) for name in ("ho", "hb", "hq", "hr", "hs")}
-    rec.update({name: np.zeros((L, 2)) for name in ("ro", "rb", "rq", "rr", "rs")})
-
-    def step(state, drive, prev_spikes, threshold):
-        q = a_syn * state.syn_fast + drive
-        r = a_mem * state.syn_slow + q
-        s = a_ref * (state.refractory + prev_spikes)
-        o = r - threshold * s
-        return NeuronState(q, r, s, o), spike_fn(o - threshold), o
-
-    for l in range(L):
-        hidden, hidden_spikes, ho = step(
-            hidden, model.input_weights @ inputs[l], hidden_spikes, th_h
-        )
-        readout, readout_spikes, ro = step(
-            readout, model.readout_weights @ hidden_spikes, readout_spikes, th_r
-        )
-        rec["ho"][l], rec["hb"][l] = ho, hidden_spikes
-        rec["hq"][l], rec["hr"][l], rec["hs"][l] = hidden.syn_fast, hidden.syn_slow, hidden.refractory
-        rec["ro"][l], rec["rb"][l] = ro, readout_spikes
-        rec["rq"][l], rec["rr"][l], rec["rs"][l] = readout.syn_fast, readout.syn_slow, readout.refractory
-
-    return ForwardTrace(
-        hidden_potentials=rec["ho"], hidden_spikes=rec["hb"],
-        readout_potentials=rec["ro"], readout_spikes=rec["rb"],
-        hidden_syn_fast=rec["hq"], hidden_syn_slow=rec["hr"], hidden_refractory=rec["hs"],
-        readout_syn_fast=rec["rq"], readout_syn_slow=rec["rr"], readout_refractory=rec["rs"],
-    )
-
-
 def forward(model: SnnModel, frame) -> ForwardTrace:
-    """Run one frame through the network, recording the full state history.
+    """Run one frame through the network: forward_batch on a batch of one.
 
     Hidden spikes reach the readout in the same step they are emitted, so the
     slot-l decisions depend on inputs up to and including slot l only.
     """
-    return _run_trace(model, _frame_inputs(model, frame), heaviside)
+    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None])))
 
 
 def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = None):

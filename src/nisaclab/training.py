@@ -25,7 +25,6 @@ from .snn import (
     ForwardTrace,
     SnnModel,
     _frame_inputs,
-    _run_trace,
     clone_model,
     forward_batch,
     sigmoid,
@@ -125,7 +124,7 @@ def surrogate_forward(model: SnnModel, frame, slope: float) -> ForwardTrace:
     Every operation is differentiable, so the backward pass is exact on its
     traces; used by the gradient-check oracle.
     """
-    return _run_trace(model, _frame_inputs(model, frame), lambda x: sigmoid(slope * x))
+    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None], slope)))
 
 
 def _spike_slope(potentials: np.ndarray, threshold: float, slope: float) -> np.ndarray:
@@ -294,12 +293,9 @@ def train(
             targets = targets_all[idx]
             oh, bh, orr, br = forward_batch(model, inputs)
 
-            p = np.clip(sigmoid(orr), PROB_EPS, 1.0 - PROB_EPS)
-            lc = -(bits * np.log(p[:, :, COMM]) + (1 - bits) * np.log1p(-p[:, :, COMM]))
-            ls = -(targets[:, None] * np.log(p[:, :, SENSE])
-                   + (1 - targets[:, None]) * np.log1p(-p[:, :, SENSE]))
-            lc_batch = float((lc * comm_mask).sum())
-            ls_batch = float((ls * sense_mask).sum())
+            p = sigmoid(orr)
+            lc_batch = float((_binary_cross_entropy(p[:, :, COMM], bits) * comm_mask).sum())
+            ls_batch = float((_binary_cross_entropy(p[:, :, SENSE], targets[:, None]) * sense_mask).sum())
             if not (np.isfinite(lc_batch) and np.isfinite(ls_batch)):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}: "

@@ -57,6 +57,18 @@ class TestGen:
         assert a.read_bytes() == workdir["train"].read_bytes()
         assert b.read_bytes() == workdir["test"].read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--n-train", "3", "--n-test", "0"],
+        ["--n-train", "3", "--n-test", "2", "--seed", str(2**64 - 1)],  # test seed overflows u64
+    ])
+    def test_bad_test_split_leaves_no_train_file(self, tmp_path, flags):
+        train = tmp_path / "train.nisd"
+        code = main([
+            "gen", *flags, "--L", "4", "--out-train", str(train), "--out-test", str(tmp_path / "t.nisd"),
+        ])
+        assert code == 2
+        assert not train.exists()
+
     def test_ssac_requires_alpha(self, tmp_path):
         code = main([
             "gen", "--n-train", "2", "--n-test", "2", "--L", "4", "--mode", "ssac",
@@ -305,6 +317,24 @@ class TestConfigFile:
         assert main(["--config", str(tmp_path / "absent.json"), "gen",
                      "--n-train", "1", "--n-test", "1",
                      "--out-train", "a", "--out-test", "b"]) == 3
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize("command", [
+        ["gen", "--n-train", "0", "--n-test", "2", "--out-train", "{root}/a", "--out-test", "{root}/b"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--epochs", "0"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "0"],
+        ["eval", "--data", "{test}", "--model", "{model}", "--model-sense", "{model}",
+         "--mode", "ssac", "--alpha", "1.5", "--out", "{root}/e.csv"],
+        ["trace", "--model", "{model}", "--idle-slots", "-3", "--out", "{root}/t.csv"],
+    ])
+    def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
+        paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],
+                 "model": workdir["model"]}
+        assert main([arg.format(**paths) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestArgparseErrors:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisaclab.channel import ReceivedFrame
 from nisaclab.errors import (
@@ -17,7 +19,6 @@ from nisaclab.snn import (
     COMM,
     SENSE,
     ForwardTrace,
-    NeuronState,
     SnnModel,
     clone_model,
     decode_bits,
@@ -31,8 +32,8 @@ from nisaclab.snn import (
     sense_votes,
     sigmoid,
     spike_count,
-    srm_step,
 )
+from nisaclab.training import surrogate_forward
 
 
 def _model(h, width, *, w_in=None, w_out=None, **kw) -> SnnModel:
@@ -50,6 +51,30 @@ def _model(h, width, *, w_in=None, w_out=None, **kw) -> SnnModel:
 
 def _random_model(seed, h=4, L_b=1) -> SnnModel:
     return init_model(h, L_b, np.random.default_rng(seed))
+
+
+def _reference_forward(model: SnnModel, frame: np.ndarray, slope: float | None = None):
+    """Step-by-step recursion from the module docstring, one matvec per step;
+    the oracle the batched engine is checked against."""
+    if slope is None:
+        spike = lambda x: (x > 0).astype(float)
+    else:
+        spike = lambda x: 0.5 * (1.0 + np.tanh(0.5 * slope * x))
+    a_syn, a_mem, a_ref = (math.exp(-1.0 / t) for t in (model.tau_syn, model.tau_mem, model.tau_ref))
+    layers = [(model.input_weights, model.hidden_threshold), (model.readout_weights, model.readout_threshold)]
+    state = [[np.zeros(w.shape[0]) for _ in range(4)] for w, _ in layers]  # q, r, s, spikes
+    potentials, spikes = ([np.zeros((len(frame), w.shape[0])) for w, _ in layers] for _ in range(2))
+    for l, x in enumerate(frame):
+        for k, (w, th) in enumerate(layers):
+            q, r, s, b = state[k]
+            q = a_syn * q + w @ x
+            r = a_mem * r + q
+            s = a_ref * (s + b)
+            o = r - th * s
+            x = b = spike(o - th)  # this layer's spikes drive the next layer
+            state[k] = [q, r, s, b]
+            potentials[k][l], spikes[k][l] = o, b
+    return potentials[0], spikes[0], potentials[1], spikes[1]
 
 
 class TestInitModel:
@@ -88,50 +113,6 @@ class TestInitModel:
             init_model(2, 1, np.random.default_rng(0), tau_syn=-1.0)
 
 
-class TestSrmStep:
-    def test_single_step_hand_values(self):
-        m = _model(1, 4)
-        state = NeuronState.zeros(1)
-        new, spikes, o = srm_step(state, np.array([2.0]), np.array([0.0]), m)
-        assert new.syn_fast[0] == 2.0
-        assert new.syn_slow[0] == 2.0
-        assert o[0] == 2.0
-        assert spikes[0] == 1.0
-
-    def test_refractory_subtracts_decayed_threshold(self):
-        m = _model(1, 4)
-        state = NeuronState.zeros(1)
-        state, spikes, _ = srm_step(state, np.array([2.0]), np.array([0.0]), m)
-        assert spikes[0] == 1.0
-        a_syn, a_mem, a_ref = m.decays()
-        state2, _, o2 = srm_step(state, np.array([0.0]), spikes, m)
-        q2 = a_syn * 2.0
-        r2 = a_mem * 2.0 + q2
-        expected = r2 - 1.0 * a_ref  # minus threshold times e^(-1/5)
-        assert o2[0] == pytest.approx(expected, rel=1e-15)
-        assert state2.refractory[0] == pytest.approx(a_ref, rel=1e-15)
-
-    def test_refractory_suppression_vs_counterfactual(self):
-        m = _random_model(0, h=3)
-        rng = np.random.default_rng(5)
-        state = NeuronState.zeros(3)
-        for _ in range(4):
-            state, spikes, _ = srm_step(state, rng.standard_normal(3), np.zeros(3), m)
-        drive = rng.standard_normal(3)
-        _, _, o_spiked = srm_step(state, drive, np.ones(3), m)
-        _, _, o_quiet = srm_step(state, drive, np.zeros(3), m)
-        assert (o_spiked < o_quiet).all()
-
-    def test_readout_threshold_argument(self):
-        m = _model(1, 4)
-        _, spikes, o = srm_step(
-            NeuronState.zeros(1), np.array([0.5]), np.array([0.0]), m,
-            threshold=m.readout_threshold,
-        )
-        assert o[0] == 0.5
-        assert spikes[0] == 1.0  # above the zero readout threshold
-
-
 class TestForward:
     def test_zero_weight_model_is_silent(self):
         m = _model(3, 4)
@@ -141,6 +122,44 @@ class TestForward:
         assert not trace.hidden_spikes.any()
         assert not trace.readout_potentials.any()
         assert not trace.readout_spikes.any()
+
+    def test_single_step_hand_values(self):
+        m = _model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
+        trace = forward(m, np.array([[2.0, 0.0, 0.0, 0.0]]))
+        assert trace.hidden_potentials[0, 0] == 2.0  # q = r = o = drive on the first step
+        assert trace.hidden_spikes[0, 0] == 1.0
+
+    def test_refractory_subtracts_decayed_threshold(self):
+        m = _model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
+        frame = np.zeros((2, 4))
+        frame[0, 0] = 2.0  # spike at step 0, no drive at step 1
+        trace = forward(m, frame)
+        assert trace.hidden_spikes[0, 0] == 1.0
+        a_syn, a_mem, a_ref = m.decays()
+        r2 = a_mem * 2.0 + a_syn * 2.0
+        expected = r2 - 1.0 * a_ref  # minus threshold times e^(-1/5)
+        assert trace.hidden_potentials[1, 0] == pytest.approx(expected, rel=1e-15)
+
+    def test_refractory_suppression_vs_counterfactual(self):
+        m = _random_model(0, h=3)
+        frame = np.random.default_rng(5).standard_normal((12, 4)) * 3
+        spiking = forward(m, frame)
+        # the same synaptic input with no spike history: o = r at every step
+        quiet = forward(dataclasses.replace(m, hidden_threshold=1e9), frame)
+        fired = np.cumsum(spiking.hidden_spikes, axis=0) - spiking.hidden_spikes > 0
+        assert fired.any() and (~fired).any()
+        assert (spiking.hidden_potentials[fired] < quiet.hidden_potentials[fired]).all()
+        assert np.array_equal(spiking.hidden_potentials[~fired], quiet.hidden_potentials[~fired])
+
+    def test_readout_uses_its_own_threshold(self):
+        w_in = [[2.0, 0.0, 0.0, 0.0]]
+        frame = np.array([[1.0, 0.0, 0.0, 0.0]])
+        low = forward(_model(1, 4, w_in=w_in, w_out=[[0.5], [0.5]]), frame)
+        assert low.readout_potentials[0].tolist() == [0.5, 0.5]
+        assert low.readout_spikes[0].tolist() == [1.0, 1.0]  # above the zero readout threshold
+        high = forward(_model(1, 4, w_in=w_in, w_out=[[0.5], [0.5]], readout_threshold=0.6), frame)
+        assert high.readout_potentials[0].tolist() == [0.5, 0.5]
+        assert high.readout_spikes[0].tolist() == [0.0, 0.0]
 
     def test_same_step_propagation_to_readout(self):
         w_in = np.array([[2.0, 0.0, 0.0, 0.0]])
@@ -206,16 +225,41 @@ class TestForward:
 
 class TestForwardBatch:
     def test_matches_single_frame_forward(self):
-        m = _random_model(11, h=5, L_b=2)
-        rng = np.random.default_rng(12)
-        inputs = rng.standard_normal((3, 7, 8))
-        oh, bh, orr, br = forward_batch(m, inputs)
-        for i in range(3):
-            trace = forward(m, inputs[i])
-            assert np.allclose(oh[i], trace.hidden_potentials)
-            assert np.array_equal(bh[i], trace.hidden_spikes)
-            assert np.allclose(orr[i], trace.readout_potentials)
-            assert np.array_equal(br[i], trace.readout_spikes)
+        # a nonzero readout threshold makes the readout refractory trace matter
+        m = dataclasses.replace(_random_model(11, h=5, L_b=2), readout_threshold=0.3)
+        inputs = np.random.default_rng(12).standard_normal((3, 7, 8)) * 2
+        for slope in (None, 2.0):
+            batch = forward_batch(m, inputs, slope)
+            for i in range(3):
+                ref = _reference_forward(m, inputs[i], slope)
+                for k, (got, want) in enumerate(zip(batch, ref)):
+                    assert np.allclose(got[i], want, rtol=0, atol=1e-12)
+                    if slope is None and k % 2:  # hard spikes agree exactly
+                        assert np.array_equal(got[i], want)
+            if slope is None:
+                assert batch[1].any()  # the frames exercise the refractory path
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=st.integers(1, 4), L=st.integers(1, 12), H=st.integers(1, 6), L_b=st.integers(1, 3),
+        slope=st.one_of(st.none(), st.floats(0.1, 10.0)), readout_threshold=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes_match_reference_and_b1_view(self, B, L, H, L_b, slope, readout_threshold, seed):
+        rng = np.random.default_rng(seed)
+        m = init_model(H, L_b, rng, readout_threshold=readout_threshold)
+        inputs = rng.standard_normal((B, L, 4 * L_b)) * 3
+        batch = forward_batch(m, inputs, slope)
+        for i in range(B):
+            ref = _reference_forward(m, inputs[i], slope)
+            view = forward(m, inputs[i]) if slope is None else surrogate_forward(m, inputs[i], slope)
+            view = (view.hidden_potentials, view.hidden_spikes, view.readout_potentials, view.readout_spikes)
+            for k, (got, want, b1) in enumerate(zip(batch, ref, view)):
+                assert np.allclose(got[i], want, rtol=0, atol=1e-12)
+                assert np.allclose(b1, got[i], rtol=0, atol=1e-12)
+                if slope is None and k % 2:  # hard spikes agree exactly
+                    assert np.array_equal(got[i], want)
+                    assert np.array_equal(b1, got[i])
 
     def test_smoothed_mode_is_sigmoid_of_potential(self):
         m = _random_model(13)
@@ -235,9 +279,6 @@ class TestReadoutHelpers:
             hidden_potentials=np.zeros((3, 1)), hidden_spikes=np.zeros((3, 1)),
             readout_potentials=np.array([[0.0, 0.0], [math.log(3), 0.0], [50.0, -50.0]]),
             readout_spikes=np.zeros((3, 2)),
-            hidden_syn_fast=np.zeros((3, 1)), hidden_syn_slow=np.zeros((3, 1)),
-            hidden_refractory=np.zeros((3, 1)), readout_syn_fast=np.zeros((3, 2)),
-            readout_syn_slow=np.zeros((3, 2)), readout_refractory=np.zeros((3, 2)),
         )
         p_comm, p_sense = readout_probabilities(trace)
         assert p_comm[0] == 0.5
