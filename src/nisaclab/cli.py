@@ -25,6 +25,7 @@ import numpy as np
 from .channel import ChannelConfig, apply_channel, draw_channel, frame_received, noise_variance_from_snr
 from .dataset import Dataset, generate_dataset, load_dataset, save_dataset
 from .errors import FileFormatError
+from .fileio import staged_path
 from .metrics import EvalResult, evaluate, evaluate_ssac
 from .modem import ppm_modulate
 from .snn import SnnModel, forward, init_model, load_model, save_model, spike_count
@@ -51,7 +52,7 @@ class UsageError(Exception):
 
 
 def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with staged_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -77,17 +78,21 @@ def cmd_gen(args) -> int:
     alpha = _require_alpha(args) if args.mode == "ssac" else None
     cfg = _channel_config(args.snr_db)
     specs = [(args.out_train, args.n_train, args.seed), (args.out_test, args.n_test, args.seed + 1)]
-    # check both splits before writing either, so a bad test split leaves no train file
+    # check both splits before generating either
     for _, n, seed in specs:
         if n < 1:
             raise UsageError(f"split sizes must be positive, got {n}")
         if not 0 <= seed < 2**64:
             raise UsageError(f"split seed {seed} does not fit an unsigned 64-bit integer")
+    datasets = [
+        generate_dataset(cfg, args.L, args.Lb, n, mode=args.mode, master_seed=seed, alpha=alpha)
+        for _, n, seed in specs
+    ]
+    # both files appear together or neither does
+    with staged_path(args.out_train) as train_tmp, staged_path(args.out_test) as test_tmp:
+        for ds, tmp in zip(datasets, (train_tmp, test_tmp)):
+            save_dataset(ds, tmp)
     for path, n, seed in specs:
-        ds = generate_dataset(
-            cfg, args.L, args.Lb, n, mode=args.mode, master_seed=seed, alpha=alpha,
-        )
-        save_dataset(ds, path)
         print(
             f"wrote {path}: n={n} L={args.L} L_b={args.Lb} "
             f"snr_db={args.snr_db} mode={args.mode} seed={seed}"

@@ -25,7 +25,8 @@ from .channel import (
     frame_received,
     noise_variance_from_snr,
 )
-from .errors import BadMagicError, FileFormatError, FormatVersionError, TruncatedFileError
+from .errors import BadMagicError, FileFormatError, FormatVersionError, InvalidContentError, TruncatedFileError
+from .fileio import staged_path
 from .modem import BitFrame, ppm_modulate
 
 DATASET_MAGIC = b"NISD"
@@ -168,10 +169,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     records = np.empty(dataset.example_count, dtype=_payload_dtype(dataset.slot_count, dataset.L_b))
     records["v"] = dataset.targets
     records["bits"] = dataset.bits
-    records["inputs"] = dataset.inputs.astype("<f4")
-    with open(path, "wb") as fh:
+    records["inputs"] = dataset.inputs  # cast in place: no full-size temporary
+    with staged_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        fh.write(records.data)
 
 
 def load_dataset(path) -> Dataset:
@@ -196,11 +197,14 @@ def load_dataset(path) -> Dataset:
     if len(payload) > n * dtype.itemsize:
         raise FileFormatError("trailing bytes after dataset payload")
     records = np.frombuffer(payload, dtype=dtype, count=n)
-    return Dataset(
-        inputs=records["inputs"].astype(np.float64),
-        bits=records["bits"].copy(),
-        targets=records["v"].copy(),
-        L_b=L_b,
-        snr_db=snr_db,
-        master_seed=master_seed,
-    )
+    try:
+        return Dataset(
+            inputs=records["inputs"].astype(np.float64),
+            bits=records["bits"].copy(),
+            targets=records["v"].copy(),
+            L_b=L_b,
+            snr_db=snr_db,
+            master_seed=master_seed,
+        )
+    except ValueError as exc:
+        raise InvalidContentError(f"dataset file holds an invalid dataset: {exc}") from exc

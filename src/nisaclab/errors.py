@@ -15,3 +15,7 @@ class FormatVersionError(FileFormatError):
 
 class TruncatedFileError(FileFormatError):
     """File ends before the payload announced by its header."""
+
+
+class InvalidContentError(FileFormatError):
+    """File is well-formed but holds values the model or dataset rejects."""

@@ -16,19 +16,32 @@ the refractory trace reproduces reset-by-subtraction with an exponentially
 fading penalty of threshold * exp(-k/tau_ref) k steps after a spike.  Analog
 inputs enter the hidden synapses exactly as spikes would.
 
+The q/r pair is linear, so it is computed as a filter, not stepped: unrolled,
+r_t = sum_{m<=t} k(t-m) * drive_m with the impulse response
+k(n) = sum_{j=0..n} a_syn^j * a_mem^(n-j), i.e. r = K @ drive for the
+lower-triangular Toeplitz kernel K[t, m] = k(t-m).  K is applied in blocks of
+_BLOCK steps, and the (q, r) state left at the end of a block enters the next
+one in closed form, so a long frame never builds an (L x L) kernel.  Only the
+refractory/spike recursion, which is nonlinear, is stepped.  The readout
+never feeds back into the hidden layer, so each layer runs over the whole
+frame before the next one starts.
+
 One batched engine, forward_batch, runs these recursions for every forward
 pass; forward and training.surrogate_forward are its B=1 views.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ReceivedFrame
-from .errors import BadMagicError, FileFormatError, FormatVersionError, TruncatedFileError
+from .errors import BadMagicError, FileFormatError, FormatVersionError, InvalidContentError, TruncatedFileError
+from .fileio import staged_path
 
 COMM, SENSE = 0, 1  # readout rows
 
@@ -45,21 +58,17 @@ DEFAULT_TAU_REF = 0.5
 MODEL_MAGIC = b"NISM"
 MODEL_VERSION = 1
 
+# Steps per synaptic-kernel block: an 80-slot frame is one block, and a long
+# B=1 trace multiplies (80 x 80) blocks instead of one (L x L) kernel.
+_BLOCK = 80
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def heaviside(x: np.ndarray) -> np.ndarray:
-    """Hard threshold: 1 where x > 0, else 0."""
-    return np.where(x > 0, 1.0, 0.0)
+    e = np.exp(-np.abs(x))  # never overflows; exp(-x) for x >= 0, exp(x) below
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -169,6 +178,76 @@ def forward(model: SnnModel, frame) -> ForwardTrace:
     return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None])))
 
 
+@functools.lru_cache(maxsize=16)
+def _synapse_kernel(a_syn: float, a_mem: float):
+    """One block of the q/r response, from the recursion run on a unit impulse.
+
+    Returns (K, r_carry, q_carry, q_weights, q_decay): K is the (_BLOCK x
+    _BLOCK) lower-triangular kernel; a block entered with state (q0, r0) adds
+    r_carry[t]*r0 + q_carry[t]*q0 at its step t, and leaves q =
+    q_decay*q0 + q_weights @ drive after its last step.
+    """
+    q_pow = np.empty(_BLOCK)  # a_syn^t
+    k = np.empty(_BLOCK)      # k(t)
+    q = r = 0.0
+    for t in range(_BLOCK):
+        q = a_syn * q + (t == 0)
+        r = a_mem * r + q
+        q_pow[t], k[t] = q, r
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    parts = (
+        np.where(lag >= 0, k[np.maximum(lag, 0)], 0.0),
+        a_mem ** np.arange(1, _BLOCK + 1),
+        a_syn * k,
+        q_pow[::-1].copy(),
+    )
+    for a in parts:  # shared through the cache
+        a.flags.writeable = False
+    return (*parts, a_syn * q_pow[-1])
+
+
+def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
+    """Replace the time-major drive x (L, B, N) by the membrane input r it
+    produces through the q/r synapse, in place; returns x.
+
+    Filtering a time-reversed sequence applies K transposed, which is how the
+    backward pass uses it.
+    """
+    K, r_carry, q_carry, q_weights, q_decay = _synapse_kernel(a_syn, a_mem)
+    L = x.shape[0]
+    flat = x.reshape(L, math.prod(x.shape[1:]))  # a view: x is contiguous
+    for t0 in range(0, L, _BLOCK):
+        n = min(_BLOCK, L - t0)
+        block = flat[t0 : t0 + n]
+        q_end = q_weights @ block if t0 + n < L else None  # before block is overwritten
+        block[...] = K[:n, :n] @ block
+        if t0:
+            block += np.outer(r_carry[:n], r) + np.outer(q_carry[:n], q)
+            if q_end is not None:
+                q_end += q_decay * q
+        q, r = q_end, block[-1]
+    return x
+
+
+def _spike_layer(drive: np.ndarray, a_syn: float, a_mem: float, a_ref: float,
+                 threshold: float, slope: float | None):
+    """Potentials and spikes of one layer from its time-major drive (L, B, N);
+    the drive array becomes the potential record."""
+    potentials = _synapse_filter(drive, a_syn, a_mem)
+    spikes = np.empty_like(potentials)
+    s = np.zeros(potentials.shape[1:])
+    b = s
+    for o, b_next in zip(potentials, spikes):
+        s = a_ref * (s + b)
+        o -= threshold * s
+        if slope is None:
+            np.greater(o, threshold, out=b_next)
+        else:
+            b_next[...] = sigmoid(slope * (o - threshold))
+        b = b_next
+    return potentials, spikes
+
+
 def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = None):
     """Vectorized forward over a batch of frames, recording only what training
     and evaluation need.
@@ -176,39 +255,21 @@ def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = Non
     inputs has shape (B, L, input_width).  slope=None runs the hard-threshold
     network; a float runs the smoothed twin with spikes sigmoid(slope*(o-th)).
     Returns (hidden_potentials, hidden_spikes, readout_potentials,
-    readout_spikes) with shapes (B, L, H) / (B, L, 2).
+    readout_spikes) with shapes (B, L, H) / (B, L, 2); they are views of
+    time-major (L, B, .) records.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     B, L, width = inputs.shape
     if width != model.input_width:
         raise ValueError(f"input width {width} does not match model input width {model.input_width}")
-    H = model.hidden_count
     a_syn, a_mem, a_ref = model.decays()
-    th_h, th_r = model.hidden_threshold, model.readout_threshold
-    spike_fn = heaviside if slope is None else (lambda x: sigmoid(slope * x))
-    drive = inputs @ model.input_weights.T  # (B, L, H)
-    w_out_t = model.readout_weights.T
-
-    qh = np.zeros((B, H)); rh = np.zeros((B, H)); sh = np.zeros((B, H)); bh = np.zeros((B, H))
-    qr = np.zeros((B, 2)); rr = np.zeros((B, 2)); sr = np.zeros((B, 2)); br = np.zeros((B, 2))
-    oh_rec = np.empty((B, L, H)); bh_rec = np.empty((B, L, H))
-    or_rec = np.empty((B, L, 2)); br_rec = np.empty((B, L, 2))
-
-    for l in range(L):
-        qh = a_syn * qh + drive[:, l]
-        rh = a_mem * rh + qh
-        sh = a_ref * (sh + bh)
-        oh = rh - th_h * sh
-        bh = spike_fn(oh - th_h)
-        qr = a_syn * qr + bh @ w_out_t
-        rr = a_mem * rr + qr
-        sr = a_ref * (sr + br)
-        orr = rr - th_r * sr
-        br = spike_fn(orr - th_r)
-        oh_rec[:, l] = oh; bh_rec[:, l] = bh
-        or_rec[:, l] = orr; br_rec[:, l] = br
-
-    return oh_rec, bh_rec, or_rec, br_rec
+    oh, bh = _spike_layer(
+        inputs.transpose(1, 0, 2) @ model.input_weights.T,
+        a_syn, a_mem, a_ref, model.hidden_threshold, slope,
+    )
+    rdrive = (bh.reshape(L * B, model.hidden_count) @ model.readout_weights.T).reshape(L, B, 2)
+    orr, br = _spike_layer(rdrive, a_syn, a_mem, a_ref, model.readout_threshold, slope)
+    return tuple(a.transpose(1, 0, 2) for a in (oh, bh, orr, br))
 
 
 def readout_probabilities(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +302,7 @@ def save_model(model: SnnModel, path) -> None:
         "<5d", model.hidden_threshold, model.readout_threshold,
         model.tau_mem, model.tau_syn, model.tau_ref,
     )
-    with open(path, "wb") as fh:
+    with staged_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(model.input_weights.astype("<f8").tobytes())
         fh.write(model.readout_weights.astype("<f8").tobytes())
@@ -268,15 +329,18 @@ def load_model(path) -> SnnModel:
         scalars = struct.unpack("<5d", _read_exact(fh, 40, "thresholds and time constants"))
         if fh.read(1):
             raise FileFormatError("trailing bytes after model payload")
-    return SnnModel(
-        input_weights=w_in.reshape(H, width).copy(),
-        readout_weights=w_out.reshape(2, H).copy(),
-        hidden_threshold=scalars[0],
-        readout_threshold=scalars[1],
-        tau_mem=scalars[2],
-        tau_syn=scalars[3],
-        tau_ref=scalars[4],
-    )
+    try:
+        return SnnModel(
+            input_weights=w_in.reshape(H, width).copy(),
+            readout_weights=w_out.reshape(2, H).copy(),
+            hidden_threshold=scalars[0],
+            readout_threshold=scalars[1],
+            tau_mem=scalars[2],
+            tau_syn=scalars[3],
+            tau_ref=scalars[4],
+        )
+    except ValueError as exc:
+        raise InvalidContentError(f"model file holds an invalid model: {exc}") from exc
 
 
 def clone_model(model: SnnModel) -> SnnModel:

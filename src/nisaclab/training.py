@@ -25,6 +25,7 @@ from .snn import (
     ForwardTrace,
     SnnModel,
     _frame_inputs,
+    _synapse_filter,
     clone_model,
     forward_batch,
     sigmoid,
@@ -147,42 +148,43 @@ def _backward_batch(
     d_readout_potentials holds the direct loss derivative at each readout
     potential; everything else is reconstructed from the recorded potentials
     and spikes (the filter states enter linearly, so their values are never
-    needed).
+    needed).  Each layer steps only the adjoint of its refractory/spike
+    recursion; the synapse adjoint is K transposed, applied by filtering the
+    time-reversed sequence.  Every (L, B, .) array below runs backwards in
+    time.
     """
-    B, L, _ = inputs.shape
+    B, L, width = inputs.shape
     H = model.hidden_count
     a_syn, a_mem, a_ref = model.decays()
     th_h, th_r = model.hidden_threshold, model.readout_threshold
-    w_out = model.readout_weights
 
-    dspike_h = _spike_slope(hidden_potentials, th_h, slope)
-    dspike_r = _spike_slope(readout_potentials, th_r, slope)
+    def reversed_time(a):
+        return a.transpose(1, 0, 2)[::-1]
 
-    # Adjoints carried from step l+1 into step l.
-    c_qh = np.zeros((B, H)); c_rh = np.zeros((B, H)); c_sh = np.zeros((B, H))
-    c_qr = np.zeros((B, 2)); c_rr = np.zeros((B, 2)); c_sr = np.zeros((B, 2))
-    g_drive = np.empty((B, L, H))
-    g_rdrive = np.empty((B, L, 2))
+    # Spikes feed the next step's refractory trace via s' = a_ref*(s + b), so
+    # the carry c (a_ref times the future s-adjoint) is also d L / d spike.
+    d_or = reversed_time(d_readout_potentials)
+    dspike_r = _spike_slope(reversed_time(readout_potentials), th_r, slope)
+    g_rdrive = np.empty((L, B, 2))
+    c = np.zeros((B, 2))
+    for l in range(L):
+        g = g_rdrive[l] = d_or[l] + c * dspike_r[l]
+        c = a_ref * (c - th_r * g)
+    _synapse_filter(g_rdrive, a_syn, a_mem)
 
-    for l in range(L - 1, -1, -1):
-        # spikes feed the next step's refractory trace via s' = a_ref*(s + b),
-        # so the same carry (a_ref times the future s-adjoint) serves both s and b
-        g_or = d_readout_potentials[:, l] + c_sr * dspike_r[:, l]
-        g_rr = c_rr + g_or
-        g_sr = c_sr - th_r * g_or
-        g_qr = c_qr + g_rr
-        g_rdrive[:, l] = g_qr
-        g_bh = g_qr @ w_out + c_sh
-        g_oh = g_bh * dspike_h[:, l]
-        g_rh = c_rh + g_oh
-        g_sh = c_sh - th_h * g_oh
-        g_qh = c_qh + g_rh
-        g_drive[:, l] = g_qh
-        c_qr = a_syn * g_qr; c_rr = a_mem * g_rr; c_sr = a_ref * g_sr
-        c_qh = a_syn * g_qh; c_rh = a_mem * g_rh; c_sh = a_ref * g_sh
+    # d L / d hidden spike from the readout, turned in place into the
+    # potential adjoint and then into the drive adjoint
+    g_drive = (g_rdrive.reshape(L * B, 2) @ model.readout_weights).reshape(L, B, H)
+    dspike_h = _spike_slope(reversed_time(hidden_potentials), th_h, slope)
+    c = np.zeros((B, H))
+    for g, ds in zip(g_drive, dspike_h):
+        g += c
+        g *= ds
+        c = a_ref * (c - th_h * g)
+    _synapse_filter(g_drive, a_syn, a_mem)
 
-    g_w_in = np.einsum("blh,bld->hd", g_drive, inputs)
-    g_w_out = np.einsum("blo,blh->oh", g_rdrive, hidden_spikes)
+    g_w_in = g_drive.reshape(L * B, H).T @ reversed_time(inputs).reshape(L * B, width)
+    g_w_out = g_rdrive.reshape(L * B, 2).T @ reversed_time(hidden_spikes).reshape(L * B, H)
     return g_w_in, g_w_out
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -68,6 +70,16 @@ class TestGen:
         ])
         assert code == 2
         assert not train.exists()
+
+    def test_unwritable_test_path_leaves_no_file(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "gen", "--n-train", "3", "--n-test", "2", "--L", "4",
+            "--out-train", str(out / "a.nisd"), "--out-test", str(out / "nodir" / "b.nisd"),
+        ])
+        assert code == 3
+        assert list(out.iterdir()) == []
 
     def test_ssac_requires_alpha(self, tmp_path):
         code = main([
@@ -169,12 +181,67 @@ class TestEval:
         ])
         assert code == 3
 
+    def test_nan_model_is_format_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "nan.nism"
+        raw = bytearray(workdir["model"].read_bytes())
+        raw[16:24] = np.float64(np.nan).tobytes()  # first input weight
+        bad.write_bytes(bytes(raw))
+        code = main([
+            "eval", "--data", str(workdir["test"]), "--model", str(bad),
+            "--out", str(tmp_path / "e.csv"),
+        ])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_dataset_is_format_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "nan.nisd"
+        raw = bytearray(workdir["test"].read_bytes())
+        first_input = 36 + 1 + 8  # header, then example 0's target byte and its L=8 bits
+        raw[first_input : first_input + 4] = np.float32(np.nan).tobytes()
+        bad.write_bytes(bytes(raw))
+        code = main([
+            "eval", "--data", str(bad), "--model", str(workdir["model"]),
+            "--out", str(tmp_path / "e.csv"),
+        ])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_dataset_is_io_error(self, workdir, tmp_path):
         code = main([
             "eval", "--data", str(tmp_path / "absent.nisd"),
             "--model", str(workdir["model"]), "--out", str(tmp_path / "e.csv"),
         ])
         assert code == 3
+
+
+class TestOutputFiles:
+    @staticmethod
+    def _eval(workdir, out):
+        return main(["eval", "--data", str(workdir["test"]), "--model", str(workdir["model"]), "--out", str(out)])
+
+    def test_symlink_target_is_replaced_not_the_link(self, workdir, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert self._eval(workdir, link) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith(",".join(EVAL_COLUMNS))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_in_place(self, workdir, tmp_path):
+        # a pipe or device (say /dev/stdout) cannot be renamed over
+        pipe = tmp_path / "out.csv"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert self._eval(workdir, pipe) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert data.decode().startswith(",".join(EVAL_COLUMNS))
 
 
 class TestSweep:

@@ -16,6 +16,7 @@ from nisaclab.errors import (
     TruncatedFileError,
 )
 from nisaclab.snn import (
+    _BLOCK,
     COMM,
     SENSE,
     ForwardTrace,
@@ -24,7 +25,6 @@ from nisaclab.snn import (
     decode_bits,
     forward,
     forward_batch,
-    heaviside,
     init_model,
     load_model,
     readout_probabilities,
@@ -195,12 +195,8 @@ class TestForward:
         m = _random_model(5)
         frame = np.random.default_rng(6).standard_normal((20, 4)) * 2
         trace = forward(m, frame)
-        assert np.array_equal(
-            trace.hidden_spikes, heaviside(trace.hidden_potentials - m.hidden_threshold)
-        )
-        assert np.array_equal(
-            trace.readout_spikes, heaviside(trace.readout_potentials - m.readout_threshold)
-        )
+        assert np.array_equal(trace.hidden_spikes, trace.hidden_potentials > m.hidden_threshold)
+        assert np.array_equal(trace.readout_spikes, trace.readout_potentials > m.readout_threshold)
 
     def test_readout_decision_matches_probability_rule(self):
         # hard decision is 1 exactly when the decode probability passes 0.5
@@ -261,6 +257,26 @@ class TestForwardBatch:
                     assert np.array_equal(got[i], want)
                     assert np.array_equal(b1, got[i])
 
+    @pytest.mark.parametrize("B, L", [
+        (3, _BLOCK - 1), (3, _BLOCK), (3, _BLOCK + 1), (2, 2 * _BLOCK + 7), (1, 1000),
+    ])
+    def test_block_boundaries_match_reference(self, B, L):
+        # slow time constants, so the state a kernel block hands on still
+        # matters tens of steps into the next block
+        rng = np.random.default_rng(L)
+        m = init_model(5, 1, rng, readout_threshold=0.3, tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
+        inputs = rng.standard_normal((B, L, 4)) * 0.3
+        for slope in (None, 2.0):
+            batch = forward_batch(m, inputs, slope)
+            for i in range(B):
+                ref = _reference_forward(m, inputs[i], slope)
+                for k, (got, want) in enumerate(zip(batch, ref)):
+                    assert np.allclose(got[i], want, rtol=0, atol=1e-12)
+                    if slope is None and k % 2:
+                        assert np.array_equal(got[i], want)
+            if slope is None and L > _BLOCK:  # both layers spike past the first block
+                assert batch[1][:, _BLOCK:].any() and batch[3][:, _BLOCK:].any()
+
     def test_smoothed_mode_is_sigmoid_of_potential(self):
         m = _random_model(13)
         inputs = np.random.default_rng(14).standard_normal((2, 5, 4))
@@ -271,6 +287,31 @@ class TestForwardBatch:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             forward_batch(_random_model(0), np.zeros((2, 3, 6)))
+
+
+def _sigmoid_by_masks(x):
+    """Reference logistic: boolean masks, one exp per branch."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_masked_formula(self):
+        tiny = np.finfo(float).tiny
+        extremes = np.array([
+            -np.inf, -1.8e308, -746.0, -745.1, -709.8, -40.0, -36.7, -1.0, -tiny, -5e-324, -0.0,
+            0.0, 5e-324, tiny, 1e-8, 0.5, 36.7, 40.0, 709.8, 745.1, 746.0, 1.8e308, np.inf,
+        ])
+        x = np.concatenate([extremes, np.random.default_rng(0).standard_normal(10_000) * 30])
+        assert np.array_equal(sigmoid(x).view(np.uint64), _sigmoid_by_masks(x).view(np.uint64))
+        assert sigmoid(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestReadoutHelpers:

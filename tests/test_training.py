@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
 from nisaclab.modem import BitFrame
-from nisaclab.snn import init_model, readout_probabilities
+from nisaclab.snn import _BLOCK, init_model, readout_probabilities
 from nisaclab.training import (
     PROB_EPS,
     ParamGradients,
@@ -141,6 +143,29 @@ class TestGradients:
         want = _fd_gradients(model, inputs, bits, target, beta, slope)
         assert _max_rel_error(got.input_weights, want.input_weights) <= 1e-4
         assert _max_rel_error(got.readout_weights, want.readout_weights) <= 1e-4
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        H=st.integers(1, 3), L_b=st.integers(1, 2), L=st.integers(1, _BLOCK + 5),
+        readout_threshold=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(H=3, L_b=2, L=_BLOCK + 5, readout_threshold=0.5, seed=0)
+    def test_backward_matches_finite_differences_on_random_shapes(self, H, L_b, L, readout_threshold, seed):
+        # L up to 85 crosses a kernel block boundary; these time constants keep
+        # the readout potentials clear of the PROB_EPS clamp, where the
+        # finite-difference loss goes flat
+        rng = np.random.default_rng(seed)
+        model = init_model(
+            H, L_b, rng, readout_threshold=readout_threshold, tau_mem=4.0, tau_syn=2.0, tau_ref=2.0,
+        )
+        inputs = rng.standard_normal((L, 4 * L_b)) * 0.3
+        bits = rng.integers(0, 2, size=L)
+        target, beta, slope = int(rng.integers(0, 2)), 0.5, 1.0
+        trace = surrogate_forward(model, inputs, slope)
+        got = backward(model, trace, inputs, bits, target, beta, slope)
+        want = _fd_gradients(model, inputs, bits, target, beta, slope)
+        for g, w in ((got.input_weights, want.input_weights), (got.readout_weights, want.readout_weights)):
+            assert np.abs(g - w).max() <= 1e-6 * max(1.0, np.abs(w).max())
 
     def test_gradient_of_duplicated_example_doubles(self):
         rng = np.random.default_rng(3)
