@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -26,8 +25,8 @@ from .channel import ChannelConfig, apply_channel, draw_channel, frame_received,
 from .dataset import Dataset, generate_dataset, load_dataset, save_dataset
 from .errors import FileFormatError
 from .fileio import staged_path
-from .metrics import EvalResult, evaluate, evaluate_ssac
-from .modem import ppm_modulate
+from .metrics import evaluate, evaluate_ssac
+from .modem import ppm_modulate, ssac_data_slots
 from .snn import SnnModel, forward, init_model, load_model, save_model, spike_count
 from .training import TrainConfig, train
 
@@ -118,9 +117,7 @@ def _train_on(dataset: Dataset, args, mode: str, alpha: float | None):
         model = init_model(args.hidden, dataset.L_b, rng)
         model, history = train(model, dataset, TrainConfig(beta=args.beta, **base))
         return {"isac": (model, history)}
-    n_data = math.ceil(alpha * dataset.slot_count)
-    if not 0 < n_data < dataset.slot_count:
-        raise UsageError(f"alpha={alpha} leaves no data or no sensing slots at L={dataset.slot_count}")
+    n_data = ssac_data_slots(alpha, dataset.slot_count)
     comm = init_model(args.hidden, dataset.L_b, rng)
     sense = init_model(args.hidden, dataset.L_b, rng)
     comm, hist_c = train(comm, dataset, TrainConfig(beta=1.0, **base), data_slot_count=n_data)

@@ -11,7 +11,6 @@ round trip bit-exact even though training runs in 64-bit.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -19,30 +18,27 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
-    ReceivedFrame,
     apply_channel,
     draw_channel,
     frame_received,
     noise_variance_from_snr,
 )
-from .errors import BadMagicError, FileFormatError, FormatVersionError, InvalidContentError, TruncatedFileError
+from .errors import (
+    BadMagicError,
+    FileFormatError,
+    FormatVersionError,
+    InvalidContentError,
+    TruncatedFileError,
+    check_payload_size,
+)
 from .fileio import staged_path
-from .modem import BitFrame, ppm_modulate
+from .modem import ppm_modulate, ssac_data_slots
 
 DATASET_MAGIC = b"NISD"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIdQ")  # magic, version, n, L, L_b, snr_db, master_seed
 
 MODES = ("isac", "ssac")
-
-
-@dataclass
-class Example:
-    """One labeled frame as the receiver sees it."""
-
-    inputs: ReceivedFrame
-    bits: BitFrame
-    target: int
 
 
 @dataclass(eq=False)
@@ -90,15 +86,6 @@ class Dataset:
     def slot_count(self) -> int:
         return self.inputs.shape[1]
 
-    def example(self, i: int, data_slot_count: int | None = None) -> Example:
-        """Materialize example i; data_slot_count marks SSAC sensing slots."""
-        n_data = self.slot_count if data_slot_count is None else data_slot_count
-        return Example(
-            inputs=ReceivedFrame(slot_inputs=self.inputs[i]),
-            bits=BitFrame(bits=self.bits[i], data_slot_count=n_data),
-            target=int(self.targets[i]),
-        )
-
 
 def example_rng(master_seed: int, index: int) -> np.random.Generator:
     """Generator for example `index`: master seed plus the index as spawn key."""
@@ -123,14 +110,9 @@ def generate_dataset(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "ssac":
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise ValueError("ssac mode needs alpha in (0, 1)")
-        n_data = math.ceil(alpha * L)
-    else:
-        n_data = L
     if L < 1 or L_b < 1 or n < 1:
         raise ValueError("L, L_b and n must all be positive")
+    n_data = ssac_data_slots(alpha, L) if mode == "ssac" else L
 
     noise_var = noise_variance_from_snr(cfg)
     inputs = np.empty((n, L, 4 * L_b), dtype=np.float64)
@@ -178,25 +160,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset; round trip is bit-exact."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise TruncatedFileError("dataset file ended inside the header")
-        magic, version, n, L, L_b, snr_db, master_seed = _HEADER.unpack(head)
-        if magic != DATASET_MAGIC:
-            raise BadMagicError(f"expected magic {DATASET_MAGIC!r}, found {magic!r}")
-        if version != DATASET_VERSION:
-            raise FormatVersionError(f"unsupported dataset format version {version}")
-        if n == 0 or L == 0 or L_b == 0:
-            raise FileFormatError("header counts must be positive")
-        dtype = _payload_dtype(L, L_b)
-        payload = fh.read(n * dtype.itemsize + 1)
-    if len(payload) < n * dtype.itemsize:
-        raise TruncatedFileError(
-            f"payload holds {len(payload)} bytes, header promises {n * dtype.itemsize}"
-        )
-    if len(payload) > n * dtype.itemsize:
-        raise FileFormatError("trailing bytes after dataset payload")
-    records = np.frombuffer(payload, dtype=dtype, count=n)
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise TruncatedFileError("dataset file ended inside the header")
+    magic, version, n, L, L_b, snr_db, master_seed = _HEADER.unpack_from(raw)
+    if magic != DATASET_MAGIC:
+        raise BadMagicError(f"expected magic {DATASET_MAGIC!r}, found {magic!r}")
+    if version != DATASET_VERSION:
+        raise FormatVersionError(f"unsupported dataset format version {version}")
+    if n == 0 or L == 0 or L_b == 0:
+        raise FileFormatError("header counts must be positive")
+    record_size = 1 + L + 16 * L * L_b  # _payload_dtype(L, L_b).itemsize
+    check_payload_size(len(raw) - _HEADER.size, n * record_size, "dataset")
+    records = np.frombuffer(raw, dtype=_payload_dtype(L, L_b), offset=_HEADER.size)
     try:
         return Dataset(
             inputs=records["inputs"].astype(np.float64),

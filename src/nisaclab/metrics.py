@@ -7,12 +7,11 @@ decodes every data slot correctly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modem import BitFrame
+from .modem import ssac_data_slots
 from .snn import COMM, SENSE, SnnModel, forward_batch
 
 
@@ -44,12 +43,17 @@ def normalized_throughput(decisions, truths) -> float:
     return total / len(truths)
 
 
-def majority_detection(votes) -> int:
-    """1 iff strictly more than half the per-slot votes are 1; ties say 0."""
+def majority_detection(votes):
+    """1 iff strictly more than half the slot votes are 1; ties say 0.
+
+    votes is one frame's (slots,) sequence, which gives an int, or (...,
+    slots), which gives one bool decision per frame.
+    """
     v = np.asarray(votes)
-    if v.size == 0:
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("majority vote over an empty sequence")
-    return int(v.sum() > v.size / 2)
+    decisions = v.sum(axis=-1) > v.shape[-1] / 2
+    return int(decisions) if v.ndim == 1 else decisions
 
 
 def detection_error_from_votes(votes: np.ndarray, targets: np.ndarray) -> float:
@@ -58,20 +62,7 @@ def detection_error_from_votes(votes: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets)
     if votes.ndim != 2 or votes.shape[0] != targets.shape[0]:
         raise ValueError("votes must be (n, slots) aligned with targets (n,)")
-    decisions = votes.sum(axis=1) > votes.shape[1] / 2
-    return float((decisions != targets.astype(bool)).mean())
-
-
-def detection_error(model: SnnModel, dataset, sense_slot_start: int = 0) -> float:
-    """Majority-rule detection error of a model over a dataset.
-
-    sense_slot_start restricts the vote to trailing slots (SSAC's sensing
-    network votes on sensing slots only); 0 uses the whole frame.
-    """
-    if dataset.example_count == 0:
-        raise ValueError("dataset is empty")
-    _, _, _, br = forward_batch(model, dataset.inputs)
-    return detection_error_from_votes(br[:, sense_slot_start:, SENSE], dataset.targets)
+    return float((majority_detection(votes) != targets.astype(bool)).mean())
 
 
 def evaluate(model: SnnModel, dataset) -> EvalResult:
@@ -94,10 +85,8 @@ def evaluate_ssac(comm_model: SnnModel, sense_model: SnnModel, dataset, alpha: f
     """
     if dataset.example_count == 0:
         raise ValueError("dataset is empty")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     L = dataset.slot_count
-    n_data = math.ceil(alpha * L)
+    n_data = ssac_data_slots(alpha, L)
     _, bh_c, _, br_c = forward_batch(comm_model, dataset.inputs)
     _, bh_s, _, br_s = forward_batch(sense_model, dataset.inputs)
     correct = (br_c[:, :n_data, COMM] == dataset.bits[:, :n_data]).sum(axis=1)

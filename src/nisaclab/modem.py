@@ -95,16 +95,14 @@ def ppm_demodulate(chips: ChipSequence) -> np.ndarray:
     return (per_slot.argmax(axis=1) >= L_b).astype(np.uint8)
 
 
-def make_ssac_frame(data_bits, alpha: float, L: int) -> BitFrame:
-    """Build an SSAC frame: ceil(alpha*L) data slots, then all-one sensing slots."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if L < 1:
-        raise ValueError("frame must have at least one slot")
+def ssac_data_slots(alpha: float, L: int) -> int:
+    """Data slots of an SSAC frame of L slots, ceil(alpha*L); the rest sense.
+
+    Raises ValueError unless alpha leaves at least one slot of each kind.
+    """
+    if alpha is None or not 0.0 < alpha < 1.0:
+        raise ValueError(f"ssac mode needs alpha in (0, 1), got {alpha}")
     n_data = math.ceil(alpha * L)
-    data = np.asarray(data_bits, dtype=np.uint8).ravel()
-    if data.size != n_data:
-        raise ValueError(f"expected {n_data} data bits for alpha={alpha}, L={L}, got {data.size}")
-    bits = np.ones(L, dtype=np.uint8)
-    bits[:n_data] = data
-    return BitFrame(bits=bits, data_slot_count=n_data)
+    if n_data >= L:
+        raise ValueError(f"alpha={alpha} leaves no sensing slot at L={L}")
+    return n_data

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ReceivedFrame
-from .errors import BadMagicError, FileFormatError, FormatVersionError, InvalidContentError, TruncatedFileError
+from .errors import BadMagicError, FormatVersionError, InvalidContentError, TruncatedFileError, check_payload_size
 from .fileio import staged_path
 
 COMM, SENSE = 0, 1  # readout rows
@@ -309,26 +309,21 @@ def save_model(model: SnnModel, path) -> None:
         fh.write(tail)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"model file ended while reading {what}")
-    return buf
-
-
 def load_model(path) -> SnnModel:
     """Read a model written by save_model; round trip is bit-exact."""
     with open(path, "rb") as fh:
-        magic, version, H, width = struct.unpack("<4sIII", _read_exact(fh, 16, "header"))
-        if magic != MODEL_MAGIC:
-            raise BadMagicError(f"expected magic {MODEL_MAGIC!r}, found {magic!r}")
-        if version != MODEL_VERSION:
-            raise FormatVersionError(f"unsupported model format version {version}")
-        w_in = np.frombuffer(_read_exact(fh, 8 * H * width, "input weights"), dtype="<f8")
-        w_out = np.frombuffer(_read_exact(fh, 8 * 2 * H, "readout weights"), dtype="<f8")
-        scalars = struct.unpack("<5d", _read_exact(fh, 40, "thresholds and time constants"))
-        if fh.read(1):
-            raise FileFormatError("trailing bytes after model payload")
+        raw = fh.read()
+    if len(raw) < 16:
+        raise TruncatedFileError("model file ended inside the header")
+    magic, version, H, width = struct.unpack_from("<4sIII", raw)
+    if magic != MODEL_MAGIC:
+        raise BadMagicError(f"expected magic {MODEL_MAGIC!r}, found {magic!r}")
+    if version != MODEL_VERSION:
+        raise FormatVersionError(f"unsupported model format version {version}")
+    n_in = H * width
+    check_payload_size(len(raw) - 16, 8 * (n_in + 2 * H + 5), "model")
+    values = np.frombuffer(raw, dtype="<f8", offset=16)
+    w_in, w_out, scalars = values[:n_in], values[n_in:-5], values[-5:].tolist()
     try:
         return SnnModel(
             input_weights=w_in.reshape(H, width).copy(),

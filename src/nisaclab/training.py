@@ -3,13 +3,16 @@
 The per-slot decode probability is the logistic of the communication readout
 potential, the per-slot detection probability likewise for the sensing
 readout.  The training loss is a beta-weighted sum of the two cross
-entropies.  Gradients are computed by hand-rolled reverse-mode
-backpropagation through the unrolled membrane recursions; the only
-approximation is the usual surrogate step: the hard threshold's derivative
-is replaced by the derivative of sigmoid(slope * x).  Run the same backward
-pass on a trace from the fully smoothed twin network (surrogate_forward) and
-it is the exact gradient, which is how the finite-difference oracle checks
-it.
+entropies; an SSAC network scores its decode term on the leading data slots
+and its detection term on the trailing sensing slots.  _objective is the one
+definition of that loss and of its derivative at the readout potentials:
+train calls it once per batch, backward once per frame.  Gradients are
+computed by hand-rolled reverse-mode backpropagation through the unrolled
+membrane recursions; the only approximation is the usual surrogate step: the
+hard threshold's derivative is replaced by the derivative of
+sigmoid(slope * x).  Run the same backward pass on a trace from the fully
+smoothed twin network (surrogate_forward) and it is the exact gradient, which
+is how the finite-difference oracle checks it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .metrics import majority_detection
 from .modem import BitFrame
 from .snn import (
     COMM,
@@ -86,7 +90,8 @@ def _binary_cross_entropy(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def comm_loss(p_comm, bits, data_slot_count: int | None = None) -> float:
-    """Summed decode cross entropy; SSAC frames contribute data slots only."""
+    """Summed decode cross entropy over the last (slot) axis and any leading
+    frame axes; SSAC frames contribute their leading data slots only."""
     p = np.asarray(p_comm, dtype=np.float64)
     if isinstance(bits, BitFrame):
         labels = bits.bits
@@ -96,20 +101,21 @@ def comm_loss(p_comm, bits, data_slot_count: int | None = None) -> float:
         labels = np.asarray(bits)
     if p.shape != labels.shape:
         raise ValueError(f"probability/bit length mismatch: {p.shape} vs {labels.shape}")
-    n = labels.size if data_slot_count is None else data_slot_count
-    return float(_binary_cross_entropy(p[:n], labels[:n].astype(np.float64)).sum())
+    n = data_slot_count  # None keeps every slot
+    return float(_binary_cross_entropy(p[..., :n], labels[..., :n].astype(np.float64)).sum())
 
 
-def sense_loss(p_sense, target: int, slot_mask=None) -> float:
+def sense_loss(p_sense, target, slot_mask=None) -> float:
     """Summed detection cross entropy with the frame label broadcast over slots.
 
-    slot_mask restricts the sum (SSAC trains its sensing network on the
-    sensing slots only); default is every slot.
+    p_sense is (..., slots) and target one label per frame, (...).  slot_mask
+    restricts the sum to some slots; default is every slot.
     """
     p = np.asarray(p_sense, dtype=np.float64)
     if slot_mask is not None:
-        p = p[np.asarray(slot_mask, dtype=bool)]
-    return float(_binary_cross_entropy(p, np.float64(target)).sum())
+        p = p[..., np.asarray(slot_mask, dtype=bool)]
+    labels = np.asarray(target, dtype=np.float64)[..., None]
+    return float(_binary_cross_entropy(p, labels).sum())
 
 
 def isac_loss(lc: float, ls: float, beta: float) -> float:
@@ -188,21 +194,29 @@ def _backward_batch(
     return g_w_in, g_w_out
 
 
-def _loss_potential_grad(
+def _objective(
     readout_potentials: np.ndarray,
     bits: np.ndarray,
-    target: np.ndarray,
+    targets: np.ndarray,
     beta: float,
-    comm_mask: np.ndarray,
-    sense_mask: np.ndarray,
-) -> np.ndarray:
-    """d L / d readout potential, shape (B, L, 2); cross entropy of a logistic
-    gives the familiar (probability - label) form."""
+    n_data: int,
+    sense_start: int,
+) -> tuple[float, float, np.ndarray]:
+    """Batch-summed decode and detection losses, and d(beta*lc + (1-beta)*ls)
+    / d readout potential, shape (B, L, 2).
+
+    The decode loss covers the leading n_data slots, the detection loss the
+    slots from sense_start on.  The cross entropy of a logistic gives the
+    familiar (probability - label) form of the gradient.
+    """
     p = sigmoid(readout_potentials)
-    d = np.empty_like(p)
-    d[:, :, COMM] = beta * comm_mask * (p[:, :, COMM] - bits)
-    d[:, :, SENSE] = (1.0 - beta) * sense_mask * (p[:, :, SENSE] - target[:, None])
-    return d
+    p_comm, p_sense = p[:, :, COMM], p[:, sense_start:, SENSE]
+    lc = comm_loss(p_comm, bits, n_data)
+    ls = sense_loss(p_sense, targets)
+    d = np.zeros_like(p)
+    d[:, :n_data, COMM] = beta * (p_comm[:, :n_data] - bits[:, :n_data])
+    d[:, sense_start:, SENSE] = (1.0 - beta) * (p_sense - targets[:, None])
+    return lc, ls, d
 
 
 def backward(
@@ -213,25 +227,24 @@ def backward(
     target: int,
     beta: float,
     slope: float = 1.0,
-    sense_mask=None,
 ) -> ParamGradients:
     """Gradient of the weighted loss for one frame, via the trace from
-    forward (surrogate gradient) or surrogate_forward (exact)."""
+    forward (surrogate gradient) or surrogate_forward (exact).
+
+    A BitFrame's data_slot_count restricts the decode loss to its data slots.
+    """
     inputs = _frame_inputs(model, frame)
     L = inputs.shape[0]
     if len(trace) != L:
         raise ValueError(f"trace length {len(trace)} does not match frame length {L}")
     if isinstance(bits, BitFrame):
-        comm_mask = np.zeros(L)
-        comm_mask[: bits.data_slot_count] = 1.0
-        labels = bits.bits.astype(np.float64)
+        bits, n_data = bits.bits, bits.data_slot_count
     else:
-        comm_mask = np.ones(L)
-        labels = np.asarray(bits, dtype=np.float64)
-    s_mask = np.ones(L) if sense_mask is None else np.asarray(sense_mask, dtype=np.float64)
-    d_or = _loss_potential_grad(
-        trace.readout_potentials[None], labels[None],
-        np.array([target], dtype=np.float64), beta, comm_mask, s_mask,
+        n_data = L
+    labels = np.asarray(bits, dtype=np.float64)[None]
+    _, _, d_or = _objective(
+        trace.readout_potentials[None], labels, np.array([target], dtype=np.float64),
+        beta, n_data, 0,
     )
     g_w_in, g_w_out = _backward_batch(
         model, inputs[None], trace.hidden_potentials[None], trace.hidden_spikes[None],
@@ -269,11 +282,6 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     L = dataset.slot_count
     n_data = L if data_slot_count is None else data_slot_count
-    comm_mask = np.zeros(L)
-    comm_mask[:n_data] = 1.0
-    sense_mask = np.zeros(L)
-    sense_mask[sense_slot_start:] = 1.0
-    n_sense = int(sense_mask.sum())
 
     inputs_all = dataset.inputs
     bits_all = dataset.bits.astype(np.float64)
@@ -295,9 +303,9 @@ def train(
             targets = targets_all[idx]
             oh, bh, orr, br = forward_batch(model, inputs)
 
-            p = sigmoid(orr)
-            lc_batch = float((_binary_cross_entropy(p[:, :, COMM], bits) * comm_mask).sum())
-            ls_batch = float((_binary_cross_entropy(p[:, :, SENSE], targets[:, None]) * sense_mask).sum())
+            lc_batch, ls_batch, d_or = _objective(
+                orr, bits, targets, cfg.beta, n_data, sense_slot_start
+            )
             if not (np.isfinite(lc_batch) and np.isfinite(ls_batch)):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}: "
@@ -306,17 +314,14 @@ def train(
             lc_sum += lc_batch
             ls_sum += ls_batch
 
-            d_or = _loss_potential_grad(orr, bits, targets, cfg.beta, comm_mask, sense_mask)
             g_w_in, g_w_out = _backward_batch(
                 model, inputs, oh, bh, orr, d_or, cfg.surrogate_slope
             )
             grads = ParamGradients(g_w_in / idx.size, g_w_out / idx.size)
             model = sgd_step(model, grads, cfg.learning_rate)
 
-            correct_bits += int(((br[:, :, COMM] == bits) * comm_mask).sum())
-            votes = (br[:, :, SENSE] * sense_mask).sum(axis=1)
-            decisions = (votes > n_sense / 2).astype(np.float64)
-            wrong_detections += int((decisions != targets).sum())
+            correct_bits += int((br[:, :n_data, COMM] == bits[:, :n_data]).sum())
+            wrong_detections += int((majority_detection(br[:, sense_slot_start:, SENSE]) != targets).sum())
 
         lc_mean = lc_sum / n
         ls_mean = ls_sum / n

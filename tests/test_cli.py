@@ -213,6 +213,41 @@ class TestEval:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("which, field, value", [
+        ("model", slice(8, 16), (2**32 - 1).to_bytes(4, "little") * 2),  # H = D = 2^32 - 1
+        ("test", slice(12, 20), (2**31).to_bytes(4, "little") * 2),  # L = L_b = 2^31
+    ], ids=["nism", "nisd"])
+    def test_oversized_header_is_format_error(self, workdir, tmp_path, capsys, which, field, value):
+        bad = tmp_path / f"big{workdir[which].suffix}"
+        raw = bytearray(workdir[which].read_bytes())
+        raw[field] = value
+        bad.write_bytes(bytes(raw))
+        paths = {"model": workdir["model"], "test": workdir["test"], which: bad}
+        code = main([
+            "eval", "--data", str(paths["test"]), "--model", str(paths["model"]),
+            "--out", str(tmp_path / "e.csv"),
+        ])
+        assert code == 3
+        assert "header promises" in capsys.readouterr().err
+
+
+class TestSsacAlphaRule:
+    # ceil(0.995 * 8) = 8: no slot is left for sensing
+    @pytest.mark.parametrize("command", [
+        ["gen", "--n-train", "2", "--n-test", "2", "--L", "8",
+         "--out-train", "{root}/a.nisd", "--out-test", "{root}/b.nisd"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--epochs", "1"],
+        ["eval", "--data", "{test}", "--model", "{model}", "--model-sense", "{model}",
+         "--out", "{root}/e.csv"],
+    ])
+    def test_alpha_leaving_no_sensing_slot_exits_2(self, workdir, tmp_path, capsys, command):
+        paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],
+                 "model": workdir["model"]}
+        argv = [arg.format(**paths) for arg in command] + ["--mode", "ssac", "--alpha", "0.995"]
+        assert main(argv) == 2
+        assert "no sensing slot" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputFiles:
     @staticmethod

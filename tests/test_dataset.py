@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nisaclab.channel import ChannelConfig, ReceivedFrame
+from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import (
     Dataset,
     example_rng,
@@ -99,22 +99,6 @@ class TestSsacMode:
     def test_ceil_data_slot_count(self):
         ds = generate_dataset(CFG, L=5, L_b=1, n=4, mode="ssac", master_seed=0, alpha=0.3)
         assert (ds.bits[:, 2:] == 1).all()  # ceil(1.5) = 2 data slots
-
-
-class TestExampleAccessor:
-    def test_materializes_one_example(self, small):
-        ex = small.example(3)
-        assert isinstance(ex.inputs, ReceivedFrame)
-        assert ex.inputs.slot_inputs.shape == (8, 8)
-        assert ex.bits.data_slot_count == 8
-        assert ex.target in (0, 1)
-        assert np.array_equal(ex.bits.bits, small.bits[3])
-
-    def test_ssac_data_slot_count(self):
-        ds = generate_dataset(CFG, L=8, L_b=1, n=4, mode="ssac", master_seed=9, alpha=0.5)
-        ex = ds.example(0, data_slot_count=4)
-        assert ex.bits.data_slot_count == 4
-        assert ex.bits.data_bits.size == 4
 
 
 class TestPersistence:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import nisaclab.metrics as metrics_module
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
 from nisaclab.metrics import (
-    detection_error,
     detection_error_from_votes,
     evaluate,
     evaluate_ssac,
@@ -14,7 +14,7 @@ from nisaclab.metrics import (
     normalized_throughput,
 )
 from nisaclab.modem import BitFrame
-from nisaclab.snn import SnnModel
+from nisaclab.snn import SENSE, SnnModel, forward, init_model, sense_votes
 
 CFG = ChannelConfig(snr_db=10.0)
 
@@ -86,6 +86,16 @@ class TestMajorityDetection:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             majority_detection(np.array([]))
+        with pytest.raises(ValueError):
+            majority_detection(np.zeros((3, 0)))
+
+    def test_rows_of_a_batch_vote_alone(self):
+        rng = np.random.default_rng(4)
+        votes = rng.integers(0, 2, size=(2, 5, 8))
+        votes[0, 0] = [1] * 4 + [0] * 4  # a tie
+        decisions = majority_detection(votes)
+        assert decisions.shape == (2, 5)
+        assert decisions.tolist() == [[majority_detection(v) == 1 for v in row] for row in votes]
 
 
 class TestDetectionErrorFromVotes:
@@ -135,15 +145,34 @@ class TestModelEvaluation:
         assert res.mean_spike_count_per_slot == 0.0
 
     def test_detection_error_matches_evaluate(self, isac_data):
-        model = _silent_model()
-        assert detection_error(model, isac_data) == evaluate(model, isac_data).detection_error
+        # the batched vote in evaluate agrees with the one-frame majority rule
+        model = init_model(4, 1, np.random.default_rng(0))
+        wrong = [
+            majority_detection(sense_votes(forward(model, x))) != t
+            for x, t in zip(isac_data.inputs, isac_data.targets)
+        ]
+        assert 0.0 < np.mean(wrong) < 1.0
+        assert evaluate(model, isac_data).detection_error == np.mean(wrong)
 
-    def test_sense_slot_start_restricts_votes(self, ssac_data):
-        # silent votes are all zero, so the restriction changes nothing
-        model = _silent_model()
-        assert detection_error(model, ssac_data, sense_slot_start=4) == (
-            ssac_data.targets == 1
-        ).mean()
+    def test_sense_slot_start_restricts_votes(self, ssac_data, monkeypatch):
+        # the sensing network votes 1 on every data slot and 0 on every
+        # sensing slot: restricted to the sensing slots the vote says 0, over
+        # the whole frame (6 of 8 slots) it would say 1
+        alpha, n_data = 0.75, 6
+        original = metrics_module.forward_batch
+
+        def votes_on_data_slots(model, inputs, slope=None):
+            oh, bh, orr, br = original(model, inputs, slope)
+            br = br.copy()
+            br[:, :, SENSE] = 0.0
+            br[:, :n_data, SENSE] = 1.0
+            return oh, bh, orr, br
+
+        monkeypatch.setattr(metrics_module, "forward_batch", votes_on_data_slots)
+        res = evaluate_ssac(_silent_model(), _silent_model(), ssac_data, alpha=alpha)
+        says_zero, says_one = (ssac_data.targets == 1).mean(), (ssac_data.targets == 0).mean()
+        assert says_zero != says_one
+        assert res.detection_error == says_zero
 
     def test_empty_dataset_rejected(self, isac_data):
         import dataclasses
@@ -157,7 +186,7 @@ class TestModelEvaluation:
         with pytest.raises(ValueError):
             evaluate(_silent_model(), empty)
         with pytest.raises(ValueError):
-            detection_error(_silent_model(), empty)
+            evaluate_ssac(_silent_model(), _silent_model(), empty, alpha=0.5)
 
     def test_ssac_silent_closed_form(self, ssac_data):
         res = evaluate_ssac(_silent_model(), _silent_model(), ssac_data, alpha=0.5)
@@ -167,6 +196,6 @@ class TestModelEvaluation:
         assert res.mean_spike_count_per_slot == 0.0
 
     def test_ssac_alpha_validation(self, ssac_data):
-        for alpha in (0.0, 1.0, -0.5, 2.0):
+        for alpha in (0.0, 1.0, -0.5, 2.0, 0.9):  # ceil(0.9*8) = 8 leaves no sensing slot
             with pytest.raises(ValueError):
                 evaluate_ssac(_silent_model(), _silent_model(), ssac_data, alpha=alpha)

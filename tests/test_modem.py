@@ -1,4 +1,4 @@
-"""Pulse placement, demodulation round trips, and SSAC frame construction."""
+"""Pulse placement, demodulation round trips, and the SSAC slot split."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from nisaclab.modem import (
     BitFrame,
     ChipSequence,
-    make_ssac_frame,
     ppm_demodulate,
     ppm_modulate,
+    ssac_data_slots,
 )
 
 
@@ -85,34 +85,21 @@ class TestBitFrame:
             BitFrame(bits=np.array([1, 1], dtype=np.uint8), data_slot_count=3)
 
 
-class TestMakeSsacFrame:
+class TestSsacDataSlots:
     def test_half_data_frame(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(0, 2, size=40)
-        frame = make_ssac_frame(data, 0.5, 80)
-        assert frame.data_slot_count == 40
-        assert np.array_equal(frame.bits[:40], data)
-        assert (frame.bits[40:] == 1).all()
-
-    def test_alpha_one_is_identity(self):
-        frame = make_ssac_frame([0, 1, 1, 0], 1.0, 4)
-        assert frame.bits.tolist() == [0, 1, 1, 0]
-        assert frame.data_slot_count == 4
-
-    def test_alpha_zero_is_all_ones(self):
-        frame = make_ssac_frame([], 0.0, 3)
-        assert frame.bits.tolist() == [1, 1, 1]
-        assert frame.data_slot_count == 0
-
-    def test_data_length_must_match_alpha(self):
-        with pytest.raises(ValueError):
-            make_ssac_frame([0, 1], 0.5, 80)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            make_ssac_frame([0], 1.5, 1)
+        assert ssac_data_slots(0.5, 80) == 40
 
     def test_ceil_rounding(self):
-        frame = make_ssac_frame([1, 0], 0.3, 5)  # ceil(1.5) = 2 data slots
-        assert frame.data_slot_count == 2
-        assert frame.bits.tolist() == [1, 0, 1, 1, 1]
+        assert ssac_data_slots(0.3, 5) == 2  # ceil(1.5)
+
+    def test_smallest_alpha_keeps_one_data_slot(self):
+        assert ssac_data_slots(1e-9, 80) == 1
+
+    def test_alpha_range(self):
+        for alpha, L in (
+            (0.0, 80), (1.0, 80), (1.5, 1), (-0.5, 80), (float("nan"), 80), (None, 80),
+            (0.995, 80),  # ceil(79.6) = 80 leaves no sensing slot
+            (0.5, 1),
+        ):
+            with pytest.raises(ValueError):
+                ssac_data_slots(alpha, L)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
 from nisaclab.modem import BitFrame
-from nisaclab.snn import _BLOCK, init_model, readout_probabilities
+from nisaclab.snn import _BLOCK, COMM, SENSE, init_model, readout_probabilities
 from nisaclab.training import (
     PROB_EPS,
     ParamGradients,
     TrainConfig,
+    _objective,
     backward,
     comm_loss,
     isac_loss,
@@ -82,6 +83,51 @@ class TestIsacLoss:
     def test_beta_range(self):
         with pytest.raises(ValueError):
             isac_loss(1.0, 1.0, 1.5)
+
+
+class TestObjective:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        B=st.integers(1, 3), L=st.integers(1, 10), beta=st.floats(0.0, 1.0),
+        data=st.data(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_matches_central_differences(self, B, L, beta, data, seed):
+        n_data = data.draw(st.integers(1, L))
+        sense_start = data.draw(st.integers(0, L - 1))
+        rng = np.random.default_rng(seed)
+        potentials = rng.standard_normal((B, L, 2)) * 3.0
+        bits = rng.integers(0, 2, size=(B, L)).astype(np.float64)
+        targets = rng.integers(0, 2, size=B).astype(np.float64)
+
+        def loss(o):
+            lc, ls, _ = _objective(o, bits, targets, beta, n_data, sense_start)
+            return isac_loss(lc, ls, beta)
+
+        _, _, got = _objective(potentials, bits, targets, beta, n_data, sense_start)
+        h = 1e-6
+        want = np.zeros_like(potentials)
+        for idx in np.ndindex(potentials.shape):
+            up, down = potentials.copy(), potentials.copy()
+            up[idx] += h
+            down[idx] -= h
+            want[idx] = (loss(up) - loss(down)) / (2 * h)
+        assert np.abs(got - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
+        # slots outside each loss's range get no gradient at all
+        assert not got[:, n_data:, COMM].any() and not got[:, :sense_start, SENSE].any()
+
+    def test_losses_are_sums_of_per_frame_losses(self):
+        rng = np.random.default_rng(12)
+        p = rng.uniform(0.01, 0.99, size=(5, 9, 2))
+        bits = rng.integers(0, 2, size=(5, 9))
+        targets = rng.integers(0, 2, size=5)
+        lc, ls, _ = _objective(
+            np.log(p / (1 - p)), bits.astype(np.float64), targets.astype(np.float64), 0.5, 6, 4,
+        )
+        per_frame_c = sum(comm_loss(p[i, :, COMM], bits[i], 6) for i in range(5))
+        per_frame_s = sum(sense_loss(p[i, 4:, SENSE], targets[i]) for i in range(5))
+        assert comm_loss(p[:, :, COMM], bits, 6) == pytest.approx(per_frame_c, rel=1e-12)
+        assert sense_loss(p[:, 4:, SENSE], targets) == pytest.approx(per_frame_s, rel=1e-12)
+        assert (lc, ls) == pytest.approx((per_frame_c, per_frame_s), rel=1e-12)
 
 
 class TestProbabilityClamp:
