@@ -96,7 +96,7 @@ def ppm_demodulate(chips: ChipSequence) -> np.ndarray:
 
 
 def ssac_data_slots(alpha: float, L: int) -> int:
-    """Data slots of an SSAC frame of L slots, ceil(alpha*L); the rest sense.
+    """Data slots of an SSAC frame of L slots: alpha*L rounded up; the rest sense.
 
     Raises ValueError unless alpha leaves at least one slot of each kind.
     """
