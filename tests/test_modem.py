@@ -1,8 +1,12 @@
-"""Pulse placement, demodulation round trips, and the SSAC slot split."""
+"""Pulse placement, demodulation round trips, the SSAC slot split and how SSAC frames are made."""
+
+import math
 
 import numpy as np
 import pytest
 
+from nisaclab.channel import ChannelConfig
+from nisaclab.dataset import generate_dataset
 from nisaclab.modem import (
     BitFrame,
     ChipSequence,
@@ -103,3 +107,41 @@ class TestSsacDataSlots:
         ):
             with pytest.raises(ValueError):
                 ssac_data_slots(alpha, L)
+
+
+class TestMakeSsacFrame:
+    """SSAC frames as generate_dataset builds them: ceil(alpha*L) data slots, then ones."""
+
+    def test_alpha_one_is_identity(self):
+        # all slots carrying data is the ISAC frame, which keeps its bits;
+        # SSAC itself stops short of alpha = 1
+        frame = BitFrame(bits=np.array([0, 1, 1, 0], dtype=np.uint8), data_slot_count=4)
+        assert frame.bits.tolist() == [0, 1, 1, 0]
+        assert frame.data_bits.tolist() == BitFrame.isac([0, 1, 1, 0]).data_bits.tolist()
+        with pytest.raises(ValueError):
+            ssac_data_slots(1.0, 4)
+
+    def test_alpha_zero_is_all_ones(self):
+        # a frame with no data slot is all ones; SSAC itself stops short of alpha = 0
+        frame = BitFrame(bits=np.array([1, 1, 1], dtype=np.uint8), data_slot_count=0)
+        assert frame.data_bits.size == 0
+        with pytest.raises(ValueError):
+            BitFrame(bits=np.array([1, 0, 1], dtype=np.uint8), data_slot_count=0)
+        with pytest.raises(ValueError):
+            ssac_data_slots(0.0, 3)
+
+    def test_alpha_range(self):
+        cfg = ChannelConfig(snr_db=10.0)
+        for alpha in (0.05, 0.3, 0.5, 0.75, 0.95):
+            for L in (2, 5, 8):
+                if math.ceil(alpha * L) >= L:
+                    with pytest.raises(ValueError):
+                        generate_dataset(cfg, L=L, L_b=1, n=2, mode="ssac", alpha=alpha)
+                    continue
+                n_data = ssac_data_slots(alpha, L)
+                ds = generate_dataset(cfg, L=L, L_b=1, n=2, mode="ssac", alpha=alpha)
+                for bits in ds.bits:
+                    frame = BitFrame(bits=bits, data_slot_count=n_data)
+                    assert 1 <= frame.data_slot_count < len(frame)
+        with pytest.raises(ValueError):
+            generate_dataset(cfg, L=1, L_b=1, n=1, mode="ssac", alpha=1.5)
