@@ -11,6 +11,7 @@ real/imaginary parts for the receiver network.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class ChannelRealization:
 class ReceivedFrame:
     """Per-slot receiver inputs: [Re(y_slot); Im(y_slot)], length 4*L_b each."""
 
-    slot_inputs: np.ndarray  # shape (L, 4*L_b)
+    slot_inputs: np.ndarray  # shape (L, 4*L_b), or (B, L, 4*L_b) for a block
     noise_variance: float = 0.0
 
 
@@ -130,31 +131,50 @@ def draw_channel(cfg: ChannelConfig, v: int, rng: np.random.Generator) -> Channe
 
 def apply_channel(
     chips,
-    realization: ChannelRealization,
+    realization: ChannelRealization | Sequence[ChannelRealization],
     noise_var: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Causal tap convolution plus complex Gaussian noise.
 
     y_i = sum_m h[m] * s_{i-m} with s_i = 0 before the sequence starts; the
     output has the same length as the input, so tails past the last chip are
-    dropped.  Noise variance is split equally between real and imaginary parts.
+    dropped.  Noise variance is split equally between real and imaginary parts,
+    drawn from rng as one standard_normal((2, S)): real parts, then imaginary.
+
+    chips may carry a leading frame axis, (B, S); realization and rng are then
+    sequences of B realizations and generators, frame b going through
+    realization[b] with noise from rng[b].  One frame is a block of one.
     """
     if noise_var < 0:
         raise ValueError("noise variance must be >= 0")
     s = chips.chips if isinstance(chips, ChipSequence) else np.asarray(chips, dtype=np.float64)
-    y = np.convolve(s, realization.taps)[: s.size]
-    scale = math.sqrt(noise_var / 2.0)
-    noise = scale * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
-    return y + noise
+    if s.ndim == 1:
+        return apply_channel(s[None], [realization], noise_var, [rng])[0]
+    S = s.shape[1]
+    taps = np.array([r.taps for r in realization])
+    h = np.stack([taps.real, taps.imag], axis=1)  # (B, 2, T): the chips are real
+    # Highest delay first, the order np.convolve sums in: on pulse-train chips
+    # the samples then equal np.convolve's bit for bit.
+    y = np.zeros((len(s), 2, S))
+    for m in reversed(range(min(h.shape[2], S))):
+        y[:, :, m:] += h[:, :, m, None] * s[:, None, : S - m]
+    y += math.sqrt(noise_var / 2.0) * np.array([g.standard_normal((2, S)) for g in rng])
+    samples = np.empty(s.shape, dtype=np.complex128)
+    samples.real, samples.imag = y[:, 0], y[:, 1]
+    return samples
 
 
 def frame_received(samples, L_b: int, noise_variance: float = 0.0) -> ReceivedFrame:
-    """Split chip-rate samples into slots of 2*L_b and stack [Re; Im] per slot."""
-    y = np.asarray(samples, dtype=np.complex128).ravel()
+    """Split chip-rate samples into slots of 2*L_b and stack [Re; Im] per slot.
+
+    samples may carry a leading frame axis, (B, S); slot_inputs is then
+    (B, L, 4*L_b).
+    """
+    y = np.asarray(samples, dtype=np.complex128)
     width = 2 * L_b
-    if y.size % width != 0:
-        raise ValueError(f"sample count {y.size} is not a multiple of 2*L_b={width}")
-    per_slot = y.reshape(-1, width)
-    slot_inputs = np.concatenate([per_slot.real, per_slot.imag], axis=1)
+    if y.shape[-1] % width != 0:
+        raise ValueError(f"sample count {y.shape[-1]} is not a multiple of 2*L_b={width}")
+    per_slot = y.reshape(y.shape[:-1] + (-1, width))
+    slot_inputs = np.concatenate([per_slot.real, per_slot.imag], axis=-1)
     return ReceivedFrame(slot_inputs=slot_inputs, noise_variance=noise_variance)

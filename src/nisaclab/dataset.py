@@ -1,12 +1,16 @@
 """Labeled frame generation and the NISD binary dataset format.
 
 Each example is one frame: the target indicator, the slot bits, and the
-receiver inputs after modulation, channel, noise and framing.  Example i is
-generated from its own generator seeded by (master_seed, i), so any example
-can be regenerated alone and generation could be parallelized across
-examples.  Inputs are quantized to 32-bit floats at generation time (they
-are noisy measurements; no point storing more), which makes the save/load
-round trip bit-exact even though training runs in 64-bit.
+receiver inputs after modulation, channel, noise and framing.  Example i
+draws every random value it uses from its own generator seeded by
+(master_seed, i), so any example can be regenerated alone with the
+single-frame calls, and example i does not depend on how many examples are
+generated.  Only those draws run per example; modulation, the channel
+convolution, the noise sum and the slot framing run once per block of
+_BLOCK frames, through the same functions with a leading frame axis.
+Inputs are quantized to 32-bit floats at generation time (they are noisy
+measurements; no point storing more), which makes the save/load round trip
+bit-exact even though training runs in 64-bit.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ _HEADER = struct.Struct("<4sIIIIdQ")  # magic, version, n, L, L_b, snr_db, maste
 
 MODES = ("isac", "ssac")
 
+# Frames modulated, convolved and framed together; small, so the block's
+# temporaries stay a few MiB.
+_BLOCK = 64
+
 
 @dataclass(eq=False)
 class Dataset:
@@ -61,6 +69,8 @@ class Dataset:
             raise ValueError("inputs, bits and targets disagree on example count or length")
         if width != 4 * self.L_b:
             raise ValueError(f"slot width {width} does not match 4*L_b={4 * self.L_b}")
+        if self.bits.max(initial=0) > 1 or self.targets.max(initial=0) > 1:
+            raise ValueError("bits and targets must be 0 or 1")
         if not np.isfinite(self.inputs).all():
             raise ValueError("inputs must be finite")
         if not 0 <= self.master_seed < 2**64:
@@ -103,10 +113,11 @@ def generate_dataset(
 ) -> Dataset:
     """Draw n labeled frames through the configured channel.
 
-    Per example, in fixed order: target indicator, slot bits, channel
-    realization, receiver noise.  SSAC mode overwrites the trailing sensing
-    slots with 1 after the bit draw, so the two modes consume identical
-    random streams and share channels and noise example for example.
+    Per example, from example_rng(master_seed, i) and in fixed order: target
+    indicator, slot bits, channel realization, receiver noise.  SSAC mode
+    overwrites the trailing sensing slots with 1 after the bit draw, so the
+    two modes consume identical random streams and share channels and noise
+    example for example.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -119,17 +130,20 @@ def generate_dataset(
     bits = np.empty((n, L), dtype=np.uint8)
     targets = np.empty(n, dtype=np.uint8)
 
-    for i in range(n):
-        rng = example_rng(master_seed, i)
-        v = int(rng.integers(0, 2))
-        frame_bits = rng.integers(0, 2, size=L).astype(np.uint8)
-        frame_bits[n_data:] = 1
-        realization = draw_channel(cfg, v, rng)
-        samples = apply_channel(ppm_modulate(frame_bits, L_b), realization, noise_var, rng)
-        frame = frame_received(samples, L_b, noise_var)
-        inputs[i] = frame.slot_inputs.astype(np.float32)
-        bits[i] = frame_bits
-        targets[i] = v
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        rngs, realizations = [], []
+        for i in range(start, stop):
+            rng = example_rng(master_seed, i)
+            v = int(rng.integers(0, 2))
+            bits[i] = rng.integers(0, 2, size=L)
+            bits[i, n_data:] = 1
+            realizations.append(draw_channel(cfg, v, rng))
+            rngs.append(rng)  # apply_channel draws the noise from it next
+            targets[i] = v
+        rows = slice(start, stop)
+        samples = apply_channel(ppm_modulate(bits[rows], L_b), realizations, noise_var, rngs)
+        inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs.astype(np.float32)
 
     return Dataset(
         inputs=inputs, bits=bits, targets=targets,

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_bit_array(bits) -> np.ndarray:
+def _as_bit_array(bits, ndims=(1,)) -> np.ndarray:
     arr = np.asarray(bits.bits if isinstance(bits, BitFrame) else bits)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("bit sequence must be non-empty and one-dimensional")
-    if not np.isin(arr, (0, 1)).all():
+    if arr.ndim not in ndims or arr.size == 0:
+        raise ValueError(f"bit array must be non-empty with {' or '.join(map(str, ndims))} axes")
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bits must be 0 or 1")
     return arr.astype(np.uint8)
 
@@ -61,7 +61,10 @@ class BitFrame:
 
 @dataclass(frozen=True, eq=False)
 class ChipSequence:
-    """Chip-rate transmit sequence: one unit pulse per slot of 2*L_b chips."""
+    """Chip-rate transmit sequence: one unit pulse per slot of 2*L_b chips.
+
+    chips is (S,) for one frame or (B, S) for a block of B frames.
+    """
 
     chips: np.ndarray
     bandwidth_expansion: int
@@ -71,28 +74,30 @@ class ChipSequence:
 
     @property
     def slot_count(self) -> int:
-        return self.chips.size // (2 * self.bandwidth_expansion)
+        return self.chips.shape[-1] // (2 * self.bandwidth_expansion)
 
 
 def ppm_modulate(bits, L_b: int) -> ChipSequence:
-    """Map a bit frame onto the chip grid.
+    """Map a bit frame, or a (B, L) block of B frames, onto the chip grid.
 
     Slot l (0-based) gets its unit pulse at chip 2*l*L_b when the bit is 0
-    and at chip 2*l*L_b + L_b when the bit is 1.
+    and at chip 2*l*L_b + L_b when the bit is 1.  A block gives (B, 2*L_b*L)
+    chips, row b modulating frame b.
     """
     if L_b < 1:
         raise ValueError(f"bandwidth expansion factor must be >= 1, got {L_b}")
-    arr = _as_bit_array(bits)
-    chips = np.zeros(2 * L_b * arr.size)
-    chips[2 * L_b * np.arange(arr.size) + L_b * arr.astype(np.int64)] = 1.0
-    return ChipSequence(chips=chips, bandwidth_expansion=L_b)
+    arr = _as_bit_array(bits, ndims=(1, 2))
+    slots = np.zeros(arr.shape + (2 * L_b,))
+    slots[..., 0] = arr == 0
+    slots[..., L_b] = arr == 1
+    return ChipSequence(chips=slots.reshape(arr.shape[:-1] + (-1,)), bandwidth_expansion=L_b)
 
 
 def ppm_demodulate(chips: ChipSequence) -> np.ndarray:
     """Intra-slot argmax detector; exact inverse of ppm_modulate on a clean sequence."""
     L_b = chips.bandwidth_expansion
-    per_slot = chips.chips.reshape(-1, 2 * L_b)
-    return (per_slot.argmax(axis=1) >= L_b).astype(np.uint8)
+    per_slot = chips.chips.reshape(chips.chips.shape[:-1] + (-1, 2 * L_b))
+    return (per_slot.argmax(axis=-1) >= L_b).astype(np.uint8)
 
 
 def ssac_data_slots(alpha: float, L: int) -> int:

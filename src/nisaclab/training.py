@@ -105,15 +105,12 @@ def comm_loss(p_comm, bits, data_slot_count: int | None = None) -> float:
     return float(_binary_cross_entropy(p[..., :n], labels[..., :n].astype(np.float64)).sum())
 
 
-def sense_loss(p_sense, target, slot_mask=None) -> float:
+def sense_loss(p_sense, target) -> float:
     """Summed detection cross entropy with the frame label broadcast over slots.
 
-    p_sense is (..., slots) and target one label per frame, (...).  slot_mask
-    restricts the sum to some slots; default is every slot.
+    p_sense is (..., slots) and target one label per frame, (...).
     """
     p = np.asarray(p_sense, dtype=np.float64)
-    if slot_mask is not None:
-        p = p[..., np.asarray(slot_mask, dtype=bool)]
     labels = np.asarray(target, dtype=np.float64)[..., None]
     return float(_binary_cross_entropy(p, labels).sum())
 

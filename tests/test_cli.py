@@ -206,6 +206,19 @@ class TestEval:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset, value", [(36, 9), (36 + 1, 7)], ids=["target", "bit"])
+    def test_non_binary_label_byte_is_format_error(self, workdir, tmp_path, capsys, offset, value):
+        bad = tmp_path / "labels.nisd"
+        raw = bytearray(workdir["test"].read_bytes())
+        raw[offset] = value  # example 0's target byte, then its first bit byte
+        bad.write_bytes(bytes(raw))
+        code = main([
+            "eval", "--data", str(bad), "--model", str(workdir["model"]),
+            "--out", str(tmp_path / "e.csv"),
+        ])
+        assert code == 3
+        assert "0 or 1" in capsys.readouterr().err
+
     def test_missing_dataset_is_io_error(self, workdir, tmp_path):
         code = main([
             "eval", "--data", str(tmp_path / "absent.nisd"),

@@ -1,10 +1,19 @@
 """Frame generation determinism and the binary dataset format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from nisaclab.channel import ChannelConfig
+from nisaclab.channel import (
+    ChannelConfig,
+    apply_channel,
+    draw_channel,
+    frame_received,
+    noise_variance_from_snr,
+)
 from nisaclab.dataset import (
+    _BLOCK,
     Dataset,
     example_rng,
     generate_dataset,
@@ -15,8 +24,10 @@ from nisaclab.errors import (
     BadMagicError,
     FileFormatError,
     FormatVersionError,
+    InvalidContentError,
     TruncatedFileError,
 )
+from nisaclab.modem import ppm_modulate, ssac_data_slots
 
 CFG = ChannelConfig(snr_db=10.0)
 
@@ -76,6 +87,51 @@ class TestGenerate:
             generate_dataset(CFG, L=0, L_b=1, n=2)
         with pytest.raises(ValueError):
             generate_dataset(CFG, L=8, L_b=1, n=0)
+
+
+class TestRegeneration:
+    """Every example equals its rebuild from the single-frame calls, in the
+    draw order generate_dataset documents; n crosses a block edge."""
+
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        ChannelConfig(num_clutter=0),
+        ChannelConfig(target_delay=2, tap_count=7),
+    ], ids=["default", "no-clutter", "delay-2-taps-7"])
+    @pytest.mark.parametrize("L_b", [1, 4])
+    @pytest.mark.parametrize("mode, alpha", [("isac", None), ("ssac", 0.5)])
+    def test_examples_rebuild_alone(self, cfg, L_b, mode, alpha):
+        L, n, seed = 80, _BLOCK + 1, 11
+        ds = generate_dataset(cfg, L, L_b, n, mode=mode, master_seed=seed, alpha=alpha)
+        n_data = ssac_data_slots(alpha, L) if mode == "ssac" else L
+        noise_var = noise_variance_from_snr(cfg)
+        for i in range(n):
+            rng = example_rng(seed, i)
+            v = int(rng.integers(0, 2))
+            bits = rng.integers(0, 2, size=L).astype(np.uint8)
+            bits[n_data:] = 1
+            realization = draw_channel(cfg, v, rng)
+            samples = apply_channel(ppm_modulate(bits, L_b), realization, noise_var, rng)
+            inputs = frame_received(samples, L_b, noise_var).slot_inputs.astype(np.float32)
+            assert ds.targets[i] == v
+            assert np.array_equal(ds.bits[i], bits)
+            assert ds.inputs[i].tobytes() == inputs.astype(np.float64).tobytes()
+
+
+class TestGoldenBytes:
+    """The saved bytes of two small datasets are pinned, so any change to
+    the stored draws or values fails here."""
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(L_b=4, mode="isac", master_seed=0),
+         "aef08d39fe2f9a46c86d2d1be342b161e06ea1ac30719f593a3f0630c92cbbed"),
+        (dict(L_b=1, mode="ssac", alpha=0.5, master_seed=3),
+         "be69d9485704f0989192ed9a45665995360a34017c66675a43af3bcc2e8b337e"),
+    ], ids=["isac-Lb4-seed0", "ssac-Lb1-seed3"])
+    def test_saved_bytes(self, kwargs, digest, tmp_path):
+        path = tmp_path / "d.nisd"
+        save_dataset(generate_dataset(CFG, L=80, n=130, **kwargs), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSsacMode:
@@ -155,6 +211,17 @@ class TestPersistence:
         save_dataset(small, path)
         path.write_bytes(path.read_bytes() + b"xy")
         with pytest.raises(FileFormatError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("offset, value", [(36, 9), (36 + 1 + 3, 7)], ids=["target", "bit"])
+    def test_non_binary_label_byte_rejected(self, small, tmp_path, offset, value):
+        # example 0's record: its target byte right after the 36-byte header, then its bits
+        path = tmp_path / "d.nisd"
+        save_dataset(small, path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidContentError, match="0 or 1"):
             load_dataset(path)
 
     def test_zero_count_header_rejected(self, small, tmp_path):

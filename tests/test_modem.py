@@ -63,6 +63,15 @@ class TestPpmDemodulate:
         bits = rng.integers(0, 2, size=40).astype(np.uint8)
         assert np.array_equal(ppm_demodulate(ppm_modulate(bits, L_b)), bits)
 
+    @pytest.mark.parametrize("L_b", [1, 4])
+    def test_block_rows_are_single_frames(self, L_b):
+        bits = np.random.default_rng(3).integers(0, 2, size=(5, 12)).astype(np.uint8)
+        block = ppm_modulate(bits, L_b)
+        assert block.chips.shape == (5, 2 * L_b * 12) and block.slot_count == 12
+        for row, frame_bits in zip(block.chips, bits):
+            assert np.array_equal(row, ppm_modulate(frame_bits, L_b).chips)
+        assert np.array_equal(ppm_demodulate(block), bits)
+
     def test_argmax_survives_small_noise(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         seq = ppm_modulate(bits, 2)

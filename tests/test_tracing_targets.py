@@ -1,5 +1,6 @@
 """The benchmark tracer patches package functions by (module, attribute)
-name; a rename must fail here, not silently drop a per-layer figure."""
+name; a rename, or a call no longer made through that name, must fail here,
+not silently drop a per-layer figure."""
 
 import importlib
 import importlib.util
@@ -11,14 +12,36 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracing  # dataclasses look their module up there
     spec.loader.exec_module(tracing)
-    return [(module, attr) for module, attr, *_ in tracing.TARGETS]
+    return tracing
+
+
+def _targets():
+    return [(module, attr) for module, attr, *_ in _tracing().TARGETS]
 
 
 @pytest.mark.parametrize("module, attr", _targets())
 def test_traced_attribute_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_gen_records_every_generation_layer(tmp_path):
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli = importlib.import_module("nisaclab.cli")
+        assert cli.main([
+            "gen", "--n-train", "3", "--n-test", "2", "--L", "8", "--Lb", "2",
+            "--out-train", str(tmp_path / "a.nisd"), "--out-test", str(tmp_path / "b.nisd"),
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    recorded = {span.name for span in tracer.spans}
+    for name in [name for _, name in tracing._GEN_LAYERS] + ["dataset.example_rng"]:
+        assert name in recorded, f"no {name} span in a traced gen run"

@@ -59,12 +59,6 @@ class TestSenseLoss:
     def test_confident_correct_is_near_zero(self):
         assert sense_loss([1.0 - 1e-9] * 4, 1) == pytest.approx(0.0, abs=1e-7)
 
-    def test_slot_mask_restricts_sum(self):
-        mask = np.array([False, False, True, True])
-        assert sense_loss([0.9, 0.9, 0.5, 0.5], 0, slot_mask=mask) == pytest.approx(
-            2 * LN2, rel=1e-12
-        )
-
 
 class TestIsacLoss:
     def test_endpoints(self):
