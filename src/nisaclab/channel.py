@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modem import ChipSequence
-
 
 def unit_second_moment_scale(shape: float) -> float:
     """Weibull scale that makes E[magnitude^2] = 1 for the given shape."""
@@ -66,17 +64,6 @@ class ChannelConfig:
 
 
 @dataclass
-class ChannelRealization:
-    """One draw of the tap vector plus the latent quantities that built it."""
-
-    taps: np.ndarray
-    target_present: int
-    target_amp: complex
-    clutter_amps: np.ndarray
-    clutter_delays: np.ndarray
-
-
-@dataclass
 class ReceivedFrame:
     """Per-slot receiver inputs: [Re(y_slot); Im(y_slot)], length 4*L_b each."""
 
@@ -100,8 +87,9 @@ def noise_variance_from_snr(cfg: ChannelConfig) -> float:
     return expected_channel_energy(cfg) / 10.0 ** (cfg.snr_db / 10.0)
 
 
-def draw_channel(cfg: ChannelConfig, v: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization for target indicator v.
+def draw_channel(cfg: ChannelConfig, v: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one channel realization for target indicator v: its (tap_count,)
+    complex tap vector.
 
     Draw order is fixed (target amplitude, clutter magnitudes, phases, delays)
     so a given rng state always yields the same realization; the target
@@ -110,28 +98,20 @@ def draw_channel(cfg: ChannelConfig, v: int, rng: np.random.Generator) -> Channe
     """
     if v not in (0, 1):
         raise ValueError("target indicator must be 0 or 1")
-    sigma = math.sqrt(cfg.target_power / 2.0)
-    target_amp = complex(rng.normal(scale=sigma), rng.normal(scale=sigma))
+    target_re, target_im = rng.normal(scale=math.sqrt(cfg.target_power / 2.0), size=2)
     mags = cfg.weibull_scale * rng.weibull(cfg.weibull_shape, size=cfg.num_clutter)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=cfg.num_clutter)
-    clutter_amps = mags * np.exp(1j * phases)
     clutter_delays = rng.integers(0, cfg.max_clutter_delay + 1, size=cfg.num_clutter)
 
     taps = np.zeros(cfg.tap_count, dtype=np.complex128)
-    taps[cfg.target_delay] += v * target_amp
-    np.add.at(taps, clutter_delays, clutter_amps)
-    return ChannelRealization(
-        taps=taps,
-        target_present=int(v),
-        target_amp=target_amp,
-        clutter_amps=clutter_amps,
-        clutter_delays=clutter_delays,
-    )
+    taps[cfg.target_delay] += v * complex(target_re, target_im)
+    np.add.at(taps, clutter_delays, mags * np.exp(1j * phases))
+    return taps
 
 
 def apply_channel(
     chips,
-    realization: ChannelRealization | Sequence[ChannelRealization],
+    taps,
     noise_var: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
@@ -142,17 +122,18 @@ def apply_channel(
     dropped.  Noise variance is split equally between real and imaginary parts,
     drawn from rng as one standard_normal((2, S)): real parts, then imaginary.
 
-    chips may carry a leading frame axis, (B, S); realization and rng are then
-    sequences of B realizations and generators, frame b going through
-    realization[b] with noise from rng[b].  One frame is a block of one.
+    chips (S,) goes through the (T,) tap vector taps with noise from the
+    generator rng.  A block of chips (B, S) takes a (B, T) stack of tap
+    vectors and a sequence of B generators, frame b going through taps[b] with
+    noise from rng[b]; one frame is a block of one.
     """
     if noise_var < 0:
         raise ValueError("noise variance must be >= 0")
-    s = chips.chips if isinstance(chips, ChipSequence) else np.asarray(chips, dtype=np.float64)
+    s = np.asarray(chips, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.complex128)
     if s.ndim == 1:
-        return apply_channel(s[None], [realization], noise_var, [rng])[0]
+        return apply_channel(s[None], taps[None], noise_var, [rng])[0]
     S = s.shape[1]
-    taps = np.array([r.taps for r in realization])
     h = np.stack([taps.real, taps.imag], axis=1)  # (B, 2, T): the chips are real
     # Highest delay first, the order np.convolve sums in: on pulse-train chips
     # the samples then equal np.convolve's bit for bit.

@@ -57,10 +57,6 @@ def _write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _channel_config(snr_db: float) -> ChannelConfig:
-    return ChannelConfig(snr_db=snr_db)
-
-
 def _require_alpha(args) -> float:
     if args.alpha is None:
         raise UsageError("ssac mode requires --alpha")
@@ -75,7 +71,7 @@ def _lb_of(model: SnnModel) -> int:
 
 def cmd_gen(args) -> int:
     alpha = _require_alpha(args) if args.mode == "ssac" else None
-    cfg = _channel_config(args.snr_db)
+    cfg = ChannelConfig(snr_db=args.snr_db)
     specs = [(args.out_train, args.n_train, args.seed), (args.out_test, args.n_test, args.seed + 1)]
     # check both splits before generating either
     for _, n, seed in specs:
@@ -221,7 +217,7 @@ def _sweep_datasets(cache, cfg, L, L_b, n_train, n_test, mode, alpha, seed):
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.values, args.param)
-    cfg = _channel_config(args.snr_db)
+    cfg = ChannelConfig(snr_db=args.snr_db)
     cache: dict = {}
     rows = []
 
@@ -264,12 +260,14 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     if args.frame_slots < 0 or args.idle_slots < 0:
         raise UsageError("--frame-slots and --idle-slots must be non-negative")
+    if args.frame_slots == args.idle_slots == 0:
+        raise UsageError("--frame-slots and --idle-slots are both 0: the trace has no slot")
     model = load_model(args.model)
     L_b = _lb_of(model)
     if model.input_width != 4 * L_b:
         raise UsageError(f"model input width {model.input_width} is not a multiple of 4")
     L = args.frame_slots
-    cfg = _channel_config(args.snr_db)
+    cfg = ChannelConfig(snr_db=args.snr_db)
     noise_var = noise_variance_from_snr(cfg)
     rng = np.random.default_rng(args.seed)
 
@@ -283,13 +281,13 @@ def cmd_trace(args) -> int:
         segments.extend([label] * slots)
         if active:
             bits = rng.integers(0, 2, size=slots).astype(np.uint8)
-            chips.append(ppm_modulate(bits, L_b).chips)
+            chips.append(ppm_modulate(bits, L_b))
         else:
             chips.append(np.zeros(2 * L_b * slots))
 
-    realization = draw_channel(cfg, args.target, rng)
-    samples = apply_channel(np.concatenate(chips), realization, noise_var, rng)
-    trace = forward(model, frame_received(samples, L_b, noise_var))
+    taps = draw_channel(cfg, args.target, rng)
+    samples = apply_channel(np.concatenate(chips), taps, noise_var, rng)
+    trace = forward(model, frame_received(samples, L_b, noise_var).slot_inputs)
     counts = spike_count(trace)
     rows = [[slot, seg, int(c), args.seed] for slot, (seg, c) in enumerate(zip(segments, counts))]
     _write_csv(args.out, TRACE_COLUMNS, rows)
@@ -392,17 +390,30 @@ def _known_keys(parser: argparse.ArgumentParser) -> set[str]:
     return keys
 
 
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """Parse a config value as its flag parses command-line text; exit 2 if it fails."""
+    try:
+        if action.type is None and not isinstance(value, str):
+            raise ValueError
+        parsed = action.type(str(value)) if action.type else value
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError
+    except ValueError:
+        parser.error(f"config value {json.dumps(value)} is not valid for {action.option_strings[0]}")
+    return parsed
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, overrides: dict) -> None:
     # subcommands parse into a fresh namespace, so defaults must be set on
-    # each subparser, not just the top-level parser
+    # each subparser, not just the top-level parser; null keeps the built-in
     parser.set_defaults(**overrides)
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sp in action.choices.values():
-                dests = {a.dest for a in sp._actions}
-                sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
                 for sub_action in sp._actions:
-                    if sub_action.dest in overrides:
+                    value = overrides.get(sub_action.dest)
+                    if value is not None:
+                        sp.set_defaults(**{sub_action.dest: _config_value(parser, sub_action, value)})
                         sub_action.required = False
 
 

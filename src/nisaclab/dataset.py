@@ -132,17 +132,17 @@ def generate_dataset(
 
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        rngs, realizations = [], []
+        rngs, taps = [], []
         for i in range(start, stop):
             rng = example_rng(master_seed, i)
             v = int(rng.integers(0, 2))
             bits[i] = rng.integers(0, 2, size=L)
             bits[i, n_data:] = 1
-            realizations.append(draw_channel(cfg, v, rng))
+            taps.append(draw_channel(cfg, v, rng))
             rngs.append(rng)  # apply_channel draws the noise from it next
             targets[i] = v
         rows = slice(start, stop)
-        samples = apply_channel(ppm_modulate(bits[rows], L_b), realizations, noise_var, rngs)
+        samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
         inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs.astype(np.float32)
 
     return Dataset(

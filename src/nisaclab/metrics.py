@@ -22,27 +22,6 @@ class EvalResult:
     mean_spike_count_per_slot: float
 
 
-def normalized_throughput(decisions, truths) -> float:
-    """Mean over examples of (correct data-slot bits) / (total slots).
-
-    truths are BitFrames, whose data_slot_count marks how many leading slots
-    carry information; decisions past it are ignored, but the denominator
-    stays the full slot count.
-    """
-    if len(decisions) != len(truths):
-        raise ValueError(f"{len(decisions)} decision rows for {len(truths)} truth frames")
-    if len(truths) == 0:
-        raise ValueError("need at least one example")
-    total = 0.0
-    for dec, frame in zip(decisions, truths):
-        dec = np.asarray(dec)
-        if dec.shape != frame.bits.shape:
-            raise ValueError(f"decision shape {dec.shape} does not match frame length {len(frame)}")
-        n_data = frame.data_slot_count
-        total += float((dec[:n_data] == frame.bits[:n_data]).sum()) / len(frame)
-    return total / len(truths)
-
-
 def majority_detection(votes):
     """1 iff strictly more than half the slot votes are 1; ties say 0.
 

@@ -27,7 +27,7 @@ never feeds back into the hidden layer, so each layer runs over the whole
 frame before the next one starts.
 
 One batched engine, forward_batch, runs these recursions for every forward
-pass; forward and training.surrogate_forward are its B=1 views.
+pass; forward is its B=1 view.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ReceivedFrame
 from .errors import BadMagicError, FormatVersionError, InvalidContentError, TruncatedFileError, check_payload_size
 from .fileio import staged_path
 
@@ -160,7 +159,7 @@ def init_model(
 
 
 def _frame_inputs(model: SnnModel, frame) -> np.ndarray:
-    inputs = frame.slot_inputs if isinstance(frame, ReceivedFrame) else np.asarray(frame, dtype=np.float64)
+    inputs = np.asarray(frame, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_width:
         raise ValueError(
             f"frame width {inputs.shape[-1] if inputs.ndim else '?'} does not match "
@@ -169,13 +168,14 @@ def _frame_inputs(model: SnnModel, frame) -> np.ndarray:
     return inputs
 
 
-def forward(model: SnnModel, frame) -> ForwardTrace:
-    """Run one frame through the network: forward_batch on a batch of one.
+def forward(model: SnnModel, frame, slope: float | None = None) -> ForwardTrace:
+    """Run one (L, input_width) frame through the network: forward_batch on a
+    batch of one, hard (slope=None) or smoothed.
 
     Hidden spikes reach the readout in the same step they are emitted, so the
     slot-l decisions depend on inputs up to and including slot l only.
     """
-    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None])))
+    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None], slope)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -272,25 +272,9 @@ def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = Non
     return tuple(a.transpose(1, 0, 2) for a in (oh, bh, orr, br))
 
 
-def readout_probabilities(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot decode/sense probabilities: logistic of the readout potentials."""
-    p = sigmoid(trace.readout_potentials)
-    return p[:, COMM], p[:, SENSE]
-
-
 def spike_count(trace: ForwardTrace) -> np.ndarray:
     """Total spikes (hidden + readout) emitted at each step."""
     return (trace.hidden_spikes.sum(axis=1) + trace.readout_spikes.sum(axis=1)).astype(np.int64)
-
-
-def decode_bits(trace: ForwardTrace) -> np.ndarray:
-    """Per-slot bit decisions: the communication readout's spikes."""
-    return trace.readout_spikes[:, COMM].astype(np.uint8)
-
-
-def sense_votes(trace: ForwardTrace) -> np.ndarray:
-    """Per-slot target votes: the sensing readout's spikes."""
-    return trace.readout_spikes[:, SENSE].astype(np.uint8)
 
 
 def save_model(model: SnnModel, path) -> None:

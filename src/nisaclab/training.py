@@ -11,8 +11,8 @@ computed by hand-rolled reverse-mode backpropagation through the unrolled
 membrane recursions; the only approximation is the usual surrogate step: the
 hard threshold's derivative is replaced by the derivative of
 sigmoid(slope * x).  Run the same backward pass on a trace from the fully
-smoothed twin network (surrogate_forward) and it is the exact gradient, which
-is how the finite-difference oracle checks it.
+smoothed twin network (forward with a slope) and it is the exact gradient,
+which is how the finite-difference oracle checks it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import majority_detection
-from .modem import BitFrame
 from .snn import (
     COMM,
     SENSE,
@@ -93,12 +92,7 @@ def comm_loss(p_comm, bits, data_slot_count: int | None = None) -> float:
     """Summed decode cross entropy over the last (slot) axis and any leading
     frame axes; SSAC frames contribute their leading data slots only."""
     p = np.asarray(p_comm, dtype=np.float64)
-    if isinstance(bits, BitFrame):
-        labels = bits.bits
-        if data_slot_count is None:
-            data_slot_count = bits.data_slot_count
-    else:
-        labels = np.asarray(bits)
+    labels = np.asarray(bits)
     if p.shape != labels.shape:
         raise ValueError(f"probability/bit length mismatch: {p.shape} vs {labels.shape}")
     n = data_slot_count  # None keeps every slot
@@ -120,15 +114,6 @@ def isac_loss(lc: float, ls: float, beta: float) -> float:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return beta * lc + (1.0 - beta) * ls
-
-
-def surrogate_forward(model: SnnModel, frame, slope: float) -> ForwardTrace:
-    """Smoothed twin of the forward pass: spikes are sigmoid(slope*(o - th)).
-
-    Every operation is differentiable, so the backward pass is exact on its
-    traces; used by the gradient-check oracle.
-    """
-    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None], slope)))
 
 
 def _spike_slope(potentials: np.ndarray, threshold: float, slope: float) -> np.ndarray:
@@ -226,22 +211,15 @@ def backward(
     slope: float = 1.0,
 ) -> ParamGradients:
     """Gradient of the weighted loss for one frame, via the trace from
-    forward (surrogate gradient) or surrogate_forward (exact).
-
-    A BitFrame's data_slot_count restricts the decode loss to its data slots.
-    """
+    forward (surrogate gradient) or forward with the same slope (exact)."""
     inputs = _frame_inputs(model, frame)
     L = inputs.shape[0]
     if len(trace) != L:
         raise ValueError(f"trace length {len(trace)} does not match frame length {L}")
-    if isinstance(bits, BitFrame):
-        bits, n_data = bits.bits, bits.data_slot_count
-    else:
-        n_data = L
     labels = np.asarray(bits, dtype=np.float64)[None]
     _, _, d_or = _objective(
         trace.readout_potentials[None], labels, np.array([target], dtype=np.float64),
-        beta, n_data, 0,
+        beta, L, 0,
     )
     g_w_in, g_w_out = _backward_batch(
         model, inputs[None], trace.hidden_potentials[None], trace.hidden_spikes[None],

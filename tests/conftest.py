@@ -1,6 +1,13 @@
-"""Shared test fixtures: acceptance-line recording for the terminal summary."""
+"""Shared test fixtures: acceptance-line recording for the terminal summary,
+and the throughput that evaluation scores for hand-built decode spikes."""
 
+import numpy as np
 import pytest
+
+import nisaclab.metrics as metrics_module
+from nisaclab.dataset import Dataset
+from nisaclab.metrics import evaluate, evaluate_ssac
+from nisaclab.snn import COMM, SnnModel
 
 _criterion_lines: list[tuple[int, str]] = []
 
@@ -14,6 +21,31 @@ def criterion_line():
         _criterion_lines.append((index, f"criterion {index:2d}: {status}  {detail}"))
 
     return record
+
+
+@pytest.fixture
+def scored_throughput(monkeypatch):
+    """throughput(decisions, bits, alpha=None): what evaluate (alpha=None) or
+    evaluate_ssac at alpha reports when the decode readout spikes are the
+    (n, L) decisions and the dataset's bits are the (n, L) bits."""
+
+    def throughput(decisions, bits, alpha=None) -> float:
+        bits = np.asarray(bits, dtype=np.uint8)
+        n, L = bits.shape
+        readout = np.zeros((n, L, 2))
+        readout[:, :, COMM] = decisions
+
+        def decode_spikes(model, inputs, slope=None):
+            return np.zeros((n, L, 1)), np.zeros((n, L, 1)), np.zeros((n, L, 2)), readout
+
+        monkeypatch.setattr(metrics_module, "forward_batch", decode_spikes)
+        data = Dataset(np.zeros((n, L, 4)), bits, np.zeros(n), L_b=1, snr_db=10.0, master_seed=0)
+        model = SnnModel(input_weights=np.zeros((1, 4)), readout_weights=np.zeros((2, 1)))
+        if alpha is None:
+            return evaluate(model, data).throughput
+        return evaluate_ssac(model, model, data, alpha).throughput
+
+    return throughput
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

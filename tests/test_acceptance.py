@@ -15,7 +15,6 @@ import pytest
 
 from nisaclab.channel import (
     ChannelConfig,
-    ChannelRealization,
     apply_channel,
     draw_channel,
     expected_channel_energy,
@@ -24,19 +23,16 @@ from nisaclab.channel import (
 )
 from nisaclab.cli import main
 from nisaclab.dataset import generate_dataset, load_dataset, save_dataset
-from nisaclab.metrics import (
-    evaluate,
-    evaluate_ssac,
-    majority_detection,
-    normalized_throughput,
-)
-from nisaclab.modem import BitFrame, ppm_modulate
+from nisaclab.metrics import evaluate, evaluate_ssac, majority_detection
+from nisaclab.modem import ppm_modulate
 from nisaclab.snn import (
+    COMM,
+    SENSE,
     forward,
     init_model,
     load_model,
-    readout_probabilities,
     save_model,
+    sigmoid,
     spike_count,
 )
 from nisaclab.training import (
@@ -45,7 +41,6 @@ from nisaclab.training import (
     comm_loss,
     isac_loss,
     sense_loss,
-    surrogate_forward,
     train,
 )
 
@@ -156,9 +151,8 @@ def test_gradient_oracle(criterion_line):
     target, beta, slope, h = 1, 0.5, 1.0, 1e-5
 
     def loss_at(m):
-        trace = surrogate_forward(m, inputs, slope)
-        p_comm, p_sense = readout_probabilities(trace)
-        return isac_loss(comm_loss(p_comm, bits), sense_loss(p_sense, target), beta)
+        p = sigmoid(forward(m, inputs, slope).readout_potentials)
+        return isac_loss(comm_loss(p[:, COMM], bits), sense_loss(p[:, SENSE], target), beta)
 
     def fd(attr):
         w = getattr(model, attr)
@@ -170,7 +164,7 @@ def test_gradient_oracle(criterion_line):
                 grad[idx] += sign * loss_at(dataclasses.replace(model, **{attr: bumped}))
         return grad / (2 * h)
 
-    trace = surrogate_forward(model, inputs, slope)
+    trace = forward(model, inputs, slope)
     got = backward(model, trace, inputs, bits, target, beta, slope)
     rel = max(
         _max_rel_error(got.input_weights, fd("input_weights")),
@@ -191,13 +185,11 @@ def test_slot_isolation(criterion_line):
     all_equal = True
     for seed in range(5):
         for v in (0, 1):
-            realization = draw_channel(CFG, v, np.random.default_rng(seed))
+            taps = draw_channel(CFG, v, np.random.default_rng(seed))
             frames = []
             for pattern in range(2**n_slots):
                 bits = np.array([(pattern >> j) & 1 for j in range(n_slots)], dtype=np.uint8)
-                y = apply_channel(
-                    ppm_modulate(bits, L_b), realization, 0.0, np.random.default_rng(0)
-                )
+                y = apply_channel(ppm_modulate(bits, L_b), taps, 0.0, np.random.default_rng(0))
                 frames.append((bits, frame_received(y, L_b).slot_inputs))
             frames_checked += len(frames)
             for slot in range(n_slots):
@@ -219,18 +211,12 @@ def test_channel_calibration(criterion_line):
     energy = 0.0
     for _ in range(n):
         v = int(rng.integers(0, 2))
-        realization = draw_channel(CFG, v, rng)
-        energy += float((np.abs(realization.taps) ** 2).sum())
+        energy += float((np.abs(draw_channel(CFG, v, rng)) ** 2).sum())
     energy /= n
     want_energy = expected_channel_energy(CFG)
 
     want_var = noise_variance_from_snr(CFG)
-    silent = ChannelRealization(
-        taps=np.zeros(1, dtype=np.complex128), target_present=0, target_amp=0j,
-        clutter_amps=np.zeros(0, dtype=np.complex128),
-        clutter_delays=np.zeros(0, dtype=np.int64),
-    )
-    noise = apply_channel(np.zeros(n), silent, want_var, rng)
+    noise = apply_channel(np.zeros(n), [0], want_var, rng)  # a silent channel
     var = float((np.abs(noise) ** 2).mean())
 
     elapsed = time.perf_counter() - t0
@@ -247,13 +233,13 @@ def test_channel_calibration(criterion_line):
     assert elapsed < 30.0
 
 
-def test_unit_examples(criterion_line):
+def test_unit_examples(criterion_line, scored_throughput):
     """Hand-computable operation examples: modulation, framing, losses, decisions."""
     checks = {
         "pulse placement": (
-            np.array_equal(ppm_modulate([0], 1).chips, [1.0, 0.0])
-            and np.array_equal(ppm_modulate([1], 2).chips, [0.0, 0.0, 1.0, 0.0])
-            and np.array_equal(ppm_modulate([0, 1], 1).chips, [1.0, 0.0, 0.0, 1.0])
+            np.array_equal(ppm_modulate([0], 1), [1.0, 0.0])
+            and np.array_equal(ppm_modulate([1], 2), [0.0, 0.0, 1.0, 0.0])
+            and np.array_equal(ppm_modulate([0, 1], 1), [1.0, 0.0, 0.0, 1.0])
         ),
         "framing order": np.array_equal(
             frame_received(np.array([1 + 2j, 3 + 4j]), 1).slot_inputs,
@@ -278,19 +264,10 @@ def test_unit_examples(criterion_line):
             and majority_detection([0] * 80) == 0
             and majority_detection([1] * 40 + [0] * 40) == 0
         ),
-        "throughput arithmetic": (
-            normalized_throughput(
-                [np.array([0, 1, 0, 1])],
-                [BitFrame(bits=np.array([0, 1, 0, 1], dtype=np.uint8), data_slot_count=4)],
-            ) == 1.0
-            and normalized_throughput(
-                [np.array([0, 1, 0, 0])],
-                [BitFrame(bits=np.array([0, 1, 1, 1], dtype=np.uint8), data_slot_count=2)],
-            ) == 0.5
-            and normalized_throughput(
-                [np.array([0, 1, 0, 0])],
-                [BitFrame(bits=np.array([0, 1, 0, 1], dtype=np.uint8), data_slot_count=4)],
-            ) == 0.75
+        "throughput arithmetic": (  # evaluate / evaluate_ssac on hand-built decode spikes
+            scored_throughput([[0, 1, 0, 1]], [[0, 1, 0, 1]]) == 1.0
+            and scored_throughput([[0, 1, 0, 0]], [[0, 1, 1, 1]], alpha=0.5) == 0.5
+            and scored_throughput([[0, 1, 0, 0]], [[0, 1, 0, 1]]) == 0.75
         ),
     }
     failed = [name for name, passed in checks.items() if not passed]
@@ -397,13 +374,13 @@ def test_idle_frame_sparsity(criterion_line, wide_beta_models):
             first = rng.integers(0, 2, size=L).astype(np.uint8)
             second = rng.integers(0, 2, size=L).astype(np.uint8)
             chips = np.concatenate([
-                ppm_modulate(first, 1).chips,
+                ppm_modulate(first, 1),
                 np.zeros(2 * idle_gap),
-                ppm_modulate(second, 1).chips,
+                ppm_modulate(second, 1),
             ])
-            realization = draw_channel(CFG, target, rng)
-            samples = apply_channel(chips, realization, noise_var, rng)
-            counts = spike_count(forward(model, frame_received(samples, 1, noise_var)))
+            taps = draw_channel(CFG, target, rng)
+            samples = apply_channel(chips, taps, noise_var, rng)
+            counts = spike_count(forward(model, frame_received(samples, 1, noise_var).slot_inputs))
             idle_sum += int(counts[L:L + idle_gap].sum())
             active_sum += int(counts[:L].sum() + counts[L + idle_gap:].sum())
             idle_n += idle_gap

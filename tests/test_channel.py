@@ -7,7 +7,6 @@ import pytest
 
 from nisaclab.channel import (
     ChannelConfig,
-    ChannelRealization,
     apply_channel,
     clutter_second_moment,
     draw_channel,
@@ -17,16 +16,6 @@ from nisaclab.channel import (
     unit_second_moment_scale,
 )
 from nisaclab.modem import ppm_modulate
-
-
-def _taps(values) -> ChannelRealization:
-    """Hand-built realization for convolution arithmetic tests."""
-    taps = np.asarray(values, dtype=np.complex128)
-    return ChannelRealization(
-        taps=taps, target_present=0, target_amp=0j,
-        clutter_amps=np.zeros(0, dtype=np.complex128),
-        clutter_delays=np.zeros(0, dtype=np.int64),
-    )
 
 
 class TestWeibullScale:
@@ -80,33 +69,33 @@ class TestEnergyAndNoise:
 
 class TestDrawChannel:
     def test_no_clutter_no_target_is_silent(self):
-        real = draw_channel(ChannelConfig(num_clutter=0), 0, np.random.default_rng(0))
-        assert np.array_equal(real.taps, np.zeros(5, dtype=np.complex128))
+        taps = draw_channel(ChannelConfig(num_clutter=0), 0, np.random.default_rng(0))
+        assert np.array_equal(taps, np.zeros(5, dtype=np.complex128))
 
     def test_no_clutter_target_only(self):
-        real = draw_channel(ChannelConfig(num_clutter=0), 1, np.random.default_rng(0))
-        assert real.taps[0] == real.target_amp
-        assert real.taps[0] != 0
-        assert np.array_equal(real.taps[1:], np.zeros(4))
+        taps = draw_channel(ChannelConfig(num_clutter=0), 1, np.random.default_rng(0))
+        assert np.flatnonzero(taps).tolist() == [0]
 
     def test_target_absent_contributes_nothing(self):
-        on = draw_channel(ChannelConfig(), 1, np.random.default_rng(7))
-        off = draw_channel(ChannelConfig(), 0, np.random.default_rng(7))
-        # identical stream: the only difference is the target tap at delay 0
-        assert np.allclose(on.taps - off.taps, np.array([on.target_amp, 0, 0, 0, 0]))
+        cfg = ChannelConfig(target_delay=2)
+        on = draw_channel(cfg, 1, np.random.default_rng(7))
+        off = draw_channel(cfg, 0, np.random.default_rng(7))
+        # identical stream: the only difference is the target tap at its delay
+        assert np.flatnonzero(on - off).tolist() == [2]
 
     def test_delays_within_range(self):
+        # clutter delays up to 2 in a 7-tap vector: taps 3..6 stay empty
+        cfg = ChannelConfig(max_clutter_delay=2, tap_count=7)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            real = draw_channel(ChannelConfig(), 1, rng)
-            assert real.clutter_delays.min() >= 0
-            assert real.clutter_delays.max() <= 4
-            assert real.taps.size == 5
+            taps = draw_channel(cfg, 1, rng)
+            assert taps.shape == (7,)
+            assert not taps[3:].any()
 
     def test_seed_determinism(self):
         a = draw_channel(ChannelConfig(), 1, np.random.default_rng(9))
         b = draw_channel(ChannelConfig(), 1, np.random.default_rng(9))
-        assert np.array_equal(a.taps, b.taps)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_indicator(self):
         with pytest.raises(ValueError):
@@ -116,51 +105,51 @@ class TestDrawChannel:
         cfg = ChannelConfig(num_clutter=1)
         rng = np.random.default_rng(2)
         energy = np.mean([
-            np.abs(draw_channel(cfg, 0, rng).taps**2).sum() for _ in range(20_000)
+            np.abs(draw_channel(cfg, 0, rng) ** 2).sum() for _ in range(20_000)
         ])
         assert energy == pytest.approx(1.0, rel=0.05)
 
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        y = apply_channel(np.array([1.0, 0.0, 1.0, 0.0]), _taps([1]), 0.0, np.random.default_rng(0))
+        y = apply_channel(np.array([1.0, 0.0, 1.0, 0.0]), [1], 0.0, np.random.default_rng(0))
         assert np.array_equal(y, np.array([1, 0, 1, 0], dtype=np.complex128))
 
     def test_one_chip_delay(self):
-        y = apply_channel(np.array([1.0, 0.0, 0.0, 0.0]), _taps([0, 1]), 0.0, np.random.default_rng(0))
+        y = apply_channel(np.array([1.0, 0.0, 0.0, 0.0]), [0, 1], 0.0, np.random.default_rng(0))
         assert np.array_equal(y, np.array([0, 1, 0, 0], dtype=np.complex128))
 
     def test_hand_convolution_truncates_to_input_length(self):
-        y = apply_channel(np.array([1.0, 1.0]), _taps([1, 0.5j]), 0.0, np.random.default_rng(0))
+        y = apply_channel(np.array([1.0, 1.0]), [1, 0.5j], 0.0, np.random.default_rng(0))
         assert np.allclose(y, np.array([1.0, 1.0 + 0.5j]))
 
     def test_accepts_chip_sequence(self):
-        seq = ppm_modulate([0, 1], 1)
-        y = apply_channel(seq, _taps([1]), 0.0, np.random.default_rng(0))
-        assert np.array_equal(y.real, seq.chips)
+        chips = ppm_modulate([0, 1], 1)
+        y = apply_channel(chips, [1], 0.0, np.random.default_rng(0))
+        assert np.array_equal(y.real, chips)
 
     def test_linearity_at_zero_noise(self):
         rng = np.random.default_rng(3)
-        real = draw_channel(ChannelConfig(), 1, rng)
+        taps = draw_channel(ChannelConfig(), 1, rng)
         chips = np.random.default_rng(4).standard_normal(24)
-        y1 = apply_channel(chips, real, 0.0, np.random.default_rng(0))
-        y3 = apply_channel(3.0 * chips, real, 0.0, np.random.default_rng(0))
+        y1 = apply_channel(chips, taps, 0.0, np.random.default_rng(0))
+        y3 = apply_channel(3.0 * chips, taps, 0.0, np.random.default_rng(0))
         assert np.allclose(y3, 3.0 * y1)
 
     def test_noise_calibration(self):
-        z = apply_channel(np.zeros(100_000), _taps([0]), 0.55, np.random.default_rng(5))
+        z = apply_channel(np.zeros(100_000), [0], 0.55, np.random.default_rng(5))
         assert np.mean(np.abs(z) ** 2) == pytest.approx(0.55, rel=0.02)
 
     def test_noise_determinism(self):
         chips = np.ones(16)
-        real = _taps([1, 0.2])
-        a = apply_channel(chips, real, 0.5, np.random.default_rng(11))
-        b = apply_channel(chips, real, 0.5, np.random.default_rng(11))
+        taps = [1, 0.2]
+        a = apply_channel(chips, taps, 0.5, np.random.default_rng(11))
+        b = apply_channel(chips, taps, 0.5, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
-            apply_channel(np.ones(4), _taps([1]), -0.1, np.random.default_rng(0))
+            apply_channel(np.ones(4), [1], -0.1, np.random.default_rng(0))
 
 
 class TestFrameReceived:
@@ -191,14 +180,14 @@ class TestSlotIsolation:
         on its own bit (zero noise, fixed realization)."""
         L, L_b = 4, 6
         cfg = ChannelConfig()
-        real = draw_channel(cfg, 1, np.random.default_rng(0))
+        taps = draw_channel(cfg, 1, np.random.default_rng(0))
         base = np.random.default_rng(1).integers(0, 2, size=L).astype(np.uint8)
-        y_base = apply_channel(ppm_modulate(base, L_b), real, 0.0, np.random.default_rng(0))
+        y_base = apply_channel(ppm_modulate(base, L_b), taps, 0.0, np.random.default_rng(0))
         slots_base = y_base.reshape(L, 2 * L_b)
         for flip in range(L):
             bits = base.copy()
             bits[flip] ^= 1
-            y = apply_channel(ppm_modulate(bits, L_b), real, 0.0, np.random.default_rng(0))
+            y = apply_channel(ppm_modulate(bits, L_b), taps, 0.0, np.random.default_rng(0))
             slots = y.reshape(L, 2 * L_b)
             for l in range(L):
                 if l != flip:

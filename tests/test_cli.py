@@ -372,6 +372,16 @@ class TestTrace:
         assert len(rows) == 8
         assert {r[1] for r in rows} == {"active1", "active2"}
 
+    def test_empty_trace_names_both_flags(self, silent_model_path, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main([
+            "trace", "--model", str(silent_model_path), "--frame-slots", "0",
+            "--idle-slots", "0", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--frame-slots" in err and "--idle-slots" in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def _write(self, tmp_path, payload) -> str:
@@ -428,6 +438,20 @@ class TestConfigFile:
             main(["--config", cfg, "train", "--data", str(workdir["train"]),
                   "--out", str(tmp_path / "m.nism")])
 
+    @pytest.mark.parametrize("payload, command", [
+        ({"n_train": 4.5}, ["gen", "--n-test", "2", "--out-train", "{root}/a.nisd",
+                            "--out-test", "{root}/b.nisd"]),
+        ({"epochs": [3]}, ["train", "--data", "{train}", "--out", "{root}/a.nisd"]),
+    ], ids=["float-for-int", "list-for-int"])
+    def test_wrong_type_exits_2_before_writing(self, workdir, tmp_path, capsys, payload, command):
+        cfg = self._write(tmp_path, payload)
+        paths = {"root": tmp_path, "train": workdir["train"]}
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg] + [arg.format(**paths) for arg in command])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "a.nisd").exists() and not (tmp_path / "b.nisd").exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"), "gen",
                      "--n-train", "1", "--n-test", "1",
@@ -442,6 +466,8 @@ class TestOutOfRangeValues:
         ["eval", "--data", "{test}", "--model", "{model}", "--model-sense", "{model}",
          "--mode", "ssac", "--alpha", "1.5", "--out", "{root}/e.csv"],
         ["trace", "--model", "{model}", "--idle-slots", "-3", "--out", "{root}/t.csv"],
+        ["trace", "--model", "{model}", "--frame-slots", "0", "--idle-slots", "0",
+         "--out", "{root}/t.csv"],
     ])
     def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
         paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],

@@ -110,8 +110,8 @@ class TestRegeneration:
             v = int(rng.integers(0, 2))
             bits = rng.integers(0, 2, size=L).astype(np.uint8)
             bits[n_data:] = 1
-            realization = draw_channel(cfg, v, rng)
-            samples = apply_channel(ppm_modulate(bits, L_b), realization, noise_var, rng)
+            taps = draw_channel(cfg, v, rng)
+            samples = apply_channel(ppm_modulate(bits, L_b), taps, noise_var, rng)
             inputs = frame_received(samples, L_b, noise_var).slot_inputs.astype(np.float32)
             assert ds.targets[i] == v
             assert np.array_equal(ds.bits[i], bits)

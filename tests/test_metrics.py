@@ -11,10 +11,8 @@ from nisaclab.metrics import (
     evaluate,
     evaluate_ssac,
     majority_detection,
-    normalized_throughput,
 )
-from nisaclab.modem import BitFrame
-from nisaclab.snn import SENSE, SnnModel, forward, init_model, sense_votes
+from nisaclab.snn import SENSE, SnnModel, forward, init_model
 
 CFG = ChannelConfig(snr_db=10.0)
 
@@ -28,40 +26,35 @@ def _silent_model(L_b: int = 1, hidden: int = 3) -> SnnModel:
 
 
 class TestNormalizedThroughput:
-    def test_all_correct_full_frame(self):
-        frame = BitFrame(bits=np.array([0, 1, 0, 1], dtype=np.uint8), data_slot_count=4)
-        assert normalized_throughput([np.array([0, 1, 0, 1])], [frame]) == 1.0
+    """Throughput as evaluate and evaluate_ssac score it: correct data-slot
+    bits over all slots, averaged over frames."""
 
-    def test_sensing_slots_do_not_count_but_dilute(self):
+    def test_all_correct_full_frame(self, scored_throughput):
+        assert scored_throughput([[0, 1, 0, 1]], [[0, 1, 0, 1]]) == 1.0
+
+    def test_sensing_slots_do_not_count_but_dilute(self, scored_throughput):
         # correct on both data slots, wrong on both sensing slots: 2/4
-        frame = BitFrame(bits=np.array([0, 1, 1, 1], dtype=np.uint8), data_slot_count=2)
-        decisions = np.array([0, 1, 0, 0])
-        assert normalized_throughput([decisions], [frame]) == 0.5
+        assert scored_throughput([[0, 1, 0, 0]], [[0, 1, 1, 1]], alpha=0.5) == 0.5
 
-    def test_partial_credit(self):
-        frame = BitFrame(bits=np.array([0, 1, 0, 1], dtype=np.uint8), data_slot_count=4)
-        assert normalized_throughput([np.array([0, 1, 0, 0])], [frame]) == 0.75
+    def test_partial_credit(self, scored_throughput):
+        assert scored_throughput([[0, 1, 0, 0]], [[0, 1, 0, 1]]) == 0.75
 
-    def test_mean_over_examples(self):
-        f1 = BitFrame(bits=np.array([0, 1, 0, 1], dtype=np.uint8), data_slot_count=4)
-        f2 = BitFrame(bits=np.array([0, 1, 1, 1], dtype=np.uint8), data_slot_count=2)
-        decs = [np.array([0, 1, 0, 1]), np.array([0, 1, 0, 0])]
-        assert normalized_throughput(decs, [f1, f2]) == 0.75
+    def test_mean_over_examples(self, scored_throughput):
+        decisions = [[0, 1, 0, 1], [0, 1, 1, 0]]
+        assert scored_throughput(decisions, [[0, 1, 0, 1], [0, 1, 0, 1]]) == 0.75
 
-    def test_perfect_ssac_is_capped_by_data_fraction(self):
-        bits = np.ones(8, dtype=np.uint8)
-        bits[:3] = [0, 1, 0]
-        frame = BitFrame(bits=bits, data_slot_count=3)
-        assert normalized_throughput([bits], [frame]) == 3 / 8
+    def test_perfect_ssac_is_capped_by_data_fraction(self, scored_throughput):
+        bits = np.ones((1, 8), dtype=np.uint8)
+        bits[0, :3] = [0, 1, 0]
+        assert scored_throughput(bits, bits, alpha=0.375) == 3 / 8  # ceil(0.375*8) = 3
 
-    def test_shape_errors(self):
-        frame = BitFrame(bits=np.array([0, 1], dtype=np.uint8), data_slot_count=2)
+    def test_shape_errors(self, isac_data):
+        # a dataset holds bits and inputs of one shape, so the mismatch left
+        # to reject is a model whose input width does not fit the frames
         with pytest.raises(ValueError):
-            normalized_throughput([np.array([0, 1]), np.array([1, 0])], [frame])
+            evaluate(_silent_model(L_b=2), isac_data)
         with pytest.raises(ValueError):
-            normalized_throughput([np.array([0, 1, 0])], [frame])
-        with pytest.raises(ValueError):
-            normalized_throughput([], [])
+            evaluate_ssac(_silent_model(), _silent_model(L_b=2), isac_data, alpha=0.5)
 
 
 class TestMajorityDetection:
@@ -148,7 +141,7 @@ class TestModelEvaluation:
         # the batched vote in evaluate agrees with the one-frame majority rule
         model = init_model(4, 1, np.random.default_rng(0))
         wrong = [
-            majority_detection(sense_votes(forward(model, x))) != t
+            majority_detection(forward(model, x).readout_spikes[:, SENSE]) != t
             for x, t in zip(isac_data.inputs, isac_data.targets)
         ]
         assert 0.0 < np.mean(wrong) < 1.0

@@ -7,41 +7,29 @@ import pytest
 
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
-from nisaclab.modem import (
-    BitFrame,
-    ChipSequence,
-    ppm_demodulate,
-    ppm_modulate,
-    ssac_data_slots,
-)
+from nisaclab.modem import ppm_demodulate, ppm_modulate, ssac_data_slots
 
 
 class TestPpmModulate:
     def test_bit_zero_pulses_first_chip(self):
-        assert ppm_modulate([0], 1).chips.tolist() == [1.0, 0.0]
+        assert ppm_modulate([0], 1).tolist() == [1.0, 0.0]
 
     def test_bit_one_pulses_chip_lb_plus_one(self):
-        assert ppm_modulate([1], 2).chips.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert ppm_modulate([1], 2).tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_two_slots_compose(self):
-        assert ppm_modulate([0, 1], 1).chips.tolist() == [1.0, 0.0, 0.0, 1.0]
+        assert ppm_modulate([0, 1], 1).tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_sequence_length(self):
-        seq = ppm_modulate([0, 1, 1, 0, 1], 4)
-        assert seq.chips.size == 2 * 4 * 5
-        assert seq.slot_count == 5
+        assert ppm_modulate([0, 1, 1, 0, 1], 4).shape == (2 * 4 * 5,)
 
     @pytest.mark.parametrize("L_b", [1, 2, 4])
     def test_unit_energy_per_slot(self, L_b):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=17)
-        per_slot = ppm_modulate(bits, L_b).chips.reshape(-1, 2 * L_b)
+        per_slot = ppm_modulate(bits, L_b).reshape(-1, 2 * L_b)
         assert np.array_equal((per_slot**2).sum(axis=1), np.ones(17))
         assert np.array_equal((per_slot != 0).sum(axis=1), np.ones(17))
-
-    def test_accepts_bit_frame(self):
-        frame = BitFrame.isac([1, 0])
-        assert ppm_modulate(frame, 1).chips.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_rejects_empty_bits(self):
         with pytest.raises(ValueError):
@@ -61,41 +49,22 @@ class TestPpmDemodulate:
     def test_round_trip(self, L_b):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=40).astype(np.uint8)
-        assert np.array_equal(ppm_demodulate(ppm_modulate(bits, L_b)), bits)
+        assert np.array_equal(ppm_demodulate(ppm_modulate(bits, L_b), L_b), bits)
 
     @pytest.mark.parametrize("L_b", [1, 4])
     def test_block_rows_are_single_frames(self, L_b):
         bits = np.random.default_rng(3).integers(0, 2, size=(5, 12)).astype(np.uint8)
         block = ppm_modulate(bits, L_b)
-        assert block.chips.shape == (5, 2 * L_b * 12) and block.slot_count == 12
-        for row, frame_bits in zip(block.chips, bits):
-            assert np.array_equal(row, ppm_modulate(frame_bits, L_b).chips)
-        assert np.array_equal(ppm_demodulate(block), bits)
+        assert block.shape == (5, 2 * L_b * 12)
+        for row, frame_bits in zip(block, bits):
+            assert np.array_equal(row, ppm_modulate(frame_bits, L_b))
+        assert np.array_equal(ppm_demodulate(block, L_b), bits)
 
     def test_argmax_survives_small_noise(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-        seq = ppm_modulate(bits, 2)
-        noisy = ChipSequence(
-            chips=seq.chips + 0.2 * np.random.default_rng(2).standard_normal(seq.chips.size),
-            bandwidth_expansion=2,
-        )
-        assert np.array_equal(ppm_demodulate(noisy), bits)
-
-
-class TestBitFrame:
-    def test_isac_uses_every_slot(self):
-        frame = BitFrame.isac([0, 1, 0])
-        assert frame.data_slot_count == 3
-        assert len(frame) == 3
-        assert frame.data_bits.tolist() == [0, 1, 0]
-
-    def test_sensing_slots_must_be_one(self):
-        with pytest.raises(ValueError):
-            BitFrame(bits=np.array([1, 0, 0], dtype=np.uint8), data_slot_count=1)
-
-    def test_data_slot_count_bounds(self):
-        with pytest.raises(ValueError):
-            BitFrame(bits=np.array([1, 1], dtype=np.uint8), data_slot_count=3)
+        chips = ppm_modulate(bits, 2)
+        noisy = chips + 0.2 * np.random.default_rng(2).standard_normal(chips.size)
+        assert np.array_equal(ppm_demodulate(noisy, 2), bits)
 
 
 class TestSsacDataSlots:
@@ -119,38 +88,43 @@ class TestSsacDataSlots:
 
 
 class TestMakeSsacFrame:
-    """SSAC frames as generate_dataset builds them: ceil(alpha*L) data slots, then ones."""
+    """SSAC frames as generate_dataset builds them: the ISAC frame's bits on the
+    ceil(alpha*L) data slots, then ones.  Both modes draw the same streams."""
+
+    CFG = ChannelConfig(snr_db=10.0)
+
+    def _check_against_isac(self, alpha, L):
+        isac = generate_dataset(self.CFG, L=L, L_b=1, n=6, mode="isac", master_seed=4)
+        ssac = generate_dataset(self.CFG, L=L, L_b=1, n=6, mode="ssac", master_seed=4, alpha=alpha)
+        n_data = ssac_data_slots(alpha, L)
+        assert 1 <= n_data < L
+        assert np.array_equal(ssac.bits[:, :n_data], isac.bits[:, :n_data])
+        assert (ssac.bits[:, n_data:] == 1).all()
+        return isac, ssac
 
     def test_alpha_one_is_identity(self):
-        # all slots carrying data is the ISAC frame, which keeps its bits;
-        # SSAC itself stops short of alpha = 1
-        frame = BitFrame(bits=np.array([0, 1, 1, 0], dtype=np.uint8), data_slot_count=4)
-        assert frame.bits.tolist() == [0, 1, 1, 0]
-        assert frame.data_bits.tolist() == BitFrame.isac([0, 1, 1, 0]).data_bits.tolist()
+        # the largest alpha keeps every slot but the last as the ISAC frame has
+        # it; all slots carrying data is the ISAC frame, and SSAC stops short of it
+        isac, ssac = self._check_against_isac(0.75, 4)
+        assert (isac.bits[:, 3] == 0).any()
         with pytest.raises(ValueError):
-            ssac_data_slots(1.0, 4)
+            generate_dataset(self.CFG, L=4, L_b=1, n=2, mode="ssac", alpha=1.0)
 
     def test_alpha_zero_is_all_ones(self):
-        # a frame with no data slot is all ones; SSAC itself stops short of alpha = 0
-        frame = BitFrame(bits=np.array([1, 1, 1], dtype=np.uint8), data_slot_count=0)
-        assert frame.data_bits.size == 0
+        # the smallest alpha keeps one data slot and sets every other slot to 1;
+        # a frame with no data slot would be all ones, and SSAC stops short of it
+        isac, _ = self._check_against_isac(0.01, 4)
+        assert (isac.bits[:, 1:] == 0).any()
         with pytest.raises(ValueError):
-            BitFrame(bits=np.array([1, 0, 1], dtype=np.uint8), data_slot_count=0)
-        with pytest.raises(ValueError):
-            ssac_data_slots(0.0, 3)
+            generate_dataset(self.CFG, L=3, L_b=1, n=2, mode="ssac", alpha=0.0)
 
     def test_alpha_range(self):
-        cfg = ChannelConfig(snr_db=10.0)
         for alpha in (0.05, 0.3, 0.5, 0.75, 0.95):
             for L in (2, 5, 8):
                 if math.ceil(alpha * L) >= L:
                     with pytest.raises(ValueError):
-                        generate_dataset(cfg, L=L, L_b=1, n=2, mode="ssac", alpha=alpha)
+                        generate_dataset(self.CFG, L=L, L_b=1, n=2, mode="ssac", alpha=alpha)
                     continue
-                n_data = ssac_data_slots(alpha, L)
-                ds = generate_dataset(cfg, L=L, L_b=1, n=2, mode="ssac", alpha=alpha)
-                for bits in ds.bits:
-                    frame = BitFrame(bits=bits, data_slot_count=n_data)
-                    assert 1 <= frame.data_slot_count < len(frame)
+                self._check_against_isac(alpha, L)
         with pytest.raises(ValueError):
-            generate_dataset(cfg, L=1, L_b=1, n=1, mode="ssac", alpha=1.5)
+            generate_dataset(self.CFG, L=1, L_b=1, n=1, mode="ssac", alpha=1.5)

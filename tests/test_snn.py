@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisaclab.channel import ReceivedFrame
+from nisaclab.channel import frame_received
 from nisaclab.errors import (
     BadMagicError,
     FileFormatError,
@@ -22,18 +22,14 @@ from nisaclab.snn import (
     ForwardTrace,
     SnnModel,
     clone_model,
-    decode_bits,
     forward,
     forward_batch,
     init_model,
     load_model,
-    readout_probabilities,
     save_model,
-    sense_votes,
     sigmoid,
     spike_count,
 )
-from nisaclab.training import surrogate_forward
 
 
 def _model(h, width, *, w_in=None, w_out=None, **kw) -> SnnModel:
@@ -203,16 +199,20 @@ class TestForward:
         m = _random_model(7)
         frame = np.random.default_rng(8).standard_normal((30, 4)) * 3
         trace = forward(m, frame)
-        p_comm, p_sense = readout_probabilities(trace)
-        assert np.array_equal(decode_bits(trace), (p_comm > 0.5).astype(np.uint8))
-        assert np.array_equal(sense_votes(trace), (p_sense > 0.5).astype(np.uint8))
+        p = sigmoid(trace.readout_potentials)
+        assert np.array_equal(trace.readout_spikes[:, COMM], p[:, COMM] > 0.5)
+        assert np.array_equal(trace.readout_spikes[:, SENSE], p[:, SENSE] > 0.5)
 
     def test_accepts_received_frame(self):
-        m = _random_model(9)
-        inputs = np.random.default_rng(10).standard_normal((5, 4))
-        a = forward(m, ReceivedFrame(slot_inputs=inputs))
-        b = forward(m, inputs)
-        assert np.array_equal(a.readout_potentials, b.readout_potentials)
+        # the channel's framed slot inputs, (L, 4*L_b), are a frame as they come
+        m = _random_model(9, L_b=2)
+        rng = np.random.default_rng(10)
+        samples = rng.standard_normal(5 * 4) + 1j * rng.standard_normal(5 * 4)
+        frame = frame_received(samples, 2)
+        a = forward(m, frame.slot_inputs)
+        b = forward_batch(m, frame.slot_inputs[None])
+        assert len(a) == 5
+        assert np.array_equal(a.readout_potentials, b[2][0])
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ class TestForwardBatch:
         batch = forward_batch(m, inputs, slope)
         for i in range(B):
             ref = _reference_forward(m, inputs[i], slope)
-            view = forward(m, inputs[i]) if slope is None else surrogate_forward(m, inputs[i], slope)
+            view = forward(m, inputs[i], slope)
             view = (view.hidden_potentials, view.hidden_spikes, view.readout_potentials, view.readout_spikes)
             for k, (got, want, b1) in enumerate(zip(batch, ref, view)):
                 assert np.allclose(got[i], want, rtol=0, atol=1e-12)
@@ -321,11 +321,11 @@ class TestReadoutHelpers:
             readout_potentials=np.array([[0.0, 0.0], [math.log(3), 0.0], [50.0, -50.0]]),
             readout_spikes=np.zeros((3, 2)),
         )
-        p_comm, p_sense = readout_probabilities(trace)
-        assert p_comm[0] == 0.5
-        assert p_comm[1] == pytest.approx(0.75, rel=1e-12)
-        assert p_comm[2] > 0.999999
-        assert p_sense[2] < 1e-6
+        p = sigmoid(trace.readout_potentials)
+        assert p[0, COMM] == 0.5
+        assert p[1, COMM] == pytest.approx(0.75, rel=1e-12)
+        assert p[2, COMM] > 0.999999
+        assert p[2, SENSE] < 1e-6
 
     def test_spike_count_sums_layers(self):
         m = _random_model(15, h=6)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
-from nisaclab.modem import BitFrame
-from nisaclab.snn import _BLOCK, COMM, SENSE, init_model, readout_probabilities
+from nisaclab.snn import _BLOCK, COMM, SENSE, forward, init_model, sigmoid
 from nisaclab.training import (
     PROB_EPS,
     ParamGradients,
@@ -22,7 +21,6 @@ from nisaclab.training import (
     isac_loss,
     sense_loss,
     sgd_step,
-    surrogate_forward,
     train,
 )
 
@@ -44,9 +42,8 @@ class TestCommLoss:
             comm_loss([0.5, 0.5], [1])
 
     def test_ssac_frame_counts_data_slots_only(self):
-        frame = BitFrame(bits=np.array([0, 1, 1, 1], dtype=np.uint8), data_slot_count=2)
         p = [0.5, 0.5, 0.9, 0.9]  # sensing-slot values must not contribute
-        assert comm_loss(p, frame) == pytest.approx(2 * LN2, rel=1e-12)
+        assert comm_loss(p, [0, 1, 1, 1], 2) == pytest.approx(2 * LN2, rel=1e-12)
 
 
 class TestSenseLoss:
@@ -127,8 +124,6 @@ class TestObjective:
 class TestProbabilityClamp:
     def test_inert_for_moderate_potentials(self):
         # potentials up to |o|=30 map to probabilities inside the clamp window
-        from nisaclab.snn import sigmoid
-
         for o in (-30.0, -10.0, 0.0, 10.0, 30.0):
             p = sigmoid(np.array([o]))
             assert PROB_EPS < p[0] < 1.0 - PROB_EPS
@@ -141,9 +136,8 @@ class TestProbabilityClamp:
 
 
 def _smoothed_loss(model, inputs, bits, target, beta, slope) -> float:
-    trace = surrogate_forward(model, inputs, slope)
-    p_comm, p_sense = readout_probabilities(trace)
-    return isac_loss(comm_loss(p_comm, bits), sense_loss(p_sense, target), beta)
+    p = sigmoid(forward(model, inputs, slope).readout_potentials)
+    return isac_loss(comm_loss(p[:, COMM], bits), sense_loss(p[:, SENSE], target), beta)
 
 
 def _fd_gradients(model, inputs, bits, target, beta, slope, h=1e-5) -> ParamGradients:
@@ -178,7 +172,7 @@ class TestGradients:
         inputs = rng.standard_normal((4, 4))
         bits = rng.integers(0, 2, size=4)
         target, beta, slope = 1, 0.5, 1.0
-        trace = surrogate_forward(model, inputs, slope)
+        trace = forward(model, inputs, slope)
         got = backward(model, trace, inputs, bits, target, beta, slope)
         want = _fd_gradients(model, inputs, bits, target, beta, slope)
         assert _max_rel_error(got.input_weights, want.input_weights) <= 1e-4
@@ -201,7 +195,7 @@ class TestGradients:
         inputs = rng.standard_normal((L, 4 * L_b)) * 0.3
         bits = rng.integers(0, 2, size=L)
         target, beta, slope = int(rng.integers(0, 2)), 0.5, 1.0
-        trace = surrogate_forward(model, inputs, slope)
+        trace = forward(model, inputs, slope)
         got = backward(model, trace, inputs, bits, target, beta, slope)
         want = _fd_gradients(model, inputs, bits, target, beta, slope)
         for g, w in ((got.input_weights, want.input_weights), (got.readout_weights, want.readout_weights)):
@@ -212,7 +206,7 @@ class TestGradients:
         model = init_model(3, 1, rng)
         inputs = rng.standard_normal((5, 4))
         bits = rng.integers(0, 2, size=5)
-        trace = surrogate_forward(model, inputs, 1.0)
+        trace = forward(model, inputs, 1.0)
         g = backward(model, trace, inputs, bits, 0, 0.5)
         summed_in = g.input_weights + g.input_weights
         doubled = ParamGradients(2.0 * g.input_weights, 2.0 * g.readout_weights)
@@ -223,7 +217,7 @@ class TestGradients:
         model = init_model(3, 1, rng)
         inputs = rng.standard_normal((6, 4))
         bits = rng.integers(0, 2, size=6)
-        trace = surrogate_forward(model, inputs, 1.0)
+        trace = forward(model, inputs, 1.0)
         g0 = backward(model, trace, inputs, bits, 0, beta=1.0)
         g1 = backward(model, trace, inputs, bits, 1, beta=1.0)
         assert np.array_equal(g0.input_weights, g1.input_weights)
@@ -233,13 +227,15 @@ class TestGradients:
         rng = np.random.default_rng(5)
         model = init_model(3, 1, rng)
         inputs = rng.standard_normal((6, 4))
-        trace = surrogate_forward(model, inputs, 1.0)
+        trace = forward(model, inputs, 1.0)
         ga = backward(model, trace, inputs, np.zeros(6, dtype=np.uint8), 1, beta=0.0)
         gb = backward(model, trace, inputs, np.ones(6, dtype=np.uint8), 1, beta=0.0)
         assert np.array_equal(ga.input_weights, gb.input_weights)
 
 
 class TestSurrogateForward:
+    """The smoothed twin of the forward pass: forward with a slope."""
+
     def test_zero_weight_model_soft_spikes(self):
         model = init_model(3, 1, np.random.default_rng(0))
         model = dataclasses.replace(
@@ -247,10 +243,8 @@ class TestSurrogateForward:
             input_weights=np.zeros_like(model.input_weights),
             readout_weights=np.zeros_like(model.readout_weights),
         )
-        from nisaclab.snn import sigmoid
-
         slope = 2.0
-        trace = surrogate_forward(model, np.ones((4, 4)), slope)
+        trace = forward(model, np.ones((4, 4)), slope)
         # step 0 has no refractory history yet
         assert np.allclose(trace.hidden_spikes[0], sigmoid(np.array(-slope * model.hidden_threshold)))
         # the soft spikes feed the refractory state, pushing later potentials down
@@ -263,10 +257,8 @@ class TestSurrogateForward:
         rng = np.random.default_rng(6)
         model = init_model(4, 1, rng)
         inputs = rng.standard_normal((8, 4)) * 3
-        from nisaclab.snn import forward
-
         hard = forward(model, inputs)
-        soft = surrogate_forward(model, inputs, 1e6)
+        soft = forward(model, inputs, 1e6)
         # boundary-free potentials only; smoothing perturbs later steps slightly
         assert np.allclose(soft.hidden_spikes[0], hard.hidden_spikes[0], atol=1e-6)
 
