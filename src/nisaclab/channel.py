@@ -61,6 +61,9 @@ class ChannelConfig:
             )
         if not 0.0 <= self.target_prior <= 1.0:
             raise ValueError("target_prior must lie in [0, 1]")
+        # wide enough for any operating point; keeps the noise variance finite and nonzero
+        if not -100.0 <= self.snr_db <= 100.0:
+            raise ValueError(f"snr_db must lie in [-100, 100] dB, got {self.snr_db}")
 
 
 @dataclass

@@ -2,13 +2,17 @@
 
 Topology is fixed: analog slot inputs drive one hidden spiking layer, which
 drives two readout neurons (row 0 decodes the slot bit, row 1 votes on target
-presence).  Each neuron runs the same per-step recursions:
+presence).  Each hidden neuron runs the per-step recursions:
 
     q <- exp(-1/tau_syn) * q + drive          fast synaptic trace
     r <- exp(-1/tau_mem) * r + q              slow trace; membrane input
     s <- exp(-1/tau_ref) * (s + prev_spike)   refractory trace
     o  = r - threshold * s                    membrane potential
     spike = 1 if o > threshold else 0
+
+A readout neuron has the same q/r synapse and threshold 0, so it needs no
+refractory trace: its potential is o = r, and it spikes when o > 0, where
+its logistic probability sigmoid(o), which training fits, passes 1/2.
 
 The cascaded q/r pair gives a double-exponential synaptic response with a
 unit same-step term, so a pulse can influence the decision in its own slot;
@@ -22,9 +26,9 @@ k(n) = sum_{j=0..n} a_syn^j * a_mem^(n-j), i.e. r = K @ drive for the
 lower-triangular Toeplitz kernel K[t, m] = k(t-m).  K is applied in blocks of
 _BLOCK steps, and the (q, r) state left at the end of a block enters the next
 one in closed form, so a long frame never builds an (L x L) kernel.  Only the
-refractory/spike recursion, which is nonlinear, is stepped.  The readout
-never feeds back into the hidden layer, so each layer runs over the whole
-frame before the next one starts.
+hidden refractory/spike recursion, which is nonlinear, is stepped.  The
+readout never feeds back into the hidden layer, so each layer runs over the
+whole frame before the next one starts.
 
 One batched engine, forward_batch, runs these recursions for every forward
 pass; forward is its B=1 view.
@@ -35,7 +39,8 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,7 +54,6 @@ COMM, SENSE = 0, 1  # readout rows
 # sub-unit hidden threshold keeps several hidden units participating per pulse
 # while staying above the receiver noise floor at 10 dB SNR.
 DEFAULT_HIDDEN_THRESHOLD = 0.75
-DEFAULT_READOUT_THRESHOLD = 0.0
 DEFAULT_TAU_MEM = 1.0
 DEFAULT_TAU_SYN = 0.5
 DEFAULT_TAU_REF = 0.5
@@ -72,16 +76,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SnnModel:
-    """All trainable weights plus fixed thresholds and time constants.
+    """All trainable weights plus the fixed hidden threshold and time constants.
 
     Time constants are in units of SNN steps (= slots) and must satisfy
-    tau_mem > tau_syn > 0 so the synaptic kernel is well-formed.
+    tau_mem > tau_syn > 0 so the synaptic kernel is well-formed.  The readout
+    threshold is 0 by design (see the module docstring), not a parameter.
     """
 
     input_weights: np.ndarray   # (H, input_width)
     readout_weights: np.ndarray  # (2, H)
     hidden_threshold: float = DEFAULT_HIDDEN_THRESHOLD
-    readout_threshold: float = DEFAULT_READOUT_THRESHOLD
+    readout_threshold: ClassVar[float] = 0.0
     tau_mem: float = DEFAULT_TAU_MEM
     tau_syn: float = DEFAULT_TAU_SYN
     tau_ref: float = DEFAULT_TAU_REF
@@ -93,6 +98,8 @@ class SnnModel:
             raise ValueError("weight shapes must be (H, input_width) and (2, H)")
         if not (np.isfinite(self.input_weights).all() and np.isfinite(self.readout_weights).all()):
             raise ValueError("weights must be finite")
+        if not np.isfinite([self.hidden_threshold, self.tau_mem, self.tau_syn, self.tau_ref]).all():
+            raise ValueError("hidden_threshold and time constants must be finite")
         if not self.tau_mem > self.tau_syn > 0:
             raise ValueError(f"need tau_mem > tau_syn > 0, got {self.tau_mem}, {self.tau_syn}")
         if self.tau_ref <= 0:
@@ -134,7 +141,6 @@ def init_model(
     rng: np.random.Generator,
     *,
     hidden_threshold: float = DEFAULT_HIDDEN_THRESHOLD,
-    readout_threshold: float = DEFAULT_READOUT_THRESHOLD,
     tau_mem: float = DEFAULT_TAU_MEM,
     tau_syn: float = DEFAULT_TAU_SYN,
     tau_ref: float = DEFAULT_TAU_REF,
@@ -151,7 +157,6 @@ def init_model(
         input_weights=rng.uniform(-in_bound, in_bound, size=(hidden_count, width)),
         readout_weights=rng.uniform(-out_bound, out_bound, size=(2, hidden_count)),
         hidden_threshold=hidden_threshold,
-        readout_threshold=readout_threshold,
         tau_mem=tau_mem,
         tau_syn=tau_syn,
         tau_ref=tau_ref,
@@ -231,8 +236,8 @@ def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
 
 def _spike_layer(drive: np.ndarray, a_syn: float, a_mem: float, a_ref: float,
                  threshold: float, slope: float | None):
-    """Potentials and spikes of one layer from its time-major drive (L, B, N);
-    the drive array becomes the potential record."""
+    """Potentials and spikes of the hidden layer from its time-major drive
+    (L, B, H); the drive array becomes the potential record."""
     potentials = _synapse_filter(drive, a_syn, a_mem)
     spikes = np.empty_like(potentials)
     s = np.zeros(potentials.shape[1:])
@@ -268,7 +273,8 @@ def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = Non
         a_syn, a_mem, a_ref, model.hidden_threshold, slope,
     )
     rdrive = (bh.reshape(L * B, model.hidden_count) @ model.readout_weights.T).reshape(L, B, 2)
-    orr, br = _spike_layer(rdrive, a_syn, a_mem, a_ref, model.readout_threshold, slope)
+    orr = _synapse_filter(rdrive, a_syn, a_mem)
+    br = (orr > 0).astype(np.float64) if slope is None else sigmoid(slope * orr)
     return tuple(a.transpose(1, 0, 2) for a in (oh, bh, orr, br))
 
 
@@ -307,25 +313,11 @@ def load_model(path) -> SnnModel:
     n_in = H * width
     check_payload_size(len(raw) - 16, 8 * (n_in + 2 * H + 5), "model")
     values = np.frombuffer(raw, dtype="<f8", offset=16)
-    w_in, w_out, scalars = values[:n_in], values[n_in:-5], values[-5:].tolist()
+    w_in, w_out = values[:n_in], values[n_in:-5]
+    hidden_threshold, readout_threshold, *taus = values[-5:].tolist()  # taus: mem, syn, ref
+    if readout_threshold != SnnModel.readout_threshold:
+        raise InvalidContentError(f"model file holds readout threshold {readout_threshold}; it must be 0.0")
     try:
-        return SnnModel(
-            input_weights=w_in.reshape(H, width).copy(),
-            readout_weights=w_out.reshape(2, H).copy(),
-            hidden_threshold=scalars[0],
-            readout_threshold=scalars[1],
-            tau_mem=scalars[2],
-            tau_syn=scalars[3],
-            tau_ref=scalars[4],
-        )
+        return SnnModel(w_in.reshape(H, width).copy(), w_out.reshape(2, H).copy(), hidden_threshold, *taus)
     except ValueError as exc:
         raise InvalidContentError(f"model file holds an invalid model: {exc}") from exc
-
-
-def clone_model(model: SnnModel) -> SnnModel:
-    """Deep copy; training updates never alias an existing model's arrays."""
-    return replace(
-        model,
-        input_weights=model.input_weights.copy(),
-        readout_weights=model.readout_weights.copy(),
-    )

@@ -8,11 +8,13 @@ and its detection term on the trailing sensing slots.  _objective is the one
 definition of that loss and of its derivative at the readout potentials:
 train calls it once per batch, backward once per frame.  Gradients are
 computed by hand-rolled reverse-mode backpropagation through the unrolled
-membrane recursions; the only approximation is the usual surrogate step: the
-hard threshold's derivative is replaced by the derivative of
-sigmoid(slope * x).  Run the same backward pass on a trace from the fully
-smoothed twin network (forward with a slope) and it is the exact gradient,
-which is how the finite-difference oracle checks it.
+membrane recursions.  A readout potential is its filtered drive, with no
+refractory term, so its adjoint is the loss derivative filtered backwards in
+time; only the hidden layer steps an adjoint loop.  The only approximation
+is the usual surrogate step: the hidden threshold's derivative is replaced by
+the derivative of sigmoid(slope * x).  Run the same backward pass on a trace
+from the fully smoothed twin network (forward with a slope) and it is the
+exact gradient, which is how the finite-difference oracle checks it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .snn import (
     SnnModel,
     _frame_inputs,
     _synapse_filter,
-    clone_model,
     forward_batch,
     sigmoid,
 )
@@ -127,42 +128,37 @@ def _backward_batch(
     inputs: np.ndarray,
     hidden_potentials: np.ndarray,
     hidden_spikes: np.ndarray,
-    readout_potentials: np.ndarray,
     d_readout_potentials: np.ndarray,
     slope: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse the unrolled recursions; returns batch-summed weight gradients.
 
-    d_readout_potentials holds the direct loss derivative at each readout
-    potential; everything else is reconstructed from the recorded potentials
-    and spikes (the filter states enter linearly, so their values are never
-    needed).  Each layer steps only the adjoint of its refractory/spike
-    recursion; the synapse adjoint is K transposed, applied by filtering the
-    time-reversed sequence.  Every (L, B, .) array below runs backwards in
-    time.
+    d_readout_potentials holds the loss derivative at each readout
+    potential; everything else is reconstructed from the recorded hidden
+    potentials and spikes (the filter states enter linearly, so their values
+    are never needed).  The synapse adjoint is K transposed, applied by
+    filtering the time-reversed sequence; only the hidden layer steps the
+    adjoint of a refractory/spike recursion.  Every (L, B, .) array below
+    runs backwards in time.
     """
     B, L, width = inputs.shape
     H = model.hidden_count
     a_syn, a_mem, a_ref = model.decays()
-    th_h, th_r = model.hidden_threshold, model.readout_threshold
+    th_h = model.hidden_threshold
 
     def reversed_time(a):
         return a.transpose(1, 0, 2)[::-1]
 
-    # Spikes feed the next step's refractory trace via s' = a_ref*(s + b), so
-    # the carry c (a_ref times the future s-adjoint) is also d L / d spike.
-    d_or = reversed_time(d_readout_potentials)
-    dspike_r = _spike_slope(reversed_time(readout_potentials), th_r, slope)
-    g_rdrive = np.empty((L, B, 2))
-    c = np.zeros((B, 2))
-    for l in range(L):
-        g = g_rdrive[l] = d_or[l] + c * dspike_r[l]
-        c = a_ref * (c - th_r * g)
-    _synapse_filter(g_rdrive, a_syn, a_mem)
+    # a readout potential is its filtered drive, so the drive adjoint is the
+    # potential adjoint filtered backwards (a contiguous copy: the filter
+    # works in place through a reshape view)
+    g_rdrive = _synapse_filter(np.ascontiguousarray(reversed_time(d_readout_potentials)), a_syn, a_mem)
 
     # d L / d hidden spike from the readout, turned in place into the
     # potential adjoint and then into the drive adjoint
     g_drive = (g_rdrive.reshape(L * B, 2) @ model.readout_weights).reshape(L, B, H)
+    # Spikes feed the next step's refractory trace via s' = a_ref*(s + b), so
+    # the carry c (a_ref times the future s-adjoint) is also d L / d spike.
     dspike_h = _spike_slope(reversed_time(hidden_potentials), th_h, slope)
     c = np.zeros((B, H))
     for g, ds in zip(g_drive, dspike_h):
@@ -222,8 +218,7 @@ def backward(
         beta, L, 0,
     )
     g_w_in, g_w_out = _backward_batch(
-        model, inputs[None], trace.hidden_potentials[None], trace.hidden_spikes[None],
-        trace.readout_potentials[None], d_or, slope,
+        model, inputs[None], trace.hidden_potentials[None], trace.hidden_spikes[None], d_or, slope,
     )
     return ParamGradients(input_weights=g_w_in, readout_weights=g_w_out)
 
@@ -263,7 +258,6 @@ def train(
     targets_all = dataset.targets.astype(np.float64)
 
     rng = np.random.default_rng(cfg.seed)
-    model = clone_model(model)
     history: list[EpochStats] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -290,7 +284,7 @@ def train(
             ls_sum += ls_batch
 
             g_w_in, g_w_out = _backward_batch(
-                model, inputs, oh, bh, orr, d_or, cfg.surrogate_slope
+                model, inputs, oh, bh, d_or, cfg.surrogate_slope
             )
             grads = ParamGradients(g_w_in / idx.size, g_w_out / idx.size)
             model = sgd_step(model, grads, cfg.learning_rate)

@@ -181,17 +181,28 @@ class TestEval:
         ])
         assert code == 3
 
-    def test_nan_model_is_format_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "nan.nism"
+    # a NaN in the first input weight (after the 16-byte header) or in one of
+    # the five float64 scalars that end the file, or a nonzero readout threshold
+    @pytest.mark.parametrize("offset, value, message", [
+        pytest.param(16, np.nan, "finite", id="input_weight"),
+        pytest.param(-40, np.nan, "finite", id="hidden_threshold"),
+        pytest.param(-32, np.nan, "must be 0.0", id="readout_threshold"),
+        pytest.param(-32, 0.6, "must be 0.0", id="readout_threshold_0.6"),
+        pytest.param(-24, np.nan, "finite", id="tau_mem"),
+        pytest.param(-16, np.nan, "finite", id="tau_syn"),
+        pytest.param(-8, np.nan, "finite", id="tau_ref"),
+    ])
+    def test_nan_model_is_format_error(self, workdir, tmp_path, capsys, offset, value, message):
+        bad = tmp_path / "bad.nism"
         raw = bytearray(workdir["model"].read_bytes())
-        raw[16:24] = np.float64(np.nan).tobytes()  # first input weight
+        raw[offset : offset + 8 or None] = np.float64(value).tobytes()
         bad.write_bytes(bytes(raw))
         code = main([
             "eval", "--data", str(workdir["test"]), "--model", str(bad),
             "--out", str(tmp_path / "e.csv"),
         ])
         assert code == 3
-        assert "finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_nan_dataset_is_format_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "nan.nisd"
@@ -468,6 +479,17 @@ class TestOutOfRangeValues:
         ["trace", "--model", "{model}", "--idle-slots", "-3", "--out", "{root}/t.csv"],
         ["trace", "--model", "{model}", "--frame-slots", "0", "--idle-slots", "0",
          "--out", "{root}/t.csv"],
+        # SNRs outside [-100, 100] dB, NaN included
+        ["trace", "--model", "{model}", "--snr-db", "nan", "--out", "{root}/t.csv"],
+        ["trace", "--model", "{model}", "--snr-db=-inf", "--out", "{root}/t.csv"],
+        ["trace", "--model", "{model}", "--snr-db=-4000", "--out", "{root}/t.csv"],
+        ["trace", "--model", "{model}", "--snr-db", "4000", "--out", "{root}/t.csv"],
+        ["gen", "--n-train", "2", "--n-test", "2", "--snr-db=-inf",
+         "--out-train", "{root}/a", "--out-test", "{root}/b"],
+        ["gen", "--n-train", "2", "--n-test", "2", "--snr-db=-4000",
+         "--out-train", "{root}/a", "--out-test", "{root}/b"],
+        ["gen", "--n-train", "2", "--n-test", "2", "--snr-db", "4000",
+         "--out-train", "{root}/a", "--out-test", "{root}/b"],
     ])
     def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
         paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],

@@ -13,6 +13,7 @@ from nisaclab.errors import (
     BadMagicError,
     FileFormatError,
     FormatVersionError,
+    InvalidContentError,
     TruncatedFileError,
 )
 from nisaclab.snn import (
@@ -21,7 +22,6 @@ from nisaclab.snn import (
     SENSE,
     ForwardTrace,
     SnnModel,
-    clone_model,
     forward,
     forward_batch,
     init_model,
@@ -34,7 +34,6 @@ from nisaclab.snn import (
 
 def _model(h, width, *, w_in=None, w_out=None, **kw) -> SnnModel:
     kw.setdefault("hidden_threshold", 1.0)
-    kw.setdefault("readout_threshold", 0.0)
     kw.setdefault("tau_mem", 10.0)
     kw.setdefault("tau_syn", 5.0)
     kw.setdefault("tau_ref", 5.0)
@@ -153,9 +152,6 @@ class TestForward:
         low = forward(_model(1, 4, w_in=w_in, w_out=[[0.5], [0.5]]), frame)
         assert low.readout_potentials[0].tolist() == [0.5, 0.5]
         assert low.readout_spikes[0].tolist() == [1.0, 1.0]  # above the zero readout threshold
-        high = forward(_model(1, 4, w_in=w_in, w_out=[[0.5], [0.5]], readout_threshold=0.6), frame)
-        assert high.readout_potentials[0].tolist() == [0.5, 0.5]
-        assert high.readout_spikes[0].tolist() == [0.0, 0.0]
 
     def test_same_step_propagation_to_readout(self):
         w_in = np.array([[2.0, 0.0, 0.0, 0.0]])
@@ -221,8 +217,7 @@ class TestForward:
 
 class TestForwardBatch:
     def test_matches_single_frame_forward(self):
-        # a nonzero readout threshold makes the readout refractory trace matter
-        m = dataclasses.replace(_random_model(11, h=5, L_b=2), readout_threshold=0.3)
+        m = _random_model(11, h=5, L_b=2)
         inputs = np.random.default_rng(12).standard_normal((3, 7, 8)) * 2
         for slope in (None, 2.0):
             batch = forward_batch(m, inputs, slope)
@@ -238,12 +233,11 @@ class TestForwardBatch:
     @settings(max_examples=40, deadline=None)
     @given(
         B=st.integers(1, 4), L=st.integers(1, 12), H=st.integers(1, 6), L_b=st.integers(1, 3),
-        slope=st.one_of(st.none(), st.floats(0.1, 10.0)), readout_threshold=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
+        slope=st.one_of(st.none(), st.floats(0.1, 10.0)), seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_shapes_match_reference_and_b1_view(self, B, L, H, L_b, slope, readout_threshold, seed):
+    def test_random_shapes_match_reference_and_b1_view(self, B, L, H, L_b, slope, seed):
         rng = np.random.default_rng(seed)
-        m = init_model(H, L_b, rng, readout_threshold=readout_threshold)
+        m = init_model(H, L_b, rng)
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 3
         batch = forward_batch(m, inputs, slope)
         for i in range(B):
@@ -264,7 +258,7 @@ class TestForwardBatch:
         # slow time constants, so the state a kernel block hands on still
         # matters tens of steps into the next block
         rng = np.random.default_rng(L)
-        m = init_model(5, 1, rng, readout_threshold=0.3, tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
+        m = init_model(5, 1, rng, tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
         inputs = rng.standard_normal((B, L, 4)) * 0.3
         for slope in (None, 2.0):
             batch = forward_batch(m, inputs, slope)
@@ -352,7 +346,6 @@ class TestPersistence:
         assert np.array_equal(loaded.input_weights, m.input_weights)
         assert np.array_equal(loaded.readout_weights, m.readout_weights)
         assert loaded.hidden_threshold == m.hidden_threshold
-        assert loaded.readout_threshold == m.readout_threshold
         assert (loaded.tau_mem, loaded.tau_syn, loaded.tau_ref) == (
             m.tau_mem, m.tau_syn, m.tau_ref,
         )
@@ -397,17 +390,27 @@ class TestPersistence:
         with pytest.raises(FileFormatError):
             load_model(path)
 
-    def test_clone_is_independent(self):
-        m = _random_model(23)
-        c = clone_model(m)
-        c.input_weights[0, 0] += 1.0
-        assert m.input_weights[0, 0] != c.input_weights[0, 0]
+    def test_readout_threshold_slot_must_be_zero(self, tmp_path):
+        path = tmp_path / "m.nism"
+        save_model(_random_model(23), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[-32:-24] == np.float64(0.0).tobytes()  # the slot after the hidden threshold
+        raw[-32:-24] = np.float64(0.6).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidContentError):
+            load_model(path)
 
 
 class TestModelValidation:
     def test_rejects_non_finite_weights(self):
         with pytest.raises(ValueError):
             _model(1, 4, w_in=[[np.nan, 0, 0, 0]])
+
+    @pytest.mark.parametrize("field", ["hidden_threshold", "tau_mem", "tau_syn", "tau_ref"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_scalars(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(_random_model(25), **{field: value})
 
     def test_dataclass_replace_revalidates(self):
         m = _random_model(24)
