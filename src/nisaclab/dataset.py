@@ -73,6 +73,8 @@ class Dataset:
             raise ValueError("bits and targets must be 0 or 1")
         if not np.isfinite(self.inputs).all():
             raise ValueError("inputs must be finite")
+        if not -100.0 <= self.snr_db <= 100.0:
+            raise ValueError(f"snr_db must lie in [-100, 100] dB, got {self.snr_db}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit an unsigned 64-bit integer")
 

@@ -2,7 +2,9 @@
 
 Throughput always divides by the full frame length, so an SSAC system that
 reserves slots for sensing is capped by its data fraction even when it
-decodes every data slot correctly.
+decodes every data slot correctly.  Evaluation runs the network on _BLOCK
+frames at a time and keeps only per-frame counts, so its memory does not
+grow with the dataset.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import numpy as np
 
 from .modem import ssac_data_slots
 from .snn import COMM, SENSE, SnnModel, forward_batch
+
+# Frames per forward_batch call: the (L, _BLOCK, H) records stay a few MiB.
+_BLOCK = 1000
 
 
 @dataclass
@@ -35,24 +40,30 @@ def majority_detection(votes):
     return int(decisions) if v.ndim == 1 else decisions
 
 
-def detection_error_from_votes(votes: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of examples whose majority vote disagrees with the truth."""
-    votes = np.asarray(votes)
-    targets = np.asarray(targets)
-    if votes.ndim != 2 or votes.shape[0] != targets.shape[0]:
-        raise ValueError("votes must be (n, slots) aligned with targets (n,)")
-    return float((majority_detection(votes) != targets.astype(bool)).mean())
+def _frame_counts(model: SnnModel, dataset, n_data: int, sense_start: int):
+    """Per frame, correct decode slots among the leading n_data and the majority
+    vote over the slots from sense_start on; and the total spike count."""
+    n = dataset.example_count
+    if n == 0:
+        raise ValueError("dataset is empty")
+    correct = np.empty(n, dtype=np.int64)
+    detect = np.empty(n, dtype=bool)
+    total = 0.0
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        _, bh, _, br = forward_batch(model, dataset.inputs[rows])
+        correct[rows] = (br[:, :n_data, COMM] == dataset.bits[rows, :n_data]).sum(axis=1)
+        detect[rows] = majority_detection(br[:, sense_start:, SENSE])
+        total += bh.sum() + br.sum()
+    return correct, detect, total
 
 
 def evaluate(model: SnnModel, dataset) -> EvalResult:
     """Full-frame evaluation of a jointly trained model."""
-    if dataset.example_count == 0:
-        raise ValueError("dataset is empty")
-    _, bh, _, br = forward_batch(model, dataset.inputs)
-    throughput = float((br[:, :, COMM] == dataset.bits).mean())
-    det = detection_error_from_votes(br[:, :, SENSE], dataset.targets)
-    spikes = bh.sum(axis=2) + br.sum(axis=2)
-    return EvalResult(throughput, det, float(spikes.mean()))
+    correct, detect, spikes = _frame_counts(model, dataset, dataset.slot_count, 0)
+    slots = dataset.bits.size
+    det = (detect != dataset.targets.astype(bool)).mean()
+    return EvalResult(float(correct.sum() / slots), float(det), float(spikes / slots))
 
 
 def evaluate_ssac(comm_model: SnnModel, sense_model: SnnModel, dataset, alpha: float) -> EvalResult:
@@ -62,14 +73,10 @@ def evaluate_ssac(comm_model: SnnModel, sense_model: SnnModel, dataset, alpha: f
     the full frame), the detection network votes over the sensing slots, and
     the spike count sums both networks since both run on every frame.
     """
-    if dataset.example_count == 0:
-        raise ValueError("dataset is empty")
     L = dataset.slot_count
     n_data = ssac_data_slots(alpha, L)
-    _, bh_c, _, br_c = forward_batch(comm_model, dataset.inputs)
-    _, bh_s, _, br_s = forward_batch(sense_model, dataset.inputs)
-    correct = (br_c[:, :n_data, COMM] == dataset.bits[:, :n_data]).sum(axis=1)
-    throughput = float((correct / L).mean())
-    det = detection_error_from_votes(br_s[:, n_data:, SENSE], dataset.targets)
-    spikes = bh_c.sum(axis=2) + br_c.sum(axis=2) + bh_s.sum(axis=2) + br_s.sum(axis=2)
-    return EvalResult(throughput, det, float(spikes.mean()))
+    correct, _, spikes_c = _frame_counts(comm_model, dataset, n_data, n_data)
+    _, detect, spikes_s = _frame_counts(sense_model, dataset, n_data, n_data)
+    det = (detect != dataset.targets.astype(bool)).mean()
+    spikes = (spikes_c + spikes_s) / dataset.bits.size
+    return EvalResult(float((correct / L).mean()), float(det), float(spikes))

@@ -217,6 +217,20 @@ class TestEval:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", [np.nan, np.inf, 1000.0], ids=["nan", "inf", "1000"])
+    def test_snr_out_of_range_is_format_error(self, workdir, tmp_path, capsys, snr_db):
+        bad = tmp_path / "snr.nisd"
+        raw = bytearray(workdir["test"].read_bytes())
+        raw[20:28] = np.float64(snr_db).tobytes()  # header snr_db field
+        bad.write_bytes(bytes(raw))
+        code = main([
+            "eval", "--data", str(bad), "--model", str(workdir["model"]),
+            "--out", str(tmp_path / "e.csv"),
+        ])
+        assert code == 3
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     @pytest.mark.parametrize("offset, value", [(36, 9), (36 + 1, 7)], ids=["target", "bit"])
     def test_non_binary_label_byte_is_format_error(self, workdir, tmp_path, capsys, offset, value):
         bad = tmp_path / "labels.nisd"

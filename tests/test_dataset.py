@@ -224,6 +224,16 @@ class TestPersistence:
         with pytest.raises(InvalidContentError, match="0 or 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, np.inf, 1000.0], ids=["nan", "inf", "1000"])
+    def test_snr_out_of_range_rejected(self, small, tmp_path, snr_db):
+        path = tmp_path / "d.nisd"
+        save_dataset(small, path)
+        raw = bytearray(path.read_bytes())
+        raw[20:28] = np.float64(snr_db).tobytes()  # header snr_db field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidContentError, match="snr_db"):
+            load_dataset(path)
+
     def test_zero_count_header_rejected(self, small, tmp_path):
         path = tmp_path / "d.nisd"
         save_dataset(small, path)

@@ -5,14 +5,9 @@ import pytest
 
 import nisaclab.metrics as metrics_module
 from nisaclab.channel import ChannelConfig
-from nisaclab.dataset import generate_dataset
-from nisaclab.metrics import (
-    detection_error_from_votes,
-    evaluate,
-    evaluate_ssac,
-    majority_detection,
-)
-from nisaclab.snn import SENSE, SnnModel, forward, init_model
+from nisaclab.dataset import Dataset, generate_dataset
+from nisaclab.metrics import evaluate, evaluate_ssac, majority_detection
+from nisaclab.snn import COMM, SENSE, SnnModel, forward, forward_batch, init_model
 
 CFG = ChannelConfig(snr_db=10.0)
 
@@ -91,31 +86,50 @@ class TestMajorityDetection:
         assert decisions.tolist() == [[majority_detection(v) == 1 for v in row] for row in votes]
 
 
-class TestDetectionErrorFromVotes:
-    def test_oracle_votes_have_zero_error(self):
+class TestDetectionError:
+    """Detection error as evaluate scores it: the majority of the (n, slots)
+    sensing votes against the targets.  The votes ride in the first input
+    column, and a stand-in network echoes that column on its sensing readout,
+    so they reach evaluate however it blocks the frames."""
+
+    @pytest.fixture
+    def scored_error(self, monkeypatch):
+        def echo_votes(model, inputs, slope=None):
+            readout = np.zeros(inputs.shape[:2] + (2,))
+            readout[:, :, SENSE] = inputs[:, :, 0]
+            return None, np.zeros(inputs.shape[:2] + (1,)), None, readout
+
+        monkeypatch.setattr(metrics_module, "forward_batch", echo_votes)
+
+        def error(votes, targets) -> float:
+            n, L = votes.shape
+            inputs = np.zeros((n, L, 4))
+            inputs[:, :, 0] = votes
+            data = Dataset(inputs, np.zeros((n, L)), targets, L_b=1, snr_db=10.0, master_seed=0)
+            return evaluate(_silent_model(hidden=1), data).detection_error
+
+        return error
+
+    def test_oracle_votes_have_zero_error(self, scored_error):
         rng = np.random.default_rng(1)
         targets = rng.integers(0, 2, size=200)
         votes = np.repeat(targets[:, None], 9, axis=1)
-        assert detection_error_from_votes(votes, targets) == 0.0
+        assert scored_error(votes, targets) == 0.0
 
-    def test_inverted_votes_have_full_error(self):
+    def test_inverted_votes_have_full_error(self, scored_error):
         rng = np.random.default_rng(2)
         targets = rng.integers(0, 2, size=200)
         votes = np.repeat(1 - targets[:, None], 9, axis=1)
-        assert detection_error_from_votes(votes, targets) == 1.0
+        assert scored_error(votes, targets) == 1.0
 
-    def test_constant_one_votes_are_a_coin_flip(self):
+    def test_constant_one_votes_are_a_coin_flip(self, scored_error):
+        # 10,000 frames: evaluate scores them over several blocks
         rng = np.random.default_rng(3)
         targets = rng.integers(0, 2, size=10_000)
         votes = np.ones((10_000, 7), dtype=np.uint8)
-        err = detection_error_from_votes(votes, targets)
+        err = scored_error(votes, targets)
+        assert err == (targets == 0).mean()
         assert abs(err - 0.5) <= 0.02
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            detection_error_from_votes(np.zeros(5), np.zeros(5))
-        with pytest.raises(ValueError):
-            detection_error_from_votes(np.zeros((4, 3)), np.zeros(5))
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +206,71 @@ class TestModelEvaluation:
         for alpha in (0.0, 1.0, -0.5, 2.0, 0.9):  # ceil(0.9*8) = 8 leaves no sensing slot
             with pytest.raises(ValueError):
                 evaluate_ssac(_silent_model(), _silent_model(), ssac_data, alpha=alpha)
+
+
+class TestBlockedEvaluation:
+    """Evaluation over blocks of frames gives the same numbers, to the bit, as
+    the per-slot formulas applied to one forward pass over every frame."""
+
+    L, ALPHA = 10, 0.3  # L is no power of 2, so (correct / L) rounds
+
+    @pytest.fixture
+    def data(self):
+        isac = generate_dataset(CFG, L=self.L, L_b=1, n=50, mode="isac", master_seed=5)
+        ssac = generate_dataset(CFG, L=self.L, L_b=1, n=50, mode="ssac", master_seed=5,
+                                alpha=self.ALPHA)
+        return isac, ssac
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(model, inputs, slope=None):
+            seen.append(np.array(inputs))
+            return forward_batch(model, inputs, slope)
+
+        monkeypatch.setattr(metrics_module, "_BLOCK", 7)
+        monkeypatch.setattr(metrics_module, "forward_batch", spy)
+        return seen
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(8)
+        return [init_model(6, 1, rng) for _ in range(3)]
+
+    def test_isac_equals_one_pass(self, data, calls):
+        ds, _ = data
+        model = self._models()[0]
+        _, bh, _, br = forward_batch(model, ds.inputs)
+        want = (
+            float((br[:, :, COMM] == ds.bits).mean()),
+            float((majority_detection(br[:, :, SENSE]) != ds.targets.astype(bool)).mean()),
+            float((bh.sum(axis=2) + br.sum(axis=2)).mean()),
+        )
+        res = evaluate(model, ds)
+        assert (res.throughput, res.detection_error, res.mean_spike_count_per_slot) == want
+        assert want[2] > 0.0 and 0.0 < want[0] < 1.0
+        assert all(type(v) is float for v in vars(res).values())
+        assert [len(c) for c in calls] == [7] * 7 + [1]
+        assert np.array_equal(np.concatenate(calls), ds.inputs)
+
+    def test_ssac_equals_one_pass(self, data, calls):
+        _, ds = data
+        _, comm, sense = self._models()
+        n_data = 3  # ceil(0.3 * 10)
+        _, bh_c, _, br_c = forward_batch(comm, ds.inputs)
+        _, bh_s, _, br_s = forward_batch(sense, ds.inputs)
+        correct = (br_c[:, :n_data, COMM] == ds.bits[:, :n_data]).sum(axis=1)
+        votes = majority_detection(br_s[:, n_data:, SENSE])
+        spikes = bh_c.sum(axis=2) + br_c.sum(axis=2) + bh_s.sum(axis=2) + br_s.sum(axis=2)
+        want = (
+            float((correct / self.L).mean()),
+            float((votes != ds.targets.astype(bool)).mean()),
+            float(spikes.mean()),
+        )
+        res = evaluate_ssac(comm, sense, ds, alpha=self.ALPHA)
+        assert (res.throughput, res.detection_error, res.mean_spike_count_per_slot) == want
+        assert want[2] > 0.0 and correct.any()
+        assert all(type(v) is float for v in vars(res).values())
+        assert all(len(c) <= 7 for c in calls) and len(calls) == 16
+        assert np.array_equal(np.concatenate(calls), np.concatenate([ds.inputs, ds.inputs]))
