@@ -96,6 +96,8 @@ class SnnModel:
         self.readout_weights = np.asarray(self.readout_weights, dtype=np.float64)
         if self.input_weights.ndim != 2 or self.readout_weights.shape != (2, self.input_weights.shape[0]):
             raise ValueError("weight shapes must be (H, input_width) and (2, H)")
+        if self.input_weights.size == 0:
+            raise ValueError("a model needs at least one hidden neuron and an input width of at least 1")
         if not (np.isfinite(self.input_weights).all() and np.isfinite(self.readout_weights).all()):
             raise ValueError("weights must be finite")
         if not np.isfinite([self.hidden_threshold, self.tau_mem, self.tau_syn, self.tau_ref]).all():
@@ -237,16 +239,20 @@ def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
 def _spike_layer(drive: np.ndarray, a_syn: float, a_mem: float, a_ref: float,
                  threshold: float, slope: float | None):
     """Potentials and spikes of the hidden layer from its time-major drive
-    (L, B, H); the drive array becomes the potential record."""
+    (L, B, H); the drive array becomes the potential record.  A step is five
+    in-place calls into buffers made before the loop, with 0-d array scalars,
+    so it allocates nothing and converts no Python float."""
     potentials = _synapse_filter(drive, a_syn, a_mem)
     spikes = np.empty_like(potentials)
-    s = np.zeros(potentials.shape[1:])
-    b = s
+    a_ref, th = np.array(a_ref), np.array(threshold)
+    s, penalty, b = (np.zeros(potentials.shape[1:]) for _ in range(3))
     for o, b_next in zip(potentials, spikes):
-        s = a_ref * (s + b)
-        o -= threshold * s
+        np.add(s, b, s)
+        np.multiply(s, a_ref, s)
+        np.multiply(th, s, penalty)
+        np.subtract(o, penalty, o)
         if slope is None:
-            np.greater(o, threshold, out=b_next)
+            np.greater(o, th, b_next)
         else:
             b_next[...] = sigmoid(slope * (o - threshold))
         b = b_next

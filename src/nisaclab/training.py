@@ -118,9 +118,17 @@ def isac_loss(lc: float, ls: float, beta: float) -> float:
 
 
 def _spike_slope(potentials: np.ndarray, threshold: float, slope: float) -> np.ndarray:
-    """d spike / d potential under the sigmoid surrogate."""
-    sg = sigmoid(slope * (potentials - threshold))
-    return slope * sg * (1.0 - sg)
+    """d spike / d potential under the sigmoid surrogate, slope*sg*(1 - sg),
+    as slope*e/(1 + e)**2 with e = exp(-|slope*(potential - threshold)|)."""
+    e = np.subtract(potentials, threshold)
+    np.abs(e, e)
+    e *= -abs(slope)
+    np.exp(e, e)
+    d = e + 1.0
+    d *= d
+    e *= slope
+    e /= d
+    return e
 
 
 def _backward_batch(
@@ -159,12 +167,20 @@ def _backward_batch(
     g_drive = (g_rdrive.reshape(L * B, 2) @ model.readout_weights).reshape(L, B, H)
     # Spikes feed the next step's refractory trace via s' = a_ref*(s + b), so
     # the carry c (a_ref times the future s-adjoint) is also d L / d spike.
+    # With e the incoming adjoint and ds the surrogate slope, g = (e + c)*ds
+    # and c' = a_ref*(c - th*g) = A*c + U: a linear recurrence, stepped with
+    # two in-place operations that leave c' in U[t].
     dspike_h = _spike_slope(reversed_time(hidden_potentials), th_h, slope)
+    U = np.multiply(dspike_h, -a_ref * th_h)
+    A = U + a_ref  # a_ref*(1 - th*ds)
+    U *= g_drive   # -a_ref*th*ds*e
     c = np.zeros((B, H))
-    for g, ds in zip(g_drive, dspike_h):
-        g += c
-        g *= ds
-        c = a_ref * (c - th_h * g)
+    for A_t, U_t in zip(A, U):
+        np.multiply(A_t, c, A_t)
+        np.add(U_t, A_t, U_t)
+        c = U_t
+    g_drive[1:] += U[:-1]  # c before each step; it is 0 before the first
+    g_drive *= dspike_h
     _synapse_filter(g_drive, a_syn, a_mem)
 
     g_w_in = g_drive.reshape(L * B, H).T @ reversed_time(inputs).reshape(L * B, width)

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -267,6 +268,25 @@ class TestEval:
         ])
         assert code == 3
         assert "header promises" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("H, D", [(0, 4), (3, 0)], ids=["no_hidden", "no_input"])
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_empty_model_is_format_error(self, workdir, tmp_path, capsys, H, D, command):
+        bad = tmp_path / "empty.nism"
+        bad.write_bytes(
+            struct.pack("<4sIII", b"NISM", 1, H, D)
+            + np.zeros(H * D + 2 * H).tobytes()
+            + np.array([0.75, 0.0, 1.0, 0.5, 0.5]).tobytes()
+        )
+        out = tmp_path / "out.csv"
+        args = {
+            "eval": ["eval", "--data", str(workdir["test"]), "--model", str(bad)],
+            "trace": ["trace", "--model", str(bad)],
+        }[command]
+        assert main(args + ["--out", str(out)]) == 3
+        assert "at least one hidden neuron" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSsacAlphaRule:

@@ -22,6 +22,7 @@ from nisaclab.snn import (
     SENSE,
     ForwardTrace,
     SnnModel,
+    _synapse_filter,
     forward,
     forward_batch,
     init_model,
@@ -70,6 +71,25 @@ def _reference_forward(model: SnnModel, frame: np.ndarray, slope: float | None =
             state[k] = [q, r, s, b]
             potentials[k][l], spikes[k][l] = o, b
     return potentials[0], spikes[0], potentials[1], spikes[1]
+
+
+def _stepped_spike_layer(r: np.ndarray, a_ref: float, threshold: float, slope: float | None):
+    """The refractory/spike loop written with a temporary per operation, on
+    the time-major membrane input r (L, B, H): the oracle for the in-place
+    loop of forward_batch, which must do the same operations in the same
+    order."""
+    potentials, spikes = r.copy(), np.empty_like(r)
+    s = np.zeros(r.shape[1:])
+    b = s
+    for o, b_next in zip(potentials, spikes):
+        s = a_ref * (s + b)
+        o -= threshold * s
+        if slope is None:
+            np.greater(o, threshold, out=b_next)
+        else:
+            b_next[...] = sigmoid(slope * (o - threshold))
+        b = b_next
+    return potentials, spikes
 
 
 class TestInitModel:
@@ -270,6 +290,23 @@ class TestForwardBatch:
                         assert np.array_equal(got[i], want)
             if slope is None and L > _BLOCK:  # both layers spike past the first block
                 assert batch[1][:, _BLOCK:].any() and batch[3][:, _BLOCK:].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        B=st.sampled_from([1, 7, 32]), L=st.integers(1, 2 * _BLOCK + 3), H=st.integers(1, 12),
+        L_b=st.integers(1, 3), slope=st.one_of(st.none(), st.floats(0.1, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hidden_layer_bit_equal_to_stepped_oracle(self, B, L, H, L_b, slope, seed):
+        rng = np.random.default_rng(seed)
+        m = init_model(H, L_b, rng)
+        inputs = rng.standard_normal((B, L, 4 * L_b)) * 3
+        oh, bh, _, _ = forward_batch(m, inputs, slope)
+        a_syn, a_mem, a_ref = m.decays()
+        r = _synapse_filter(inputs.transpose(1, 0, 2) @ m.input_weights.T, a_syn, a_mem)
+        want_o, want_b = _stepped_spike_layer(r, a_ref, m.hidden_threshold, slope)
+        assert np.array_equal(oh.view(np.uint64), want_o.transpose(1, 0, 2).view(np.uint64))
+        assert np.array_equal(bh.view(np.uint64), want_b.transpose(1, 0, 2).view(np.uint64))
 
     def test_smoothed_mode_is_sigmoid_of_potential(self):
         m = _random_model(13)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
-from nisaclab.snn import _BLOCK, COMM, SENSE, forward, init_model, sigmoid
+from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward, forward_batch, init_model, sigmoid
 from nisaclab.training import (
     PROB_EPS,
     ParamGradients,
     TrainConfig,
+    _backward_batch,
     _objective,
+    _spike_slope,
     backward,
     comm_loss,
     isac_loss,
@@ -229,6 +231,74 @@ class TestGradients:
         ga = backward(model, trace, inputs, np.zeros(6, dtype=np.uint8), 1, beta=0.0)
         gb = backward(model, trace, inputs, np.ones(6, dtype=np.uint8), 1, beta=0.0)
         assert np.array_equal(ga.input_weights, gb.input_weights)
+
+
+def _stepped_backward_batch(model, inputs, hidden_potentials, hidden_spikes, d_readout_potentials, slope):
+    """_backward_batch with the hidden adjoint stepped as g = (e + c)*ds,
+    c' = a_ref*(c - th*g), and the surrogate slope taken from sigmoid: the
+    oracle for the linear-recurrence form."""
+    B, L, width = inputs.shape
+    H = model.hidden_count
+    a_syn, a_mem, a_ref = model.decays()
+    th = model.hidden_threshold
+
+    def reversed_time(a):
+        return a.transpose(1, 0, 2)[::-1]
+
+    g_rdrive = _synapse_filter(np.ascontiguousarray(reversed_time(d_readout_potentials)), a_syn, a_mem)
+    g_drive = (g_rdrive.reshape(L * B, 2) @ model.readout_weights).reshape(L, B, H)
+    sg = sigmoid(slope * (reversed_time(hidden_potentials) - th))
+    dspike = slope * sg * (1.0 - sg)
+    c = np.zeros((B, H))
+    for g, ds in zip(g_drive, dspike):
+        g += c
+        g *= ds
+        c = a_ref * (c - th * g)
+    _synapse_filter(g_drive, a_syn, a_mem)
+    g_w_in = g_drive.reshape(L * B, H).T @ reversed_time(inputs).reshape(L * B, width)
+    g_w_out = g_rdrive.reshape(L * B, 2).T @ reversed_time(hidden_spikes).reshape(L * B, H)
+    return g_w_in, g_w_out
+
+
+class TestAdjointRecurrence:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        B=st.sampled_from([1, 5, 32]), L=st.integers(1, 2 * _BLOCK + 3), H=st.integers(1, 12),
+        L_b=st.integers(1, 3), smoothed=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(B=1, L=_BLOCK + 7, H=10, L_b=1, smoothed=False, seed=0)
+    def test_matches_stepped_adjoint(self, B, L, H, L_b, smoothed, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(H, L_b, rng)
+        inputs = rng.standard_normal((B, L, 4 * L_b)) * 2
+        oh, bh, orr, _ = forward_batch(model, inputs, 1.0 if smoothed else None)
+        d_or = rng.standard_normal(orr.shape)
+        got = _backward_batch(model, inputs, oh, bh, d_or, 1.0)
+        want = _stepped_backward_batch(model, inputs, oh, bh, d_or, 1.0)
+        # reassociation moves each product by an ulp or so; an entry summed
+        # over L*B rows can cancel, so its error is bounded by the array scale
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("slope", [0.3, 1.0, 2.5, 40.0])
+    def test_spike_slope_within_4_ulp_of_sigmoid_form(self, slope):
+        # the reference takes sg on the negative half, where 1 - sg does not
+        # cancel; the slope is even in x
+        potentials = np.concatenate([
+            np.random.default_rng(0).uniform(-1e3, 1e3, 20_000),
+            np.random.default_rng(1).standard_normal(20_000) * 3,
+            [0.0, 1e-300, -1e-300, 700.0, -745.0, 1e3, -1e3],
+        ])
+        x = slope * potentials
+        sg = sigmoid(-np.abs(x))
+        want = slope * sg * (1.0 - sg)
+        got = _spike_slope(potentials, 0.0, slope)
+        assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+
+    def test_spike_slope_at_infinities_and_nan(self):
+        got = _spike_slope(np.array([-np.inf, np.inf, np.nan]), 0.75, 2.0)
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert np.isnan(got[2])
 
 
 class TestSurrogateForward:
