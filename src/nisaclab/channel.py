@@ -39,7 +39,6 @@ class ChannelConfig:
     max_clutter_delay: int = 4
     tap_count: int = 5
     snr_db: float = 10.0
-    target_prior: float = 0.5
 
     def __post_init__(self):
         if self.num_clutter < 0:
@@ -59,8 +58,6 @@ class ChannelConfig:
                 f"tap_count {self.tap_count} cannot hold delays up to "
                 f"{max(self.target_delay, self.max_clutter_delay)}"
             )
-        if not 0.0 <= self.target_prior <= 1.0:
-            raise ValueError("target_prior must lie in [0, 1]")
         # wide enough for any operating point; keeps the noise variance finite and nonzero
         if not -100.0 <= self.snr_db <= 100.0:
             raise ValueError(f"snr_db must lie in [-100, 100] dB, got {self.snr_db}")
@@ -81,8 +78,9 @@ def clutter_second_moment(cfg: ChannelConfig) -> float:
 
 def expected_channel_energy(cfg: ChannelConfig) -> float:
     """Mean squared tap norm, averaged over clutter, target amplitude and the
-    target prior.  Used to calibrate the noise level for a requested SNR."""
-    return cfg.num_clutter * clutter_second_moment(cfg) + cfg.target_prior * cfg.target_power
+    target indicator, which generation draws as a fair coin.  Used to
+    calibrate the noise level for a requested SNR."""
+    return cfg.num_clutter * clutter_second_moment(cfg) + 0.5 * cfg.target_power
 
 
 def noise_variance_from_snr(cfg: ChannelConfig) -> float:

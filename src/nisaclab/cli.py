@@ -124,8 +124,8 @@ def _train_on(dataset: Dataset, args, mode: str, alpha: float | None):
 def _history_rows(name: str, history, seed: int):
     for ep in history:
         yield [
-            ep.epoch, ep.losses.comm_loss, ep.losses.sense_loss,
-            ep.losses.total, ep.throughput, ep.detection_error, name, seed,
+            ep.epoch, ep.comm_loss, ep.sense_loss, ep.total_loss,
+            ep.throughput, ep.detection_error, name, seed,
         ]
 
 

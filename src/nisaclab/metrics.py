@@ -40,9 +40,17 @@ def majority_detection(votes):
     return int(decisions) if v.ndim == 1 else decisions
 
 
+def score_frames(readout_spikes: np.ndarray, bits: np.ndarray, n_data: int, sense_start: int):
+    """The scoring rule shared by evaluation and training's running metrics:
+    per frame of (B, L, 2) readout spikes, the correct decode slots among the
+    leading n_data, and the majority vote over the slots from sense_start on."""
+    correct = (readout_spikes[:, :n_data, COMM] == bits[:, :n_data]).sum(axis=1)
+    return correct, majority_detection(readout_spikes[:, sense_start:, SENSE])
+
+
 def _frame_counts(model: SnnModel, dataset, n_data: int, sense_start: int):
-    """Per frame, correct decode slots among the leading n_data and the majority
-    vote over the slots from sense_start on; and the total spike count."""
+    """score_frames over the dataset, one block at a time; and the total
+    spike count."""
     n = dataset.example_count
     if n == 0:
         raise ValueError("dataset is empty")
@@ -52,8 +60,7 @@ def _frame_counts(model: SnnModel, dataset, n_data: int, sense_start: int):
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
         _, bh, _, br = forward_batch(model, dataset.inputs[rows])
-        correct[rows] = (br[:, :n_data, COMM] == dataset.bits[rows, :n_data]).sum(axis=1)
-        detect[rows] = majority_detection(br[:, sense_start:, SENSE])
+        correct[rows], detect[rows] = score_frames(br, dataset.bits[rows], n_data, sense_start)
         total += bh.sum() + br.sum()
     return correct, detect, total
 

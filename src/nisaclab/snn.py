@@ -137,17 +137,9 @@ class ForwardTrace:
         return self.hidden_potentials.shape[0]
 
 
-def init_model(
-    hidden_count: int,
-    L_b: int,
-    rng: np.random.Generator,
-    *,
-    hidden_threshold: float = DEFAULT_HIDDEN_THRESHOLD,
-    tau_mem: float = DEFAULT_TAU_MEM,
-    tau_syn: float = DEFAULT_TAU_SYN,
-    tau_ref: float = DEFAULT_TAU_REF,
-) -> SnnModel:
-    """Fresh model with weights uniform on +-1/sqrt(fan_in)."""
+def init_model(hidden_count: int, L_b: int, rng: np.random.Generator) -> SnnModel:
+    """Fresh model with weights uniform on +-1/sqrt(fan_in) and the default
+    threshold and time constants."""
     if hidden_count < 1:
         raise ValueError("need at least one hidden neuron")
     if L_b < 1:
@@ -158,10 +150,6 @@ def init_model(
     return SnnModel(
         input_weights=rng.uniform(-in_bound, in_bound, size=(hidden_count, width)),
         readout_weights=rng.uniform(-out_bound, out_bound, size=(2, hidden_count)),
-        hidden_threshold=hidden_threshold,
-        tau_mem=tau_mem,
-        tau_syn=tau_syn,
-        tau_ref=tau_ref,
     )
 
 

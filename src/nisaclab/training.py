@@ -4,17 +4,19 @@ The per-slot decode probability is the logistic of the communication readout
 potential, the per-slot detection probability likewise for the sensing
 readout.  The training loss is a beta-weighted sum of the two cross
 entropies; an SSAC network scores its decode term on the leading data slots
-and its detection term on the trailing sensing slots.  _objective is the one
-definition of that loss and of its derivative at the readout potentials:
-train calls it once per batch, backward once per frame.  Gradients are
+and its detection term on the trailing sensing slots.  objective is the one
+definition of that loss and of its derivative at the readout potentials, and
+backward turns that derivative into the weight gradients; train calls both
+once per batch, and the gradient tests make the same calls.  Gradients are
 computed by hand-rolled reverse-mode backpropagation through the unrolled
 membrane recursions.  A readout potential is its filtered drive, with no
 refractory term, so its adjoint is the loss derivative filtered backwards in
 time; only the hidden layer steps an adjoint loop.  The only approximation
 is the usual surrogate step: the hidden threshold's derivative is replaced by
-the derivative of sigmoid(slope * x).  Run the same backward pass on a trace
-from the fully smoothed twin network (forward with a slope) and it is the
-exact gradient, which is how the finite-difference oracle checks it.
+the derivative of sigmoid(slope * x).  Run the same backward pass on the
+records of the fully smoothed twin network (forward_batch with a slope) and
+it is the exact gradient, which is how the finite-difference oracle checks
+it.
 """
 
 from __future__ import annotations
@@ -23,17 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import majority_detection
-from .snn import (
-    COMM,
-    SENSE,
-    ForwardTrace,
-    SnnModel,
-    _frame_inputs,
-    _synapse_filter,
-    forward_batch,
-    sigmoid,
-)
+from .metrics import score_frames
+from .snn import COMM, SENSE, SnnModel, _synapse_filter, forward_batch, sigmoid
 
 # Clamp keeps the logs finite; inert until |potential| exceeds log(1/eps) ~ 32.
 PROB_EPS = 1e-14
@@ -60,28 +53,15 @@ class TrainConfig:
 
 
 @dataclass
-class LossBreakdown:
-    comm_loss: float
-    sense_loss: float
-    total: float
-
-
-@dataclass
 class EpochStats:
     """One training-log row: mean losses and running train metrics."""
 
     epoch: int
-    losses: LossBreakdown
+    comm_loss: float
+    sense_loss: float
+    total_loss: float
     throughput: float
     detection_error: float
-
-
-@dataclass
-class ParamGradients:
-    """Gradient with the same layout as the trainable parameters."""
-
-    input_weights: np.ndarray
-    readout_weights: np.ndarray
 
 
 def _binary_cross_entropy(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -89,15 +69,14 @@ def _binary_cross_entropy(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
 
 
-def comm_loss(p_comm, bits, data_slot_count: int | None = None) -> float:
+def comm_loss(p_comm, bits) -> float:
     """Summed decode cross entropy over the last (slot) axis and any leading
-    frame axes; SSAC frames contribute their leading data slots only."""
+    frame axes."""
     p = np.asarray(p_comm, dtype=np.float64)
     labels = np.asarray(bits)
     if p.shape != labels.shape:
         raise ValueError(f"probability/bit length mismatch: {p.shape} vs {labels.shape}")
-    n = data_slot_count  # None keeps every slot
-    return float(_binary_cross_entropy(p[..., :n], labels[..., :n].astype(np.float64)).sum())
+    return float(_binary_cross_entropy(p, labels.astype(np.float64)).sum())
 
 
 def sense_loss(p_sense, target) -> float:
@@ -131,7 +110,7 @@ def _spike_slope(potentials: np.ndarray, threshold: float, slope: float) -> np.n
     return e
 
 
-def _backward_batch(
+def backward(
     model: SnnModel,
     inputs: np.ndarray,
     hidden_potentials: np.ndarray,
@@ -188,7 +167,7 @@ def _backward_batch(
     return g_w_in, g_w_out
 
 
-def _objective(
+def objective(
     readout_potentials: np.ndarray,
     bits: np.ndarray,
     targets: np.ndarray,
@@ -204,47 +183,22 @@ def _objective(
     familiar (probability - label) form of the gradient.
     """
     p = sigmoid(readout_potentials)
-    p_comm, p_sense = p[:, :, COMM], p[:, sense_start:, SENSE]
-    lc = comm_loss(p_comm, bits, n_data)
+    p_comm, data_bits = p[:, :n_data, COMM], bits[:, :n_data]
+    p_sense = p[:, sense_start:, SENSE]
+    lc = comm_loss(p_comm, data_bits)
     ls = sense_loss(p_sense, targets)
     d = np.zeros_like(p)
-    d[:, :n_data, COMM] = beta * (p_comm[:, :n_data] - bits[:, :n_data])
+    d[:, :n_data, COMM] = beta * (p_comm - data_bits)
     d[:, sense_start:, SENSE] = (1.0 - beta) * (p_sense - targets[:, None])
     return lc, ls, d
 
 
-def backward(
-    model: SnnModel,
-    trace: ForwardTrace,
-    frame,
-    bits,
-    target: int,
-    beta: float,
-    slope: float = 1.0,
-) -> ParamGradients:
-    """Gradient of the weighted loss for one frame, via the trace from
-    forward (surrogate gradient) or forward with the same slope (exact)."""
-    inputs = _frame_inputs(model, frame)
-    L = inputs.shape[0]
-    if len(trace) != L:
-        raise ValueError(f"trace length {len(trace)} does not match frame length {L}")
-    labels = np.asarray(bits, dtype=np.float64)[None]
-    _, _, d_or = _objective(
-        trace.readout_potentials[None], labels, np.array([target], dtype=np.float64),
-        beta, L, 0,
-    )
-    g_w_in, g_w_out = _backward_batch(
-        model, inputs[None], trace.hidden_potentials[None], trace.hidden_spikes[None], d_or, slope,
-    )
-    return ParamGradients(input_weights=g_w_in, readout_weights=g_w_out)
-
-
-def sgd_step(model: SnnModel, gradients: ParamGradients, lr: float) -> SnnModel:
+def sgd_step(model: SnnModel, g_w_in: np.ndarray, g_w_out: np.ndarray, lr: float) -> SnnModel:
     """One plain gradient-descent update; returns a new model."""
     return replace(
         model,
-        input_weights=model.input_weights - lr * gradients.input_weights,
-        readout_weights=model.readout_weights - lr * gradients.readout_weights,
+        input_weights=model.input_weights - lr * g_w_in,
+        readout_weights=model.readout_weights - lr * g_w_out,
     )
 
 
@@ -268,6 +222,10 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     L = dataset.slot_count
     n_data = L if data_slot_count is None else data_slot_count
+    if not 1 <= n_data <= L:
+        raise ValueError(f"data_slot_count must lie in [1, {L}], got {n_data}")
+    if not 0 <= sense_slot_start < L:
+        raise ValueError(f"sense_slot_start must lie in [0, {L - 1}], got {sense_slot_start}")
 
     inputs_all = dataset.inputs
     bits_all = dataset.bits.astype(np.float64)
@@ -288,7 +246,7 @@ def train(
             targets = targets_all[idx]
             oh, bh, orr, br = forward_batch(model, inputs)
 
-            lc_batch, ls_batch, d_or = _objective(
+            lc_batch, ls_batch, d_or = objective(
                 orr, bits, targets, cfg.beta, n_data, sense_slot_start
             )
             if not (np.isfinite(lc_batch) and np.isfinite(ls_batch)):
@@ -299,21 +257,17 @@ def train(
             lc_sum += lc_batch
             ls_sum += ls_batch
 
-            g_w_in, g_w_out = _backward_batch(
-                model, inputs, oh, bh, d_or, cfg.surrogate_slope
-            )
-            grads = ParamGradients(g_w_in / idx.size, g_w_out / idx.size)
-            model = sgd_step(model, grads, cfg.learning_rate)
+            g_w_in, g_w_out = backward(model, inputs, oh, bh, d_or, cfg.surrogate_slope)
+            model = sgd_step(model, g_w_in / idx.size, g_w_out / idx.size, cfg.learning_rate)
 
-            correct_bits += int((br[:, :n_data, COMM] == bits[:, :n_data]).sum())
-            wrong_detections += int((majority_detection(br[:, sense_slot_start:, SENSE]) != targets).sum())
+            correct, detect = score_frames(br, bits, n_data, sense_slot_start)
+            correct_bits += int(correct.sum())
+            wrong_detections += int((detect != targets).sum())
 
         lc_mean = lc_sum / n
         ls_mean = ls_sum / n
         history.append(EpochStats(
-            epoch=epoch,
-            losses=LossBreakdown(lc_mean, ls_mean, isac_loss(lc_mean, ls_mean, cfg.beta)),
-            throughput=correct_bits / (n * L),
-            detection_error=wrong_detections / n,
+            epoch, lc_mean, ls_mean, isac_loss(lc_mean, ls_mean, cfg.beta),
+            correct_bits / (n * L), wrong_detections / n,
         ))
     return model, history

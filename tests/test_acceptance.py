@@ -29,6 +29,7 @@ from nisaclab.snn import (
     COMM,
     SENSE,
     forward,
+    forward_batch,
     init_model,
     load_model,
     save_model,
@@ -40,6 +41,7 @@ from nisaclab.training import (
     backward,
     comm_loss,
     isac_loss,
+    objective,
     sense_loss,
     train,
 )
@@ -164,11 +166,15 @@ def test_gradient_oracle(criterion_line):
                 grad[idx] += sign * loss_at(dataclasses.replace(model, **{attr: bumped}))
         return grad / (2 * h)
 
-    trace = forward(model, inputs, slope)
-    got = backward(model, trace, inputs, bits, target, beta, slope)
+    # the calls train makes for a batch, here a batch of one frame
+    oh, bh, orr, _ = forward_batch(model, inputs[None], slope)
+    _, _, d_or = objective(
+        orr, bits[None].astype(np.float64), np.array([target], dtype=np.float64), beta, len(bits), 0,
+    )
+    g_w_in, g_w_out = backward(model, inputs[None], oh, bh, d_or, slope)
     rel = max(
-        _max_rel_error(got.input_weights, fd("input_weights")),
-        _max_rel_error(got.readout_weights, fd("readout_weights")),
+        _max_rel_error(g_w_in, fd("input_weights")),
+        _max_rel_error(g_w_out, fd("readout_weights")),
     )
     elapsed = time.perf_counter() - t0
     ok = rel <= 1e-4 and elapsed < 10.0

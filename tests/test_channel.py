@@ -45,12 +45,13 @@ class TestEnergyAndNoise:
         assert expected_channel_energy(ChannelConfig()) == pytest.approx(5.5, rel=1e-12)
 
     def test_single_target_tap(self):
-        cfg = ChannelConfig(num_clutter=0, target_prior=1.0)
-        assert expected_channel_energy(cfg) == pytest.approx(1.0, rel=1e-12)
+        # the target is present in half the frames
+        cfg = ChannelConfig(num_clutter=0, target_power=3.0)
+        assert expected_channel_energy(cfg) == 0.5 * 3.0
 
-    def test_empty_channel(self):
-        cfg = ChannelConfig(num_clutter=0, target_prior=0.0)
-        assert expected_channel_energy(cfg) == 0.0
+    def test_clutter_adds_its_second_moment(self):
+        cfg = ChannelConfig(num_clutter=3)
+        assert expected_channel_energy(cfg) == pytest.approx(3.5, rel=1e-12)
 
     def test_clutter_second_moment_is_unity(self):
         assert clutter_second_moment(ChannelConfig()) == pytest.approx(1.0, rel=1e-12)
@@ -59,11 +60,11 @@ class TestEnergyAndNoise:
         assert noise_variance_from_snr(ChannelConfig(snr_db=10.0)) == pytest.approx(0.55, rel=1e-12)
 
     def test_noise_variance_at_zero_db(self):
-        cfg = ChannelConfig(num_clutter=0, target_prior=1.0, snr_db=0.0)
-        assert noise_variance_from_snr(cfg) == pytest.approx(1.0, rel=1e-12)
+        cfg = ChannelConfig(num_clutter=0, snr_db=0.0)
+        assert noise_variance_from_snr(cfg) == pytest.approx(0.5, rel=1e-12)
 
     def test_noise_variance_at_three_db(self):
-        cfg = ChannelConfig(num_clutter=1, target_prior=1.0, snr_db=3.0103)
+        cfg = ChannelConfig(num_clutter=1, target_power=2.0, snr_db=3.0103)
         assert noise_variance_from_snr(cfg) == pytest.approx(1.0, rel=1e-4)
 
 

@@ -122,10 +122,11 @@ class TestInitModel:
             init_model(1, 0, np.random.default_rng(0))
 
     def test_time_constant_ordering_enforced(self):
+        m = init_model(2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            init_model(2, 1, np.random.default_rng(0), tau_mem=1.0, tau_syn=2.0)
+            dataclasses.replace(m, tau_mem=1.0, tau_syn=2.0)
         with pytest.raises(ValueError):
-            init_model(2, 1, np.random.default_rng(0), tau_syn=-1.0)
+            dataclasses.replace(m, tau_syn=-1.0)
 
 
 class TestForward:
@@ -278,7 +279,7 @@ class TestForwardBatch:
         # slow time constants, so the state a kernel block hands on still
         # matters tens of steps into the next block
         rng = np.random.default_rng(L)
-        m = init_model(5, 1, rng, tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
+        m = dataclasses.replace(init_model(5, 1, rng), tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
         inputs = rng.standard_normal((B, L, 4)) * 0.3
         for slope in (None, 2.0):
             batch = forward_batch(m, inputs, slope)

@@ -1,7 +1,7 @@
 """Every public top-level name in the package has a caller: a reference
 outside its own definition, in src/, in README.md or in perfbench/.  A name
-that only tests call is code the program carries for nothing; the two
-exceptions below are reference implementations the tests check against."""
+that only tests call is code the program carries for nothing; the one
+exception below is a reference implementation the tests check against."""
 
 import ast
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nisaclab"
-TEST_REFERENCES = {"modem.ppm_demodulate", "training.backward"}
+TEST_REFERENCES = {"modem.ppm_demodulate"}
 
 
 def _definitions():

@@ -13,14 +13,12 @@ from nisaclab.dataset import generate_dataset
 from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward, forward_batch, init_model, sigmoid
 from nisaclab.training import (
     PROB_EPS,
-    ParamGradients,
     TrainConfig,
-    _backward_batch,
-    _objective,
     _spike_slope,
     backward,
     comm_loss,
     isac_loss,
+    objective,
     sense_loss,
     sgd_step,
     train,
@@ -44,8 +42,10 @@ class TestCommLoss:
             comm_loss([0.5, 0.5], [1])
 
     def test_ssac_frame_counts_data_slots_only(self):
-        p = [0.5, 0.5, 0.9, 0.9]  # sensing-slot values must not contribute
-        assert comm_loss(p, [0, 1, 1, 1], 2) == pytest.approx(2 * LN2, rel=1e-12)
+        p = np.array([0.5, 0.5, 0.9, 0.9])  # sensing-slot values must not contribute
+        potentials = np.stack([np.log(p / (1 - p))] * 2, axis=-1)[None]
+        lc, _, _ = objective(potentials, np.array([[0.0, 1.0, 1.0, 1.0]]), np.array([1.0]), 1.0, 2, 0)
+        assert lc == pytest.approx(2 * LN2, rel=1e-12)
 
 
 class TestSenseLoss:
@@ -93,10 +93,10 @@ class TestObjective:
         targets = rng.integers(0, 2, size=B).astype(np.float64)
 
         def loss(o):
-            lc, ls, _ = _objective(o, bits, targets, beta, n_data, sense_start)
+            lc, ls, _ = objective(o, bits, targets, beta, n_data, sense_start)
             return isac_loss(lc, ls, beta)
 
-        _, _, got = _objective(potentials, bits, targets, beta, n_data, sense_start)
+        _, _, got = objective(potentials, bits, targets, beta, n_data, sense_start)
         h = 1e-6
         want = np.zeros_like(potentials)
         for idx in np.ndindex(potentials.shape):
@@ -113,12 +113,12 @@ class TestObjective:
         p = rng.uniform(0.01, 0.99, size=(5, 9, 2))
         bits = rng.integers(0, 2, size=(5, 9))
         targets = rng.integers(0, 2, size=5)
-        lc, ls, _ = _objective(
+        lc, ls, _ = objective(
             np.log(p / (1 - p)), bits.astype(np.float64), targets.astype(np.float64), 0.5, 6, 4,
         )
-        per_frame_c = sum(comm_loss(p[i, :, COMM], bits[i], 6) for i in range(5))
+        per_frame_c = sum(comm_loss(p[i, :6, COMM], bits[i, :6]) for i in range(5))
         per_frame_s = sum(sense_loss(p[i, 4:, SENSE], targets[i]) for i in range(5))
-        assert comm_loss(p[:, :, COMM], bits, 6) == pytest.approx(per_frame_c, rel=1e-12)
+        assert comm_loss(p[:, :6, COMM], bits[:, :6]) == pytest.approx(per_frame_c, rel=1e-12)
         assert sense_loss(p[:, 4:, SENSE], targets) == pytest.approx(per_frame_s, rel=1e-12)
         assert (lc, ls) == pytest.approx((per_frame_c, per_frame_s), rel=1e-12)
 
@@ -137,13 +137,30 @@ class TestProbabilityClamp:
         assert math.isfinite(sense_loss([0.0], 1))
 
 
-def _smoothed_loss(model, inputs, bits, target, beta, slope) -> float:
-    p = sigmoid(forward(model, inputs, slope).readout_potentials)
-    return isac_loss(comm_loss(p[:, COMM], bits), sense_loss(p[:, SENSE], target), beta)
+def _gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_start=0):
+    """The calls train makes for one batch: forward_batch, objective and
+    backward, on (B, L, width) inputs, (B, L) bits and (B,) targets."""
+    bits = np.asarray(bits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    n_data = bits.shape[1] if n_data is None else n_data
+    oh, bh, orr, _ = forward_batch(model, inputs, slope)
+    _, _, d_or = objective(orr, bits, targets, beta, n_data, sense_start)
+    return backward(model, inputs, oh, bh, d_or, slope)
 
 
-def _fd_gradients(model, inputs, bits, target, beta, slope, h=1e-5) -> ParamGradients:
-    """Central finite differences of the smoothed loss over every weight."""
+def _smoothed_loss(model, inputs, bits, targets, beta, slope, n_data, sense_start) -> float:
+    p = sigmoid(forward_batch(model, inputs, slope)[2])
+    return isac_loss(
+        comm_loss(p[:, :n_data, COMM], bits[:, :n_data]),
+        sense_loss(p[:, sense_start:, SENSE], targets),
+        beta,
+    )
+
+
+def _fd_gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_start=0, h=1e-5):
+    """Central finite differences of the smoothed batch loss over every
+    weight, as (input-weight gradient, readout-weight gradient)."""
+    n_data = bits.shape[1] if n_data is None else n_data
 
     def fd_matrix(attr):
         w = getattr(model, attr)
@@ -153,13 +170,10 @@ def _fd_gradients(model, inputs, bits, target, beta, slope, h=1e-5) -> ParamGrad
                 bumped = w.copy()
                 bumped[idx] += sign * h
                 m = dataclasses.replace(model, **{attr: bumped})
-                grad[idx] += sign * _smoothed_loss(m, inputs, bits, target, beta, slope)
+                grad[idx] += sign * _smoothed_loss(m, inputs, bits, targets, beta, slope, n_data, sense_start)
         return grad / (2 * h)
 
-    return ParamGradients(
-        input_weights=fd_matrix("input_weights"),
-        readout_weights=fd_matrix("readout_weights"),
-    )
+    return fd_matrix("input_weights"), fd_matrix("readout_weights")
 
 
 def _max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -170,15 +184,14 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_backward_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        model = init_model(2, 1, rng, tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
-        inputs = rng.standard_normal((4, 4))
-        bits = rng.integers(0, 2, size=4)
-        target, beta, slope = 1, 0.5, 1.0
-        trace = forward(model, inputs, slope)
-        got = backward(model, trace, inputs, bits, target, beta, slope)
-        want = _fd_gradients(model, inputs, bits, target, beta, slope)
-        assert _max_rel_error(got.input_weights, want.input_weights) <= 1e-4
-        assert _max_rel_error(got.readout_weights, want.readout_weights) <= 1e-4
+        model = dataclasses.replace(init_model(2, 1, rng), tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
+        inputs = rng.standard_normal((4, 4))[None]
+        bits = rng.integers(0, 2, size=4)[None]
+        targets, beta, slope = [1], 0.5, 1.0
+        got = _gradients(model, inputs, bits, targets, beta, slope)
+        want = _fd_gradients(model, inputs, bits, targets, beta, slope)
+        for g, w in zip(got, want):
+            assert _max_rel_error(g, w) <= 1e-4
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -191,50 +204,63 @@ class TestGradients:
         # the readout potentials clear of the PROB_EPS clamp, where the
         # finite-difference loss goes flat
         rng = np.random.default_rng(seed)
-        model = init_model(H, L_b, rng, tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
-        inputs = rng.standard_normal((L, 4 * L_b)) * 0.3
-        bits = rng.integers(0, 2, size=L)
-        target, beta, slope = int(rng.integers(0, 2)), 0.5, 1.0
-        trace = forward(model, inputs, slope)
-        got = backward(model, trace, inputs, bits, target, beta, slope)
-        want = _fd_gradients(model, inputs, bits, target, beta, slope)
-        for g, w in ((got.input_weights, want.input_weights), (got.readout_weights, want.readout_weights)):
+        model = dataclasses.replace(init_model(H, L_b, rng), tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
+        inputs = rng.standard_normal((L, 4 * L_b))[None] * 0.3
+        bits = rng.integers(0, 2, size=L)[None]
+        targets, beta, slope = [int(rng.integers(0, 2))], 0.5, 1.0
+        got = _gradients(model, inputs, bits, targets, beta, slope)
+        want = _fd_gradients(model, inputs, bits, targets, beta, slope)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-6 * max(1.0, np.abs(w).max())
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("B", [2, 3])
+    def test_batch_with_ssac_slot_ranges_matches_finite_differences(self, B, beta):
+        # decode loss on the leading 4 of 9 slots, detection loss from slot 3:
+        # the ranges overlap and neither covers the frame
+        L, n_data, sense_start = 9, 4, 3
+        rng = np.random.default_rng(100 * B + int(10 * beta))
+        model = dataclasses.replace(init_model(3, 1, rng), tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
+        inputs = rng.standard_normal((B, L, 4)) * 0.3
+        bits = rng.integers(0, 2, size=(B, L))
+        targets = np.arange(B) % 2  # both labels in every batch
+        slope = 1.0
+        got = _gradients(model, inputs, bits, targets, beta, slope, n_data, sense_start)
+        want = _fd_gradients(model, inputs, bits, targets, beta, slope, n_data, sense_start)
+        for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-6 * max(1.0, np.abs(w).max())
 
     def test_gradient_of_duplicated_example_doubles(self):
         rng = np.random.default_rng(3)
         model = init_model(3, 1, rng)
-        inputs = rng.standard_normal((5, 4))
-        bits = rng.integers(0, 2, size=5)
-        trace = forward(model, inputs, 1.0)
-        g = backward(model, trace, inputs, bits, 0, 0.5)
-        summed_in = g.input_weights + g.input_weights
-        doubled = ParamGradients(2.0 * g.input_weights, 2.0 * g.readout_weights)
-        assert np.array_equal(summed_in, doubled.input_weights)
+        inputs = rng.standard_normal((5, 4))[None]
+        bits = rng.integers(0, 2, size=5)[None]
+        once = _gradients(model, inputs, bits, [0], 0.5, 1.0)
+        twice = _gradients(model, np.concatenate([inputs] * 2), np.concatenate([bits] * 2), [0, 0], 0.5, 1.0)
+        for g1, g2 in zip(once, twice):
+            np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-12 * np.abs(g1).max())
 
     def test_beta_one_ignores_the_sensing_label(self):
         rng = np.random.default_rng(4)
         model = init_model(3, 1, rng)
-        inputs = rng.standard_normal((6, 4))
-        bits = rng.integers(0, 2, size=6)
-        trace = forward(model, inputs, 1.0)
-        g0 = backward(model, trace, inputs, bits, 0, beta=1.0)
-        g1 = backward(model, trace, inputs, bits, 1, beta=1.0)
-        assert np.array_equal(g0.input_weights, g1.input_weights)
-        assert np.array_equal(g0.readout_weights, g1.readout_weights)
+        inputs = rng.standard_normal((6, 4))[None]
+        bits = rng.integers(0, 2, size=6)[None]
+        g0 = _gradients(model, inputs, bits, [0], 1.0, 1.0)
+        g1 = _gradients(model, inputs, bits, [1], 1.0, 1.0)
+        assert np.array_equal(g0[0], g1[0])
+        assert np.array_equal(g0[1], g1[1])
 
     def test_beta_zero_ignores_the_bits(self):
         rng = np.random.default_rng(5)
         model = init_model(3, 1, rng)
-        inputs = rng.standard_normal((6, 4))
-        trace = forward(model, inputs, 1.0)
-        ga = backward(model, trace, inputs, np.zeros(6, dtype=np.uint8), 1, beta=0.0)
-        gb = backward(model, trace, inputs, np.ones(6, dtype=np.uint8), 1, beta=0.0)
-        assert np.array_equal(ga.input_weights, gb.input_weights)
+        inputs = rng.standard_normal((6, 4))[None]
+        ga = _gradients(model, inputs, np.zeros((1, 6)), [1], 0.0, 1.0)
+        gb = _gradients(model, inputs, np.ones((1, 6)), [1], 0.0, 1.0)
+        assert np.array_equal(ga[0], gb[0])
 
 
 def _stepped_backward_batch(model, inputs, hidden_potentials, hidden_spikes, d_readout_potentials, slope):
-    """_backward_batch with the hidden adjoint stepped as g = (e + c)*ds,
+    """backward with the hidden adjoint stepped as g = (e + c)*ds,
     c' = a_ref*(c - th*g), and the surrogate slope taken from sigmoid: the
     oracle for the linear-recurrence form."""
     B, L, width = inputs.shape
@@ -273,7 +299,7 @@ class TestAdjointRecurrence:
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 2
         oh, bh, orr, _ = forward_batch(model, inputs, 1.0 if smoothed else None)
         d_or = rng.standard_normal(orr.shape)
-        got = _backward_batch(model, inputs, oh, bh, d_or, 1.0)
+        got = backward(model, inputs, oh, bh, d_or, 1.0)
         want = _stepped_backward_batch(model, inputs, oh, bh, d_or, 1.0)
         # reassociation moves each product by an ulp or so; an entry summed
         # over L*B rows can cancel, so its error is bounded by the array scale
@@ -334,26 +360,22 @@ class TestSurrogateForward:
 class TestSgdStep:
     def test_zero_gradient_is_identity(self):
         m = init_model(2, 1, np.random.default_rng(7))
-        g = ParamGradients(np.zeros_like(m.input_weights), np.zeros_like(m.readout_weights))
-        m2 = sgd_step(m, g, 0.1)
+        m2 = sgd_step(m, np.zeros_like(m.input_weights), np.zeros_like(m.readout_weights), 0.1)
         assert np.array_equal(m2.input_weights, m.input_weights)
         assert np.array_equal(m2.readout_weights, m.readout_weights)
 
     def test_unit_rate_subtracts_gradient(self):
         m = init_model(2, 1, np.random.default_rng(8))
-        g = ParamGradients(
-            np.random.default_rng(9).standard_normal(m.input_weights.shape),
-            np.random.default_rng(10).standard_normal(m.readout_weights.shape),
-        )
-        m2 = sgd_step(m, g, 1.0)
-        assert np.array_equal(m2.input_weights, m.input_weights - g.input_weights)
-        assert np.array_equal(m2.readout_weights, m.readout_weights - g.readout_weights)
+        g_w_in = np.random.default_rng(9).standard_normal(m.input_weights.shape)
+        g_w_out = np.random.default_rng(10).standard_normal(m.readout_weights.shape)
+        m2 = sgd_step(m, g_w_in, g_w_out, 1.0)
+        assert np.array_equal(m2.input_weights, m.input_weights - g_w_in)
+        assert np.array_equal(m2.readout_weights, m.readout_weights - g_w_out)
 
     def test_original_model_is_untouched(self):
         m = init_model(2, 1, np.random.default_rng(11))
         before = m.input_weights.copy()
-        g = ParamGradients(np.ones_like(m.input_weights), np.ones_like(m.readout_weights))
-        sgd_step(m, g, 0.5)
+        sgd_step(m, np.ones_like(m.input_weights), np.ones_like(m.readout_weights), 0.5)
         assert np.array_equal(m.input_weights, before)
 
 
@@ -384,7 +406,7 @@ class TestTrain:
         (m1, h1), (m2, h2) = run(), run()
         assert np.array_equal(m1.input_weights, m2.input_weights)
         assert np.array_equal(m1.readout_weights, m2.readout_weights)
-        assert [e.losses.total for e in h1] == [e.losses.total for e in h2]
+        assert [e.total_loss for e in h1] == [e.total_loss for e in h2]
 
     def test_history_shape_and_loss_identity(self, tiny_dataset):
         model = init_model(4, 1, np.random.default_rng(1))
@@ -392,7 +414,7 @@ class TestTrain:
         _, history = train(model, tiny_dataset, TrainConfig(beta=beta, epochs=4, seed=0))
         assert [e.epoch for e in history] == [1, 2, 3, 4]
         for e in history:
-            assert e.losses.total == beta * e.losses.comm_loss + (1 - beta) * e.losses.sense_loss
+            assert e.total_loss == beta * e.comm_loss + (1 - beta) * e.sense_loss
             assert 0.0 <= e.throughput <= 1.0
             assert 0.0 <= e.detection_error <= 1.0
 
@@ -410,7 +432,7 @@ class TestTrain:
             TrainConfig(beta=1.0, epochs=1, seed=0), data_slot_count=4,
         )
         _, hist_full = train(model, tiny_dataset, TrainConfig(beta=1.0, epochs=1, seed=0))
-        assert hist_c[0].losses.comm_loss < hist_full[0].losses.comm_loss
+        assert hist_c[0].comm_loss < hist_full[0].comm_loss
 
     def test_nan_loss_aborts_with_diagnostic(self, tiny_dataset, monkeypatch):
         import nisaclab.training as training_module
@@ -424,6 +446,20 @@ class TestTrain:
         model = init_model(4, 1, np.random.default_rng(4))
         with pytest.raises(FloatingPointError, match="epoch 1"):
             train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=1, seed=0))
+
+    @pytest.mark.parametrize("slots", [
+        {"data_slot_count": -3}, {"data_slot_count": 0}, {"data_slot_count": 50},
+        {"sense_slot_start": -2}, {"sense_slot_start": 8},
+    ], ids=["data-negative", "data-zero", "data-past-frame", "sense-negative", "sense-at-L"])
+    def test_slot_ranges_checked_before_any_step(self, tiny_dataset, monkeypatch, slots):
+        import nisaclab.training as training_module
+
+        steps = []
+        monkeypatch.setattr(training_module, "sgd_step", lambda *a: steps.append(a))
+        model = init_model(4, 1, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="data_slot_count|sense_slot_start"):
+            train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=1, seed=0), **slots)
+        assert steps == []
 
     def test_empty_dataset_rejected(self, tiny_dataset):
         model = init_model(4, 1, np.random.default_rng(5))
@@ -441,4 +477,4 @@ class TestLossDecreases:
         data = generate_dataset(cfg, L=80, L_b=1, n=512, mode="isac", master_seed=0)
         model = init_model(10, 1, np.random.default_rng(0))
         _, history = train(model, data, TrainConfig(beta=0.5, epochs=20, seed=0))
-        assert history[-1].losses.total < history[0].losses.total
+        assert history[-1].total_loss < history[0].total_loss
