@@ -13,51 +13,31 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 
-def unit_second_moment_scale(shape: float) -> float:
-    """Weibull scale that makes E[magnitude^2] = 1 for the given shape."""
-    return 1.0 / math.sqrt(math.gamma(1.0 + 2.0 / shape))
-
-
 @dataclass
 class ChannelConfig:
-    """Channel statistics and the SNR operating point.
+    """The SNR operating point; the channel statistics are fixed.
 
-    weibull_scale=None (the default) renormalizes the clutter scale so each
-    clutter amplitude has unit second moment; at weibull_shape=2 the clutter
-    amplitudes are then exactly CN(0,1).  Delays are in chips.
+    Each frame has one target tap of unit mean-square complex Gaussian
+    amplitude at delay 0 and five clutter taps at uniform delays 0..4 in a
+    five-tap vector.  A clutter magnitude is Weibull with shape 2 and scale 1,
+    so E[magnitude^2] = Gamma(1 + 2/2) = 1 and, with its uniform phase, each
+    clutter amplitude is exactly CN(0,1).  Delays are in chips.
     """
 
-    num_clutter: int = 5
-    weibull_shape: float = 2.0
-    weibull_scale: float | None = None
-    target_power: float = 1.0
-    target_delay: int = 0
-    max_clutter_delay: int = 4
-    tap_count: int = 5
+    num_clutter: ClassVar[int] = 5
+    weibull_shape: ClassVar[float] = 2.0
+    target_power: ClassVar[float] = 1.0
+    target_delay: ClassVar[int] = 0
+    max_clutter_delay: ClassVar[int] = 4
+    tap_count: ClassVar[int] = 5
     snr_db: float = 10.0
 
     def __post_init__(self):
-        if self.num_clutter < 0:
-            raise ValueError("num_clutter must be >= 0")
-        if not 0.25 <= self.weibull_shape <= 2.0:
-            raise ValueError(f"weibull_shape must lie in [0.25, 2], got {self.weibull_shape}")
-        if self.weibull_scale is None:
-            self.weibull_scale = unit_second_moment_scale(self.weibull_shape)
-        if self.weibull_scale <= 0:
-            raise ValueError("weibull_scale must be positive")
-        if self.target_power <= 0:
-            raise ValueError("target_power must be positive")
-        if self.target_delay < 0 or self.max_clutter_delay < 0:
-            raise ValueError("delays must be >= 0")
-        if self.tap_count < max(self.target_delay, self.max_clutter_delay) + 1:
-            raise ValueError(
-                f"tap_count {self.tap_count} cannot hold delays up to "
-                f"{max(self.target_delay, self.max_clutter_delay)}"
-            )
         # wide enough for any operating point; keeps the noise variance finite and nonzero
         if not -100.0 <= self.snr_db <= 100.0:
             raise ValueError(f"snr_db must lie in [-100, 100] dB, got {self.snr_db}")
@@ -71,16 +51,12 @@ class ReceivedFrame:
     noise_variance: float = 0.0
 
 
-def clutter_second_moment(cfg: ChannelConfig) -> float:
-    """E[|clutter amplitude|^2] = scale^2 * Gamma(1 + 2/shape)."""
-    return cfg.weibull_scale**2 * math.gamma(1.0 + 2.0 / cfg.weibull_shape)
-
-
 def expected_channel_energy(cfg: ChannelConfig) -> float:
     """Mean squared tap norm, averaged over clutter, target amplitude and the
-    target indicator, which generation draws as a fair coin.  Used to
-    calibrate the noise level for a requested SNR."""
-    return cfg.num_clutter * clutter_second_moment(cfg) + 0.5 * cfg.target_power
+    target indicator, which generation draws as a fair coin: one per clutter
+    tap (unit second moment) plus half the target power.  Used to calibrate
+    the noise level for a requested SNR."""
+    return cfg.num_clutter + 0.5 * cfg.target_power
 
 
 def noise_variance_from_snr(cfg: ChannelConfig) -> float:
@@ -100,7 +76,7 @@ def draw_channel(cfg: ChannelConfig, v: int, rng: np.random.Generator) -> np.nda
     if v not in (0, 1):
         raise ValueError("target indicator must be 0 or 1")
     target_re, target_im = rng.normal(scale=math.sqrt(cfg.target_power / 2.0), size=2)
-    mags = cfg.weibull_scale * rng.weibull(cfg.weibull_shape, size=cfg.num_clutter)
+    mags = rng.weibull(cfg.weibull_shape, size=cfg.num_clutter)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=cfg.num_clutter)
     clutter_delays = rng.integers(0, cfg.max_clutter_delay + 1, size=cfg.num_clutter)
 

@@ -8,90 +8,79 @@ import pytest
 from nisaclab.channel import (
     ChannelConfig,
     apply_channel,
-    clutter_second_moment,
     draw_channel,
     expected_channel_energy,
     frame_received,
     noise_variance_from_snr,
-    unit_second_moment_scale,
 )
 from nisaclab.modem import ppm_modulate
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name", [
+        "num_clutter", "weibull_shape", "weibull_scale", "target_power",
+        "target_delay", "max_clutter_delay", "tap_count",
+    ])
+    def test_statistics_are_not_settable(self, name):
+        with pytest.raises(TypeError):
+            ChannelConfig(**{name: 1})
+
+
 class TestWeibullScale:
-    @pytest.mark.parametrize("shape", [0.25, 0.5, 1.0, 2.0])
-    def test_analytic_unit_second_moment(self, shape):
-        lam = unit_second_moment_scale(shape)
-        assert lam**2 * math.gamma(1.0 + 2.0 / shape) == pytest.approx(1.0, rel=1e-12)
-
     def test_rayleigh_case_has_unit_scale(self):
-        assert unit_second_moment_scale(2.0) == pytest.approx(1.0, rel=1e-12)
-
-    @pytest.mark.parametrize("shape", [1.0, 2.0])
-    def test_monte_carlo_second_moment(self, shape):
-        rng = np.random.default_rng(0)
-        mags = unit_second_moment_scale(shape) * rng.weibull(shape, size=100_000)
-        assert (mags**2).mean() == pytest.approx(1.0, rel=0.02)
-
-    def test_config_rejects_shape_outside_range(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(weibull_shape=3.0)
-        with pytest.raises(ValueError):
-            ChannelConfig(weibull_shape=0.1)
+        """The taps rebuild from the documented draws: a unit-power target at
+        delay 0, then five unit-scale Weibull(2) clutter magnitudes, their
+        phases and their delays in 0..4."""
+        rng = np.random.default_rng(4)
+        target = complex(*rng.normal(scale=math.sqrt(0.5), size=2))
+        mags = rng.weibull(2.0, size=5)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=5)
+        delays = rng.integers(0, 5, size=5)
+        expected = np.zeros(5, dtype=np.complex128)
+        expected[0] += target
+        np.add.at(expected, delays, mags * np.exp(1j * phases))
+        assert np.array_equal(draw_channel(ChannelConfig(), 1, np.random.default_rng(4)), expected)
 
 
 class TestEnergyAndNoise:
     def test_default_energy(self):
         assert expected_channel_energy(ChannelConfig()) == pytest.approx(5.5, rel=1e-12)
 
-    def test_single_target_tap(self):
-        # the target is present in half the frames
-        cfg = ChannelConfig(num_clutter=0, target_power=3.0)
-        assert expected_channel_energy(cfg) == 0.5 * 3.0
-
-    def test_clutter_adds_its_second_moment(self):
-        cfg = ChannelConfig(num_clutter=3)
-        assert expected_channel_energy(cfg) == pytest.approx(3.5, rel=1e-12)
-
-    def test_clutter_second_moment_is_unity(self):
-        assert clutter_second_moment(ChannelConfig()) == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("v, energy", [(0, 5.0), (1, 6.0)])
+    def test_mean_tap_energy_matches_calibration(self, v, energy):
+        # five unit-second-moment clutter taps, plus the unit-power target when
+        # present; the fair-coin average is expected_channel_energy
+        rng = np.random.default_rng(2)
+        mean = np.mean([np.sum(np.abs(draw_channel(ChannelConfig(), v, rng)) ** 2)
+                        for _ in range(10_000)])
+        assert mean == pytest.approx(energy, rel=0.03)
 
     def test_noise_variance_at_ten_db(self):
         assert noise_variance_from_snr(ChannelConfig(snr_db=10.0)) == pytest.approx(0.55, rel=1e-12)
 
     def test_noise_variance_at_zero_db(self):
-        cfg = ChannelConfig(num_clutter=0, snr_db=0.0)
-        assert noise_variance_from_snr(cfg) == pytest.approx(0.5, rel=1e-12)
+        assert noise_variance_from_snr(ChannelConfig(snr_db=0.0)) == pytest.approx(5.5, rel=1e-12)
 
     def test_noise_variance_at_three_db(self):
-        cfg = ChannelConfig(num_clutter=1, target_power=2.0, snr_db=3.0103)
-        assert noise_variance_from_snr(cfg) == pytest.approx(1.0, rel=1e-4)
+        assert noise_variance_from_snr(ChannelConfig(snr_db=3.0103)) == pytest.approx(2.75, rel=1e-4)
 
 
 class TestDrawChannel:
-    def test_no_clutter_no_target_is_silent(self):
-        taps = draw_channel(ChannelConfig(num_clutter=0), 0, np.random.default_rng(0))
-        assert np.array_equal(taps, np.zeros(5, dtype=np.complex128))
-
-    def test_no_clutter_target_only(self):
-        taps = draw_channel(ChannelConfig(num_clutter=0), 1, np.random.default_rng(0))
-        assert np.flatnonzero(taps).tolist() == [0]
-
     def test_target_absent_contributes_nothing(self):
-        cfg = ChannelConfig(target_delay=2)
-        on = draw_channel(cfg, 1, np.random.default_rng(7))
-        off = draw_channel(cfg, 0, np.random.default_rng(7))
-        # identical stream: the only difference is the target tap at its delay
-        assert np.flatnonzero(on - off).tolist() == [2]
+        on = draw_channel(ChannelConfig(), 1, np.random.default_rng(7))
+        off = draw_channel(ChannelConfig(), 0, np.random.default_rng(7))
+        # identical stream: the only difference is the target tap at delay 0
+        assert np.flatnonzero(on - off).tolist() == [0]
 
     def test_delays_within_range(self):
-        # clutter delays up to 2 in a 7-tap vector: taps 3..6 stay empty
-        cfg = ChannelConfig(max_clutter_delay=2, tap_count=7)
+        # five taps, and clutter reaches every delay 0..4
         rng = np.random.default_rng(1)
+        reached = np.zeros(5, dtype=bool)
         for _ in range(200):
-            taps = draw_channel(cfg, 1, rng)
-            assert taps.shape == (7,)
-            assert not taps[3:].any()
+            taps = draw_channel(ChannelConfig(), 0, rng)
+            assert taps.shape == (5,)
+            reached |= taps != 0
+        assert reached.all()
 
     def test_seed_determinism(self):
         a = draw_channel(ChannelConfig(), 1, np.random.default_rng(9))
@@ -101,14 +90,6 @@ class TestDrawChannel:
     def test_rejects_bad_indicator(self):
         with pytest.raises(ValueError):
             draw_channel(ChannelConfig(), 2, np.random.default_rng(0))
-
-    def test_single_clutter_energy(self):
-        cfg = ChannelConfig(num_clutter=1)
-        rng = np.random.default_rng(2)
-        energy = np.mean([
-            np.abs(draw_channel(cfg, 0, rng) ** 2).sum() for _ in range(20_000)
-        ])
-        assert energy == pytest.approx(1.0, rel=0.05)
 
 
 class TestApplyChannel:

@@ -93,11 +93,7 @@ class TestRegeneration:
     """Every example equals its rebuild from the single-frame calls, in the
     draw order generate_dataset documents; n crosses a block edge."""
 
-    @pytest.mark.parametrize("cfg", [
-        CFG,
-        ChannelConfig(num_clutter=0),
-        ChannelConfig(target_delay=2, tap_count=7),
-    ], ids=["default", "no-clutter", "delay-2-taps-7"])
+    @pytest.mark.parametrize("cfg", [CFG], ids=["default"])
     @pytest.mark.parametrize("L_b", [1, 4])
     @pytest.mark.parametrize("mode, alpha", [("isac", None), ("ssac", 0.5)])
     def test_examples_rebuild_alone(self, cfg, L_b, mode, alpha):

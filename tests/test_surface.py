@@ -1,7 +1,9 @@
 """Every public top-level name in the package has a caller: a reference
 outside its own definition, in src/, in README.md or in perfbench/.  A name
 that only tests call is code the program carries for nothing; the one
-exception below is a reference implementation the tests check against."""
+exception below is a reference implementation the tests check against.
+Likewise every field of a config class is set by some caller: a field that
+only tests set is an option with one value in use, which is a constant."""
 
 import ast
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nisaclab"
 TEST_REFERENCES = {"modem.ppm_demodulate"}
+CONFIG_CLASSES = {"ChannelConfig", "TrainConfig"}
 
 
 def _definitions():
@@ -39,6 +42,25 @@ def _src_uses():
                 yield path.stem, node.attr, node.lineno
 
 
+def _config_fields():
+    """(class, field, module, first line, last line of the class) of each
+    init field of the config classes; ClassVar constants are not fields."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and "ClassVar" not in ast.unparse(stmt.annotation):
+                        yield node.name, stmt.target.id, path.stem, node.lineno, node.end_lineno
+
+
+def _src_keywords():
+    """(module, keyword, line) of every keyword argument passed in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                yield path.stem, node.arg, node.lineno
+
+
 def _text_outside_src() -> str:
     files = [ROOT / "README.md", *sorted((ROOT / "perfbench").rglob("*.py"))]
     return "\n".join(p.read_text(encoding="utf-8") for p in files)
@@ -62,3 +84,19 @@ def test_every_public_name_has_a_caller():
 def test_exempt_names_still_exist():
     defined = {f"{module}.{name}" for module, name, *_ in _definitions()}
     assert TEST_REFERENCES <= defined
+
+
+def test_every_config_field_is_set_by_a_caller():
+    keywords = list(_src_keywords())
+    text = _text_outside_src()
+    fields = list(_config_fields())
+    assert {cls for cls, *_ in fields} == CONFIG_CLASSES
+    unset = []
+    for cls, field, module, first, last in fields:
+        in_src = any(
+            arg == field and not (where == module and first <= line <= last)
+            for where, arg, line in keywords
+        )
+        if not (in_src or re.search(rf"\b{re.escape(field)}=(?!=)", text)):
+            unset.append(f"{cls}.{field}")
+    assert unset == []
