@@ -163,14 +163,14 @@ def _frame_inputs(model: SnnModel, frame) -> np.ndarray:
     return inputs
 
 
-def forward(model: SnnModel, frame, slope: float | None = None) -> ForwardTrace:
-    """Run one (L, input_width) frame through the network: forward_batch on a
-    batch of one, hard (slope=None) or smoothed.
+def forward(model: SnnModel, frame) -> ForwardTrace:
+    """Run one (L, input_width) frame through the network: the hard
+    forward_batch on a batch of one.
 
     Hidden spikes reach the readout in the same step they are emitted, so the
     slot-l decisions depend on inputs up to and including slot l only.
     """
-    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None], slope)))
+    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None])))
 
 
 @functools.lru_cache(maxsize=16)

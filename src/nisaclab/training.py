@@ -21,6 +21,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +49,9 @@ class TrainConfig:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         for name in ("learning_rate", "epochs", "batch_size", "surrogate_slope"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -85,8 +87,10 @@ def sense_loss(p_sense, target) -> float:
     p_sense is (..., slots) and target one label per frame, (...).
     """
     p = np.asarray(p_sense, dtype=np.float64)
-    labels = np.asarray(target, dtype=np.float64)[..., None]
-    return float(_binary_cross_entropy(p, labels).sum())
+    labels = np.asarray(target, dtype=np.float64)
+    if labels.shape != p.shape[:-1]:
+        raise ValueError(f"probability/label shape mismatch: {p.shape} vs {labels.shape}")
+    return float(_binary_cross_entropy(p, labels[..., None]).sum())
 
 
 def isac_loss(lc: float, ls: float, beta: float) -> float:

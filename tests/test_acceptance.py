@@ -153,7 +153,7 @@ def test_gradient_oracle(criterion_line):
     target, beta, slope, h = 1, 0.5, 1.0, 1e-5
 
     def loss_at(m):
-        p = sigmoid(forward(m, inputs, slope).readout_potentials)
+        p = sigmoid(forward_batch(m, inputs[None], slope)[2][0])
         return isac_loss(comm_loss(p[:, COMM], bits), sense_loss(p[:, SENSE], target), beta)
 
     def fd(attr):

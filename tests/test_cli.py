@@ -524,6 +524,11 @@ class TestOutOfRangeValues:
          "--out-train", "{root}/a", "--out-test", "{root}/b"],
         ["gen", "--n-train", "2", "--n-test", "2", "--snr-db", "4000",
          "--out-train", "{root}/a", "--out-test", "{root}/b"],
+        # non-finite rates and slopes are refused before the first step
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "nan"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "inf"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--slope", "nan"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--slope", "inf"],
     ])
     def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
         paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],

@@ -58,6 +58,11 @@ class TestSenseLoss:
     def test_confident_correct_is_near_zero(self):
         assert sense_loss([1.0 - 1e-9] * 4, 1) == pytest.approx(0.0, abs=1e-7)
 
+    def test_label_shape_mismatch(self):
+        # one label per frame: a single label is not broadcast over three frames
+        with pytest.raises(ValueError):
+            sense_loss(np.full((3, 4), 0.5), [1])
+
 
 class TestIsacLoss:
     def test_endpoints(self):
@@ -328,7 +333,7 @@ class TestAdjointRecurrence:
 
 
 class TestSurrogateForward:
-    """The smoothed twin of the forward pass: forward with a slope."""
+    """The smoothed twin of the forward pass: forward_batch with a slope."""
 
     def test_zero_weight_model_soft_spikes(self):
         model = init_model(3, 1, np.random.default_rng(0))
@@ -338,23 +343,23 @@ class TestSurrogateForward:
             readout_weights=np.zeros_like(model.readout_weights),
         )
         slope = 2.0
-        trace = forward(model, np.ones((4, 4)), slope)
+        _, hidden_spikes, _, readout_spikes = forward_batch(model, np.ones((1, 4, 4)), slope)
         # step 0 has no refractory history yet
-        assert np.allclose(trace.hidden_spikes[0], sigmoid(np.array(-slope * model.hidden_threshold)))
+        assert np.allclose(hidden_spikes[0, 0], sigmoid(np.array(-slope * model.hidden_threshold)))
         # the soft spikes feed the refractory state, pushing later potentials down
-        per_step = trace.hidden_spikes[:, 0]
+        per_step = hidden_spikes[0, :, 0]
         assert (np.diff(per_step) < 0).all()
         # zero potential and zero threshold make the readout refractory inert
-        assert np.allclose(trace.readout_spikes, 0.5)
+        assert np.allclose(readout_spikes, 0.5)
 
     def test_large_slope_approaches_hard_spikes(self):
         rng = np.random.default_rng(6)
         model = init_model(4, 1, rng)
         inputs = rng.standard_normal((8, 4)) * 3
         hard = forward(model, inputs)
-        soft = forward(model, inputs, 1e6)
+        soft_spikes = forward_batch(model, inputs[None], 1e6)[1][0]
         # boundary-free potentials only; smoothing perturbs later steps slightly
-        assert np.allclose(soft.hidden_spikes[0], hard.hidden_spikes[0], atol=1e-6)
+        assert np.allclose(soft_spikes[0], hard.hidden_spikes[0], atol=1e-6)
 
 
 class TestSgdStep:
@@ -389,6 +394,12 @@ class TestTrainConfig:
             TrainConfig(beta=0.5, learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(beta=0.5, epochs=0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "surrogate_slope"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(beta=0.5, **{name: value})
 
 
 @pytest.fixture(scope="module")
