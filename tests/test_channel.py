@@ -27,6 +27,19 @@ class TestConfig:
 
 
 class TestWeibullScale:
+    @pytest.mark.parametrize("shape", [2.0])
+    def test_analytic_unit_second_moment(self, shape):
+        # the clutter magnitude is Weibull(shape) at scale 1: E[mag^2] = Gamma(1 + 2/shape)
+        assert shape == ChannelConfig.weibull_shape
+        assert math.gamma(1.0 + 2.0 / shape) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [2.0])
+    def test_monte_carlo_second_moment(self, shape):
+        # the unit-scale draw draw_channel makes for each clutter magnitude
+        assert shape == ChannelConfig.weibull_shape
+        mags = np.random.default_rng(0).weibull(shape, size=100_000)
+        assert (mags**2).mean() == pytest.approx(1.0, rel=0.02)
+
     def test_rayleigh_case_has_unit_scale(self):
         """The taps rebuild from the documented draws: a unit-power target at
         delay 0, then five unit-scale Weibull(2) clutter magnitudes, their
@@ -45,6 +58,13 @@ class TestWeibullScale:
 class TestEnergyAndNoise:
     def test_default_energy(self):
         assert expected_channel_energy(ChannelConfig()) == pytest.approx(5.5, rel=1e-12)
+
+    def test_clutter_adds_its_second_moment(self):
+        # beyond half the target power, each clutter tap adds its Weibull second moment
+        cfg = ChannelConfig()
+        clutter = expected_channel_energy(cfg) - 0.5 * cfg.target_power
+        per_tap = math.gamma(1.0 + 2.0 / cfg.weibull_shape)
+        assert clutter == pytest.approx(cfg.num_clutter * per_tap, rel=1e-12)
 
     @pytest.mark.parametrize("v, energy", [(0, 5.0), (1, 6.0)])
     def test_mean_tap_energy_matches_calibration(self, v, energy):
@@ -66,6 +86,25 @@ class TestEnergyAndNoise:
 
 
 class TestDrawChannel:
+    def test_no_clutter_target_only(self):
+        # with the clutter taken out (same stream, v=1 minus v=0), only the
+        # target is left: the first two draws, at delay 0
+        on = draw_channel(ChannelConfig(), 1, np.random.default_rng(3))
+        off = draw_channel(ChannelConfig(), 0, np.random.default_rng(3))
+        target = complex(*np.random.default_rng(3).normal(scale=math.sqrt(0.5), size=2))
+        expected = np.zeros(5, dtype=np.complex128)
+        expected[0] = target
+        assert np.allclose(on - off, expected, rtol=0.0, atol=1e-12)
+
+    def test_single_clutter_energy(self):
+        # with no target, the mean tap energy per clutter tap is one
+        cfg = ChannelConfig()
+        rng = np.random.default_rng(2)
+        energy = np.mean([
+            np.abs(draw_channel(cfg, 0, rng) ** 2).sum() for _ in range(20_000)
+        ])
+        assert energy / cfg.num_clutter == pytest.approx(1.0, rel=0.05)
+
     def test_target_absent_contributes_nothing(self):
         on = draw_channel(ChannelConfig(), 1, np.random.default_rng(7))
         off = draw_channel(ChannelConfig(), 0, np.random.default_rng(7))
