@@ -72,6 +72,15 @@ class TestGen:
         assert code == 2
         assert not train.exists()
 
+    def test_seed_overflow_names_the_split_seed(self, tmp_path, capsys):
+        code = main([
+            "gen", "--n-train", "3", "--n-test", "2", "--L", "4", "--seed", str(2**64 - 1),
+            "--out-train", str(tmp_path / "a.nisd"), "--out-test", str(tmp_path / "b.nisd"),
+        ])
+        assert code == 2
+        assert f"split seed {2**64}" in capsys.readouterr().err  # the test split's seed+1
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_test_path_leaves_no_file(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -153,17 +162,26 @@ class TestEval:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_width_mismatch(self, workdir, tmp_path):
-        wide_train, wide_test = tmp_path / "w1.nisd", tmp_path / "w2.nisd"
-        assert main([
-            "gen", "--n-train", "2", "--n-test", "2", "--L", "4", "--Lb", "2",
-            "--out-train", str(wide_train), "--out-test", str(wide_test),
-        ]) == 0
+    # the model of each role in turn has L_b=2 against the L_b=1 test set
+    @pytest.mark.parametrize("what, models", [
+        ("model", ["--model", "{wide}"]),
+        ("decode model", ["--mode", "ssac", "--alpha", "0.5",
+                          "--model", "{wide}", "--model-sense", "{model}"]),
+        ("detection model", ["--mode", "ssac", "--alpha", "0.5",
+                             "--model", "{model}", "--model-sense", "{wide}"]),
+    ], ids=["isac", "decode", "detection"])
+    def test_width_mismatch(self, workdir, tmp_path, capsys, what, models):
+        wide = tmp_path / "wide.nism"
+        save_model(SnnModel(input_weights=np.zeros((2, 8)), readout_weights=np.zeros((2, 2))), wide)
+        paths = {"wide": wide, "model": workdir["model"]}
+        out = tmp_path / "e.csv"
         code = main([
-            "eval", "--data", str(wide_test), "--model", str(workdir["model"]),
-            "--out", str(tmp_path / "e.csv"),
+            "eval", "--data", str(workdir["test"]), *[arg.format(**paths) for arg in models],
+            "--out", str(out),
         ])
         assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {what} ")
+        assert not out.exists()
 
     def test_ssac_needs_sense_model_and_alpha(self, workdir, tmp_path):
         base = [
@@ -425,6 +443,15 @@ class TestTrace:
         ]) == 2
         err = capsys.readouterr().err
         assert "--frame-slots" in err and "--idle-slots" in err
+        assert not out.exists()
+
+
+    def test_width_not_a_multiple_of_four(self, tmp_path, capsys):
+        odd = tmp_path / "odd.nism"
+        save_model(SnnModel(input_weights=np.zeros((2, 6)), readout_weights=np.zeros((2, 2))), odd)
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--model", str(odd), "--out", str(out)]) == 2
+        assert "multiple of 4" in capsys.readouterr().err
         assert not out.exists()
 
 
