@@ -57,95 +57,100 @@ def _write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _require_alpha(args) -> float:
+def _alpha(args, mode: str) -> float | None:
+    """The receiver below the parser: None is ISAC, else SSAC's data-slot fraction."""
+    if mode == "isac":
+        return None
     if args.alpha is None:
         raise UsageError("ssac mode requires --alpha")
     return args.alpha
 
 
-def _lb_of(model: SnnModel) -> int:
-    return model.input_width // 4
+def _lb_of(model: SnnModel, what: str, L_b: int | None = None) -> int:
+    """The model's L_b; exit 2 unless its input width is 4*L_b (the dataset's, if given)."""
+    width = model.input_width
+    if width % 4:
+        raise UsageError(f"{what} input width {width} is not a multiple of 4")
+    if L_b is not None and width != 4 * L_b:
+        raise UsageError(f"{what} expects input width {width} (L_b={width // 4}), dataset has L_b={L_b}")
+    return width // 4
+
+
+def _splits(args, L_b: int, alpha: float | None) -> list[Dataset]:
+    """The train and test sets, seeded seed and seed+1; both are checked before either is drawn."""
+    cfg = ChannelConfig(snr_db=args.snr_db)
+    specs = [(args.n_train, args.seed), (args.n_test, args.seed + 1)]
+    for n, seed in specs:
+        if n < 1:
+            raise UsageError(f"split sizes must be positive, got {n}")
+        if not 0 <= seed < 2**64:
+            raise UsageError(f"split seed {seed} does not fit an unsigned 64-bit integer")
+    return [generate_dataset(cfg, args.L, L_b, n, master_seed=seed, alpha=alpha) for n, seed in specs]
+
+
+def _networks(alpha: float | None, beta: float | None, L: int) -> dict:
+    """{name: (beta, train's slot ranges)} of the networks the receiver trains."""
+    if alpha is None:
+        return {"isac": (beta, {})}
+    n_data = ssac_data_slots(alpha, L)
+    return {"comm": (1.0, {"data_slot_count": n_data}), "sense": (0.0, {"sense_slot_start": n_data})}
+
+
+def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -> dict:
+    """Fit each network of the receiver; returns {name: (model, history)}."""
+    rng = np.random.default_rng(args.seed)  # read only by init_model
+    fits = {}
+    for name, (net_beta, slots) in _networks(alpha, beta, dataset.slot_count).items():
+        model = init_model(args.hidden, dataset.L_b, rng)
+        cfg = TrainConfig(
+            beta=net_beta, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+            surrogate_slope=args.slope, seed=args.seed,
+        )
+        fits[name] = train(model, dataset, cfg, **slots)
+    return fits
+
+
+def _score(models: dict, dataset: Dataset, alpha: float | None):
+    """Score the receiver's networks, keyed as _networks names them."""
+    if alpha is None:
+        return evaluate(models["isac"], dataset)
+    return evaluate_ssac(models["comm"], models["sense"], dataset, alpha)
 
 
 # --- gen -------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    alpha = _require_alpha(args) if args.mode == "ssac" else None
-    cfg = ChannelConfig(snr_db=args.snr_db)
-    specs = [(args.out_train, args.n_train, args.seed), (args.out_test, args.n_test, args.seed + 1)]
-    # check both splits before generating either
-    for _, n, seed in specs:
-        if n < 1:
-            raise UsageError(f"split sizes must be positive, got {n}")
-        if not 0 <= seed < 2**64:
-            raise UsageError(f"split seed {seed} does not fit an unsigned 64-bit integer")
-    datasets = [
-        generate_dataset(cfg, args.L, args.Lb, n, mode=args.mode, master_seed=seed, alpha=alpha)
-        for _, n, seed in specs
-    ]
+    alpha = _alpha(args, args.mode)
+    datasets = _splits(args, args.Lb, alpha)
     # both files appear together or neither does
     with staged_path(args.out_train) as train_tmp, staged_path(args.out_test) as test_tmp:
         for ds, tmp in zip(datasets, (train_tmp, test_tmp)):
             save_dataset(ds, tmp)
-    for path, n, seed in specs:
+    for path, ds in zip((args.out_train, args.out_test), datasets):
         print(
-            f"wrote {path}: n={n} L={args.L} L_b={args.Lb} "
-            f"snr_db={args.snr_db} mode={args.mode} seed={seed}"
+            f"wrote {path}: n={ds.example_count} L={args.L} L_b={args.Lb} "
+            f"snr_db={args.snr_db} mode={args.mode} seed={ds.master_seed}"
         )
     return 0
 
 
 # --- train -----------------------------------------------------------------
 
-def _ssac_paths(out: str) -> tuple[Path, Path]:
-    p = Path(out)
-    return p.with_suffix(f".comm{p.suffix}"), p.with_suffix(f".sense{p.suffix}")
-
-
-def _train_on(dataset: Dataset, args, mode: str, alpha: float | None):
-    """Fit the model(s) for one configuration; returns {name: (model, history)}."""
-    rng = np.random.default_rng(args.seed)
-    base = dict(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
-        surrogate_slope=args.slope, seed=args.seed,
-    )
-    if mode == "isac":
-        model = init_model(args.hidden, dataset.L_b, rng)
-        model, history = train(model, dataset, TrainConfig(beta=args.beta, **base))
-        return {"isac": (model, history)}
-    n_data = ssac_data_slots(alpha, dataset.slot_count)
-    comm = init_model(args.hidden, dataset.L_b, rng)
-    sense = init_model(args.hidden, dataset.L_b, rng)
-    comm, hist_c = train(comm, dataset, TrainConfig(beta=1.0, **base), data_slot_count=n_data)
-    sense, hist_s = train(sense, dataset, TrainConfig(beta=0.0, **base), sense_slot_start=n_data)
-    return {"comm": (comm, hist_c), "sense": (sense, hist_s)}
-
-
-def _history_rows(name: str, history, seed: int):
-    for ep in history:
-        yield [
-            ep.epoch, ep.comm_loss, ep.sense_loss, ep.total_loss,
-            ep.throughput, ep.detection_error, name, seed,
-        ]
-
-
 def cmd_train(args) -> int:
-    alpha = _require_alpha(args) if args.mode == "ssac" else None
+    alpha = _alpha(args, args.mode)
     dataset = load_dataset(args.data)
-    results = _train_on(dataset, args, args.mode, alpha)
+    out = Path(args.out)
     rows = []
-    if args.mode == "isac":
-        model, history = results["isac"]
-        save_model(model, args.out)
-        print(f"wrote {args.out}")
-        rows.extend(_history_rows("isac", history, args.seed))
-    else:
-        comm_path, sense_path = _ssac_paths(args.out)
-        for name, path in (("comm", comm_path), ("sense", sense_path)):
-            model, history = results[name]
-            save_model(model, path)
-            print(f"wrote {path}")
-            rows.extend(_history_rows(name, history, args.seed))
+    for name, (model, history) in _train_on(dataset, args, alpha, args.beta).items():
+        # ssac writes <out>.comm and <out>.sense beside <out>
+        path = args.out if alpha is None else out.with_suffix(f".{name}{out.suffix}")
+        save_model(model, path)
+        print(f"wrote {path}")
+        rows += [
+            [ep.epoch, ep.comm_loss, ep.sense_loss, ep.total_loss,
+             ep.throughput, ep.detection_error, name, args.seed]
+            for ep in history
+        ]
     if args.log:
         _write_csv(args.log, TRAIN_LOG_COLUMNS, rows)
         print(f"wrote {args.log}")
@@ -154,32 +159,20 @@ def cmd_train(args) -> int:
 
 # --- eval ------------------------------------------------------------------
 
-def _check_width(model: SnnModel, dataset: Dataset, what: str) -> None:
-    if model.input_width != 4 * dataset.L_b:
-        raise UsageError(
-            f"{what} expects input width {model.input_width} "
-            f"(L_b={_lb_of(model)}), dataset has L_b={dataset.L_b}"
-        )
-
-
 def cmd_eval(args) -> int:
+    alpha = _alpha(args, args.mode)
     dataset = load_dataset(args.data)
-    if args.mode == "ssac":
-        alpha = _require_alpha(args)
-        if args.model_sense is None:
-            raise UsageError("ssac mode requires --model-sense")
-        comm = load_model(args.model)
-        sense = load_model(args.model_sense)
-        _check_width(comm, dataset, "decode model")
-        _check_width(sense, dataset, "detection model")
-        result = evaluate_ssac(comm, sense, dataset, alpha)
-    else:
-        model = load_model(args.model)
-        _check_width(model, dataset, "model")
-        result = evaluate(model, dataset)
+    flags = {"isac": (args.model, "model"), "comm": (args.model, "decode model"),
+             "sense": (args.model_sense, "detection model")}
+    named = [(name, *flags[name]) for name in _networks(alpha, None, dataset.slot_count)]
+    if any(path is None for _, path, _ in named):
+        raise UsageError("ssac mode requires --model-sense")
+    models = {name: load_model(path) for name, path, _ in named}
+    for name, _, what in named:
+        _lb_of(models[name], what, dataset.L_b)
+    result = _score(models, dataset, alpha)
     row = [
-        args.mode, "" if args.mode == "isac" else args.alpha,
-        dataset.example_count, dataset.slot_count, dataset.L_b,
+        args.mode, alpha, dataset.example_count, dataset.slot_count, dataset.L_b,
         dataset.snr_db, dataset.master_seed,
         result.throughput, result.detection_error, result.mean_spike_count_per_slot,
     ]
@@ -205,34 +198,20 @@ def _parse_grid(raw: str, param: str) -> list[float]:
         raise UsageError(f"bad grid value: {exc}") from None
 
 
-def _sweep_datasets(cache, cfg, L, L_b, n_train, n_test, mode, alpha, seed):
-    key = (mode, L_b, None if mode == "isac" else alpha)
-    if key not in cache:
-        cache[key] = (
-            generate_dataset(cfg, L, L_b, n_train, mode=mode, master_seed=seed, alpha=alpha),
-            generate_dataset(cfg, L, L_b, n_test, mode=mode, master_seed=seed + 1, alpha=alpha),
-        )
-    return cache[key]
-
-
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.values, args.param)
-    cfg = ChannelConfig(snr_db=args.snr_db)
     cache: dict = {}
     rows = []
 
-    def run_point(mode, beta, alpha, L_b):
-        train_ds, test_ds = _sweep_datasets(
-            cache, cfg, args.L, L_b, args.n_train, args.n_test, mode, alpha, args.seed
-        )
-        point = argparse.Namespace(**{**vars(args), "beta": beta, "alpha": alpha})
-        results = _train_on(train_ds, point, mode, alpha)
-        if mode == "isac":
-            result = evaluate(results["isac"][0], test_ds)
-        else:
-            result = evaluate_ssac(results["comm"][0], results["sense"][0], test_ds, alpha)
+    def run_point(beta, alpha, L_b):
+        if (L_b, alpha) not in cache:
+            cache[L_b, alpha] = _splits(args, L_b, alpha)
+        train_ds, test_ds = cache[L_b, alpha]
+        fits = _train_on(train_ds, args, alpha, beta)
+        result = _score({name: model for name, (model, _) in fits.items()}, test_ds, alpha)
+        # csv writes None, the beta of an ssac row or the alpha of an isac row, as ""
         rows.append([
-            mode, "" if mode == "ssac" else beta, "" if mode == "isac" else alpha,
+            "isac" if alpha is None else "ssac", beta, alpha,
             args.L, L_b, args.snr_db, args.hidden, args.epochs, args.lr, args.batch,
             args.n_train, args.n_test, args.seed,
             result.throughput, result.detection_error, result.mean_spike_count_per_slot,
@@ -240,15 +219,15 @@ def cmd_sweep(args) -> int:
 
     if args.param == "beta":
         for beta in grid:
-            run_point("isac", beta, None, args.Lb)
+            run_point(beta, None, args.Lb)
     elif args.param == "alpha":
         for alpha in grid:
-            run_point("ssac", None, alpha, args.Lb)
+            run_point(None, alpha, args.Lb)
     else:
-        alpha = _require_alpha(args)
+        alpha = _alpha(args, "ssac")
         for L_b in grid:
-            run_point("isac", args.beta, None, L_b)
-            run_point("ssac", None, alpha, L_b)
+            run_point(args.beta, None, L_b)
+            run_point(None, alpha, L_b)
 
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -263,9 +242,7 @@ def cmd_trace(args) -> int:
     if args.frame_slots == args.idle_slots == 0:
         raise UsageError("--frame-slots and --idle-slots are both 0: the trace has no slot")
     model = load_model(args.model)
-    L_b = _lb_of(model)
-    if model.input_width != 4 * L_b:
-        raise UsageError(f"model input width {model.input_width} is not a multiple of 4")
+    L_b = _lb_of(model, "model")
     L = args.frame_slots
     cfg = ChannelConfig(snr_db=args.snr_db)
     noise_var = noise_variance_from_snr(cfg)
@@ -404,9 +381,8 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, valu
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, overrides: dict) -> None:
-    # subcommands parse into a fresh namespace, so defaults must be set on
-    # each subparser, not just the top-level parser; null keeps the built-in
-    parser.set_defaults(**overrides)
+    # subcommands parse into a fresh namespace, so defaults are set on each
+    # subparser; null keeps the built-in
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sp in action.choices.values():

@@ -42,8 +42,6 @@ DATASET_MAGIC = b"NISD"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIdQ")  # magic, version, n, L, L_b, snr_db, master_seed
 
-MODES = ("isac", "ssac")
-
 # Frames modulated, convolved and framed together; small, so the block's
 # temporaries stay a few MiB.
 _BLOCK = 64
@@ -109,23 +107,21 @@ def generate_dataset(
     L: int,
     L_b: int,
     n: int,
-    mode: str = "isac",
     master_seed: int = 0,
     alpha: float | None = None,
 ) -> Dataset:
     """Draw n labeled frames through the configured channel.
 
     Per example, from example_rng(master_seed, i) and in fixed order: target
-    indicator, slot bits, channel realization, receiver noise.  SSAC mode
-    overwrites the trailing sensing slots with 1 after the bit draw, so the
-    two modes consume identical random streams and share channels and noise
+    indicator, slot bits, channel realization, receiver noise.  alpha=None
+    draws ISAC frames; an alpha draws SSAC frames, whose trailing sensing
+    slots are overwritten with 1 after the bit draw, so the two receivers'
+    sets consume identical random streams and share channels and noise
     example for example.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if L < 1 or L_b < 1 or n < 1:
         raise ValueError("L, L_b and n must all be positive")
-    n_data = ssac_data_slots(alpha, L) if mode == "ssac" else L
+    n_data = L if alpha is None else ssac_data_slots(alpha, L)
 
     noise_var = noise_variance_from_snr(cfg)
     inputs = np.empty((n, L, 4 * L_b), dtype=np.float64)

@@ -24,7 +24,7 @@ from nisaclab.channel import (
 from nisaclab.cli import main
 from nisaclab.dataset import generate_dataset, load_dataset, save_dataset
 from nisaclab.metrics import evaluate, evaluate_ssac, majority_detection
-from nisaclab.modem import ppm_modulate
+from nisaclab.modem import ppm_modulate, ssac_data_slots
 from nisaclab.snn import (
     COMM,
     SENSE,
@@ -71,24 +71,24 @@ def _timed(timings, key, build):
 @pytest.fixture(scope="module")
 def isac_lb4_data(timings):
     return _timed(timings, "gen_lb4", lambda: (
-        generate_dataset(CFG, L, 4, N_TRAIN, mode="isac", master_seed=0),
-        generate_dataset(CFG, L, 4, N_TEST, mode="isac", master_seed=1),
+        generate_dataset(CFG, L, 4, N_TRAIN, master_seed=0),
+        generate_dataset(CFG, L, 4, N_TEST, master_seed=1),
     ))
 
 
 @pytest.fixture(scope="module")
 def ssac_lb4_data(timings):
     return _timed(timings, "gen_lb4_ssac", lambda: (
-        generate_dataset(CFG, L, 4, N_TRAIN, mode="ssac", master_seed=0, alpha=0.5),
-        generate_dataset(CFG, L, 4, N_TEST, mode="ssac", master_seed=1, alpha=0.5),
+        generate_dataset(CFG, L, 4, N_TRAIN, master_seed=0, alpha=0.5),
+        generate_dataset(CFG, L, 4, N_TEST, master_seed=1, alpha=0.5),
     ))
 
 
 @pytest.fixture(scope="module")
 def isac_lb1_data(timings):
     return _timed(timings, "gen_lb1", lambda: (
-        generate_dataset(CFG, L, 1, N_TRAIN, mode="isac", master_seed=0),
-        generate_dataset(CFG, L, 1, N_TEST, mode="isac", master_seed=1),
+        generate_dataset(CFG, L, 1, N_TRAIN, master_seed=0),
+        generate_dataset(CFG, L, 1, N_TEST, master_seed=1),
     ))
 
 
@@ -108,7 +108,7 @@ def isac_lb4_model(isac_lb4_data, timings):
 def ssac_lb4_models(ssac_lb4_data, timings):
     def build():
         tr = ssac_lb4_data[0]
-        n_data = math.ceil(0.5 * tr.slot_count)
+        n_data = ssac_data_slots(0.5, tr.slot_count)
         rng = np.random.default_rng(0)
         comm = init_model(10, tr.L_b, rng)
         sense = init_model(10, tr.L_b, rng)
@@ -297,7 +297,7 @@ def test_throughput_beats_time_division(
         timings["gen_lb4"] + timings["gen_lb4_ssac"]
         + timings["train_lb4"] + timings["train_lb4_ssac"] + eval_time
     )
-    cap = math.ceil(0.5 * L) / L
+    cap = ssac_data_slots(0.5, L) / L
     ok = (
         ssac_res.throughput <= cap
         and isac_res.throughput > ssac_res.throughput
@@ -406,7 +406,7 @@ def test_idle_frame_sparsity(criterion_line, wide_beta_models):
 
 def test_persistence_round_trips(criterion_line, tmp_path):
     """Save/load round trips are bit-exact and the pipeline is run-to-run stable."""
-    ds = generate_dataset(CFG, L=8, L_b=2, n=12, mode="isac", master_seed=5)
+    ds = generate_dataset(CFG, L=8, L_b=2, n=12, master_seed=5)
     d1, d2 = tmp_path / "d1.nisd", tmp_path / "d2.nisd"
     save_dataset(ds, d1)
     loaded = load_dataset(d1)

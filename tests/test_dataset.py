@@ -34,12 +34,12 @@ CFG = ChannelConfig(snr_db=10.0)
 
 @pytest.fixture(scope="module")
 def small():
-    return generate_dataset(CFG, L=8, L_b=2, n=10, mode="isac", master_seed=42)
+    return generate_dataset(CFG, L=8, L_b=2, n=10, master_seed=42)
 
 
 class TestGenerate:
     def test_shapes(self):
-        ds = generate_dataset(CFG, L=80, L_b=1, n=100, mode="isac", master_seed=0)
+        ds = generate_dataset(CFG, L=80, L_b=1, n=100, master_seed=0)
         assert ds.inputs.shape == (100, 80, 4)
         assert ds.bits.shape == (100, 80)
         assert ds.targets.shape == (100,)
@@ -47,7 +47,7 @@ class TestGenerate:
         assert ds.slot_count == 80
 
     def test_target_prior_is_balanced(self):
-        ds = generate_dataset(CFG, L=4, L_b=1, n=10_000, mode="isac", master_seed=1)
+        ds = generate_dataset(CFG, L=4, L_b=1, n=10_000, master_seed=1)
         assert abs(ds.targets.mean() - 0.5) <= 0.02
 
     def test_same_seed_same_dataset(self):
@@ -79,8 +79,9 @@ class TestGenerate:
         assert np.array_equal(small.inputs, small.inputs.astype(np.float32).astype(np.float64))
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            generate_dataset(CFG, L=8, L_b=1, n=2, mode="tdma")
+        # alpha=None is ISAC and an alpha is SSAC; there is no mode keyword
+        with pytest.raises(TypeError):
+            generate_dataset(CFG, L=8, L_b=1, n=2, mode="isac")
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -95,11 +96,11 @@ class TestRegeneration:
 
     @pytest.mark.parametrize("cfg", [CFG], ids=["default"])
     @pytest.mark.parametrize("L_b", [1, 4])
-    @pytest.mark.parametrize("mode, alpha", [("isac", None), ("ssac", 0.5)])
-    def test_examples_rebuild_alone(self, cfg, L_b, mode, alpha):
+    @pytest.mark.parametrize("alpha", [None, 0.5], ids=["isac-None", "ssac-0.5"])
+    def test_examples_rebuild_alone(self, cfg, L_b, alpha):
         L, n, seed = 80, _BLOCK + 1, 11
-        ds = generate_dataset(cfg, L, L_b, n, mode=mode, master_seed=seed, alpha=alpha)
-        n_data = ssac_data_slots(alpha, L) if mode == "ssac" else L
+        ds = generate_dataset(cfg, L, L_b, n, master_seed=seed, alpha=alpha)
+        n_data = L if alpha is None else ssac_data_slots(alpha, L)
         noise_var = noise_variance_from_snr(cfg)
         for i in range(n):
             rng = example_rng(seed, i)
@@ -119,9 +120,9 @@ class TestGoldenBytes:
     the stored draws or values fails here."""
 
     @pytest.mark.parametrize("kwargs, digest", [
-        (dict(L_b=4, mode="isac", master_seed=0),
+        (dict(L_b=4, master_seed=0),
          "aef08d39fe2f9a46c86d2d1be342b161e06ea1ac30719f593a3f0630c92cbbed"),
-        (dict(L_b=1, mode="ssac", alpha=0.5, master_seed=3),
+        (dict(L_b=1, alpha=0.5, master_seed=3),
          "be69d9485704f0989192ed9a45665995360a34017c66675a43af3bcc2e8b337e"),
     ], ids=["isac-Lb4-seed0", "ssac-Lb1-seed3"])
     def test_saved_bytes(self, kwargs, digest, tmp_path):
@@ -132,24 +133,23 @@ class TestGoldenBytes:
 
 class TestSsacMode:
     def test_requires_alpha(self):
+        # an alpha that leaves no sensing slot; an SSAC set with no alpha is an ISAC set
         with pytest.raises(ValueError):
-            generate_dataset(CFG, L=8, L_b=1, n=2, mode="ssac")
-        with pytest.raises(ValueError):
-            generate_dataset(CFG, L=8, L_b=1, n=2, mode="ssac", alpha=1.0)
+            generate_dataset(CFG, L=8, L_b=1, n=2, alpha=1.0)
 
     def test_sensing_slots_fixed_to_one(self):
-        ds = generate_dataset(CFG, L=8, L_b=1, n=30, mode="ssac", master_seed=2, alpha=0.5)
+        ds = generate_dataset(CFG, L=8, L_b=1, n=30, master_seed=2, alpha=0.5)
         assert (ds.bits[:, 4:] == 1).all()
 
     def test_shares_streams_with_isac(self):
         # identical seeds draw the same targets and the same data-slot bits
-        isac = generate_dataset(CFG, L=8, L_b=1, n=30, mode="isac", master_seed=2)
-        ssac = generate_dataset(CFG, L=8, L_b=1, n=30, mode="ssac", master_seed=2, alpha=0.5)
+        isac = generate_dataset(CFG, L=8, L_b=1, n=30, master_seed=2)
+        ssac = generate_dataset(CFG, L=8, L_b=1, n=30, master_seed=2, alpha=0.5)
         assert np.array_equal(isac.targets, ssac.targets)
         assert np.array_equal(isac.bits[:, :4], ssac.bits[:, :4])
 
     def test_ceil_data_slot_count(self):
-        ds = generate_dataset(CFG, L=5, L_b=1, n=4, mode="ssac", master_seed=0, alpha=0.3)
+        ds = generate_dataset(CFG, L=5, L_b=1, n=4, master_seed=0, alpha=0.3)
         assert (ds.bits[:, 2:] == 1).all()  # ceil(1.5) = 2 data slots
 
 

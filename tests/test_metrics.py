@@ -134,12 +134,12 @@ class TestDetectionError:
 
 @pytest.fixture(scope="module")
 def isac_data():
-    return generate_dataset(CFG, L=8, L_b=1, n=50, mode="isac", master_seed=11)
+    return generate_dataset(CFG, L=8, L_b=1, n=50, master_seed=11)
 
 
 @pytest.fixture(scope="module")
 def ssac_data():
-    return generate_dataset(CFG, L=8, L_b=1, n=50, mode="ssac", master_seed=11, alpha=0.5)
+    return generate_dataset(CFG, L=8, L_b=1, n=50, master_seed=11, alpha=0.5)
 
 
 class TestModelEvaluation:
@@ -216,8 +216,8 @@ class TestBlockedEvaluation:
 
     @pytest.fixture
     def data(self):
-        isac = generate_dataset(CFG, L=self.L, L_b=1, n=50, mode="isac", master_seed=5)
-        ssac = generate_dataset(CFG, L=self.L, L_b=1, n=50, mode="ssac", master_seed=5,
+        isac = generate_dataset(CFG, L=self.L, L_b=1, n=50, master_seed=5)
+        ssac = generate_dataset(CFG, L=self.L, L_b=1, n=50, master_seed=5,
                                 alpha=self.ALPHA)
         return isac, ssac
 

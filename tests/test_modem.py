@@ -94,8 +94,8 @@ class TestMakeSsacFrame:
     CFG = ChannelConfig(snr_db=10.0)
 
     def _check_against_isac(self, alpha, L):
-        isac = generate_dataset(self.CFG, L=L, L_b=1, n=6, mode="isac", master_seed=4)
-        ssac = generate_dataset(self.CFG, L=L, L_b=1, n=6, mode="ssac", master_seed=4, alpha=alpha)
+        isac = generate_dataset(self.CFG, L=L, L_b=1, n=6, master_seed=4)
+        ssac = generate_dataset(self.CFG, L=L, L_b=1, n=6, master_seed=4, alpha=alpha)
         n_data = ssac_data_slots(alpha, L)
         assert 1 <= n_data < L
         assert np.array_equal(ssac.bits[:, :n_data], isac.bits[:, :n_data])
@@ -108,7 +108,7 @@ class TestMakeSsacFrame:
         isac, ssac = self._check_against_isac(0.75, 4)
         assert (isac.bits[:, 3] == 0).any()
         with pytest.raises(ValueError):
-            generate_dataset(self.CFG, L=4, L_b=1, n=2, mode="ssac", alpha=1.0)
+            generate_dataset(self.CFG, L=4, L_b=1, n=2, alpha=1.0)
 
     def test_alpha_zero_is_all_ones(self):
         # the smallest alpha keeps one data slot and sets every other slot to 1;
@@ -116,15 +116,15 @@ class TestMakeSsacFrame:
         isac, _ = self._check_against_isac(0.01, 4)
         assert (isac.bits[:, 1:] == 0).any()
         with pytest.raises(ValueError):
-            generate_dataset(self.CFG, L=3, L_b=1, n=2, mode="ssac", alpha=0.0)
+            generate_dataset(self.CFG, L=3, L_b=1, n=2, alpha=0.0)
 
     def test_alpha_range(self):
         for alpha in (0.05, 0.3, 0.5, 0.75, 0.95):
             for L in (2, 5, 8):
                 if math.ceil(alpha * L) >= L:
                     with pytest.raises(ValueError):
-                        generate_dataset(self.CFG, L=L, L_b=1, n=2, mode="ssac", alpha=alpha)
+                        generate_dataset(self.CFG, L=L, L_b=1, n=2, alpha=alpha)
                     continue
                 self._check_against_isac(alpha, L)
         with pytest.raises(ValueError):
-            generate_dataset(self.CFG, L=1, L_b=1, n=1, mode="ssac", alpha=1.5)
+            generate_dataset(self.CFG, L=1, L_b=1, n=1, alpha=1.5)

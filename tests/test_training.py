@@ -405,7 +405,7 @@ class TestTrainConfig:
 @pytest.fixture(scope="module")
 def tiny_dataset():
     cfg = ChannelConfig(snr_db=10.0)
-    return generate_dataset(cfg, L=8, L_b=1, n=48, mode="isac", master_seed=0)
+    return generate_dataset(cfg, L=8, L_b=1, n=48, master_seed=0)
 
 
 class TestTrain:
@@ -485,7 +485,7 @@ class TestTrain:
 class TestLossDecreases:
     def test_twenty_epochs_on_512_examples(self):
         cfg = ChannelConfig(snr_db=10.0)
-        data = generate_dataset(cfg, L=80, L_b=1, n=512, mode="isac", master_seed=0)
+        data = generate_dataset(cfg, L=80, L_b=1, n=512, master_seed=0)
         model = init_model(10, 1, np.random.default_rng(0))
         _, history = train(model, data, TrainConfig(beta=0.5, epochs=20, seed=0))
         assert history[-1].total_loss < history[0].total_loss
