@@ -8,7 +8,8 @@ records per-slot spike counts for an active/idle/active frame pattern.
 Every command is deterministic given its flags; the seed is echoed in every
 CSV so outputs are self-describing.  A JSON config file (--config) supplies
 defaults by flag name; explicit flags win.  Exit codes: 2 for bad flags,
-out-of-range values or inconsistent inputs, 3 for I/O failures.
+out-of-range values, inconsistent inputs or a diverging training loss, 3 for
+I/O failures.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, FileFormatError) as exc:

@@ -382,6 +382,23 @@ class TestSweep:
             ("isac", "1"), ("ssac", "1"), ("isac", "2"), ("ssac", "2"),
         ]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", str(2**64 - 1)], f"split seed {2**64}"),  # the test split's seed+1
+        (["--n-train", "0"], "split sizes must be positive"),
+    ], ids=["seed", "size"])
+    def test_checks_splits_before_generating(self, tmp_path, capsys, monkeypatch, flags, message):
+        def generate(*args, **kwargs):
+            raise AssertionError("a split was generated before both were checked")
+
+        monkeypatch.setattr("nisaclab.cli.generate_dataset", generate)
+        code = main([
+            "sweep", "--param", "beta", "--values", "0.5", *self.COMMON, *flags,
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_lb_grid_requires_alpha(self, tmp_path):
         code = main([
             "sweep", "--param", "lb", "--values", "1", *self.COMMON,
@@ -556,6 +573,11 @@ class TestOutOfRangeValues:
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "inf"],
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--slope", "nan"],
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--slope", "inf"],
+        # a finite rate so large that the loss diverges to NaN in epoch 2
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--hidden", "4",
+         "--epochs", "2", "--lr", "1.7e308"],
+        ["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
+         "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "1.7e308", "--out", "{root}/s.csv"],
     ])
     def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
         paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],
