@@ -507,6 +507,23 @@ class TestConfigFile:
         assert main(["--config", cfg, "gen"]) == 0
         assert load_dataset(tmp_path / "a.nisd").example_count == 3
 
+    def test_key_of_another_subcommand_is_accepted(self, tmp_path):
+        # the README's example: gen reads no epochs, train and sweep do
+        cfg = self._write(tmp_path, {"n_train": 4, "n_test": 2, "epochs": 50})
+        assert main([
+            "--config", cfg, "gen", "--L", "4",
+            "--out-train", str(tmp_path / "a.nisd"), "--out-test", str(tmp_path / "b.nisd"),
+        ]) == 0
+        assert load_dataset(tmp_path / "a.nisd").example_count == 4
+
+    def test_unknown_key_is_named_before_values_are_parsed(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, {"epoochs": 1, "n_train": 4.5})
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "gen", "--n-test", "2",
+                  "--out-train", str(tmp_path / "a.nisd"), "--out-test", str(tmp_path / "b.nisd")])
+        assert exc.value.code == 2
+        assert "unknown config keys: ['epoochs']" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, workdir, tmp_path):
         cfg = self._write(tmp_path, {"epoochs": 1})
         with pytest.raises(SystemExit) as exc:
