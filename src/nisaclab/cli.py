@@ -201,10 +201,24 @@ def _parse_grid(raw: str, param: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.values, args.param)
+    if args.param == "beta":
+        points = [(beta, None, args.Lb) for beta in grid]
+    elif args.param == "alpha":
+        points = [(None, alpha, args.Lb) for alpha in grid]
+    else:
+        alpha = _alpha(args, "ssac")
+        points = [pt for L_b in grid for pt in ((args.beta, None, L_b), (None, alpha, L_b))]
+    # every grid point is checked, as gen and train would check it, before
+    # the first split is drawn
+    for beta, alpha, L_b in points:
+        if args.L < 1 or L_b < 1:
+            raise UsageError("L, L_b and n must all be positive")
+        for net_beta, _ in _networks(alpha, beta, args.L).values():
+            TrainConfig(beta=net_beta)
+
     cache: dict = {}
     rows = []
-
-    def run_point(beta, alpha, L_b):
+    for beta, alpha, L_b in points:
         if (L_b, alpha) not in cache:
             cache[L_b, alpha] = _splits(args, L_b, alpha)
         train_ds, test_ds = cache[L_b, alpha]
@@ -217,18 +231,6 @@ def cmd_sweep(args) -> int:
             args.n_train, args.n_test, args.seed,
             result.throughput, result.detection_error, result.mean_spike_count_per_slot,
         ])
-
-    if args.param == "beta":
-        for beta in grid:
-            run_point(beta, None, args.Lb)
-    elif args.param == "alpha":
-        for alpha in grid:
-            run_point(None, alpha, args.Lb)
-    else:
-        alpha = _alpha(args, "ssac")
-        for L_b in grid:
-            run_point(args.beta, None, L_b)
-            run_point(None, alpha, L_b)
 
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -356,18 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known_keys(parser: argparse.ArgumentParser) -> set[str]:
-    keys = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                keys.update(a.dest for a in sp._actions if a.dest != "help")
-        elif action.dest != "help":
-            keys.add(action.dest)
-    keys.discard("func")
-    return keys
-
-
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
     """Parse a config value as its flag parses command-line text; exit 2 if it fails."""
     try:
@@ -381,17 +371,20 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, valu
     return parsed
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, overrides: dict) -> None:
-    # subcommands parse into a fresh namespace, so defaults are set on each
-    # subparser; null keeps the built-in
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                for sub_action in sp._actions:
-                    value = overrides.get(sub_action.dest)
-                    if value is not None:
-                        sp.set_defaults(**{sub_action.dest: _config_value(parser, sub_action, value)})
-                        sub_action.required = False
+def _apply_config(parser: argparse.ArgumentParser, overrides: dict) -> None:
+    """Exit 2 on a key that no subcommand has as a flag, else set it as that
+    flag's default.  Subcommands parse into a fresh namespace, so defaults
+    are set on each subparser; null keeps the built-in."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [(sp, a) for sp in commands.choices.values() for a in sp._actions if a.dest != "help"]
+    unknown = set(overrides) - {action.dest for _, action in flags}
+    if unknown:
+        parser.error(f"unknown config keys: {sorted(unknown)}")
+    for sp, action in flags:
+        value = overrides.get(action.dest)
+        if value is not None:
+            sp.set_defaults(**{action.dest: _config_value(parser, action, value)})
+            action.required = False
 
 
 def main(argv=None) -> int:
@@ -410,10 +403,7 @@ def main(argv=None) -> int:
             parser.error(f"config file is not valid JSON: {exc}")
         if not isinstance(overrides, dict):
             parser.error("config file must hold a JSON object")
-        unknown = set(overrides) - _known_keys(parser)
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        _apply_config_defaults(parser, overrides)
+        _apply_config(parser, overrides)
 
     args = parser.parse_args(argv)
     try:

@@ -27,25 +27,17 @@ class EvalResult:
     mean_spike_count_per_slot: float
 
 
-def majority_detection(votes):
-    """1 iff strictly more than half the slot votes are 1; ties say 0.
-
-    votes is one frame's (slots,) sequence, which gives an int, or (...,
-    slots), which gives one bool decision per frame.
-    """
-    v = np.asarray(votes)
-    if v.ndim == 0 or v.shape[-1] == 0:
-        raise ValueError("majority vote over an empty sequence")
-    decisions = v.sum(axis=-1) > v.shape[-1] / 2
-    return int(decisions) if v.ndim == 1 else decisions
-
-
 def score_frames(readout_spikes: np.ndarray, bits: np.ndarray, n_data: int, sense_start: int):
-    """The scoring rule shared by evaluation and training's running metrics:
-    per frame of (B, L, 2) readout spikes, the correct decode slots among the
-    leading n_data, and the majority vote over the slots from sense_start on."""
+    """The scoring rule shared by evaluation and training's running metrics,
+    per frame of (B, L, 2) readout spikes: the correct decode slots among the
+    leading n_data, and the majority-rule detection.  The target counts as
+    present iff strictly more than half the slots from sense_start on vote 1,
+    so a tie says absent."""
+    votes = readout_spikes[:, sense_start:, SENSE]
+    if votes.shape[1] == 0:
+        raise ValueError("majority vote over an empty sequence")
     correct = (readout_spikes[:, :n_data, COMM] == bits[:, :n_data]).sum(axis=1)
-    return correct, majority_detection(readout_spikes[:, sense_start:, SENSE])
+    return correct, votes.sum(axis=1) > votes.shape[1] / 2
 
 
 def _frame_counts(model: SnnModel, dataset, n_data: int, sense_start: int):

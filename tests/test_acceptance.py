@@ -23,28 +23,18 @@ from nisaclab.channel import (
 )
 from nisaclab.cli import main
 from nisaclab.dataset import generate_dataset, load_dataset, save_dataset
-from nisaclab.metrics import evaluate, evaluate_ssac, majority_detection
+from nisaclab.metrics import evaluate, evaluate_ssac, score_frames
 from nisaclab.modem import ppm_modulate, ssac_data_slots
 from nisaclab.snn import (
-    COMM,
     SENSE,
     forward,
     forward_batch,
     init_model,
     load_model,
     save_model,
-    sigmoid,
     spike_count,
 )
-from nisaclab.training import (
-    TrainConfig,
-    backward,
-    comm_loss,
-    isac_loss,
-    objective,
-    sense_loss,
-    train,
-)
+from nisaclab.training import TrainConfig, backward, objective, train
 
 SNR_DB = 10.0
 L = 80
@@ -151,10 +141,12 @@ def test_gradient_oracle(criterion_line):
     inputs = rng.standard_normal((5, 4))
     bits = rng.integers(0, 2, size=5)
     target, beta, slope, h = 1, 0.5, 1.0, 1e-5
+    frame_bits, frame_target = bits[None].astype(np.float64), np.array([target], dtype=np.float64)
 
     def loss_at(m):
-        p = sigmoid(forward_batch(m, inputs[None], slope)[2][0])
-        return isac_loss(comm_loss(p[:, COMM], bits), sense_loss(p[:, SENSE], target), beta)
+        orr = forward_batch(m, inputs[None], slope)[2]
+        lc, ls, _ = objective(orr, frame_bits, frame_target, beta, len(bits), 0)
+        return beta * lc + (1.0 - beta) * ls
 
     def fd(attr):
         w = getattr(model, attr)
@@ -168,9 +160,7 @@ def test_gradient_oracle(criterion_line):
 
     # the calls train makes for a batch, here a batch of one frame
     oh, bh, orr, _ = forward_batch(model, inputs[None], slope)
-    _, _, d_or = objective(
-        orr, bits[None].astype(np.float64), np.array([target], dtype=np.float64), beta, len(bits), 0,
-    )
+    _, _, d_or = objective(orr, frame_bits, frame_target, beta, len(bits), 0)
     g_w_in, g_w_out = backward(model, inputs[None], oh, bh, d_or, slope)
     rel = max(
         _max_rel_error(g_w_in, fd("input_weights")),
@@ -239,8 +229,25 @@ def test_channel_calibration(criterion_line):
     assert elapsed < 30.0
 
 
+def _frame_losses(p, bits, target):
+    """objective's (decode, detection) losses for one frame whose two readouts
+    both fire with the slot probabilities p."""
+    o = np.log(np.divide(p, np.subtract(1.0, p)))
+    o = np.repeat(o[None, :, None], 2, axis=2)
+    bits = np.array([bits], dtype=np.float64)
+    return objective(o, bits, np.array([target], dtype=np.float64), 0.5, len(p), 0)[:2]
+
+
+def _majority(votes) -> int:
+    """score_frames' detection decision for one frame's sensing votes."""
+    spikes = np.zeros((1, len(votes), 2))
+    spikes[0, :, SENSE] = votes
+    return int(score_frames(spikes, np.zeros((1, len(votes))), 0, 0)[1][0])
+
+
 def test_unit_examples(criterion_line, scored_throughput):
     """Hand-computable operation examples: modulation, framing, losses, decisions."""
+    tiny = generate_dataset(CFG, L=8, L_b=1, n=16, master_seed=0)
     checks = {
         "pulse placement": (
             np.array_equal(ppm_modulate([0], 1), [1.0, 0.0])
@@ -252,23 +259,21 @@ def test_unit_examples(criterion_line, scored_throughput):
             [[1.0, 3.0, 2.0, 4.0]],
         ),
         "loss values": (
-            math.isclose(comm_loss([0.5], [0]), math.log(2), rel_tol=1e-12)
-            and math.isclose(comm_loss([0.5, 0.5], [1, 0]), 2 * math.log(2), rel_tol=1e-12)
-            and math.isclose(sense_loss([0.5] * 80, 0), 80 * math.log(2), rel_tol=1e-12)
-            and math.isclose(sense_loss([0.75], 1), -math.log(0.75), rel_tol=1e-12)
+            math.isclose(_frame_losses([0.5], [0], 0)[0], math.log(2), rel_tol=1e-12)
+            and math.isclose(_frame_losses([0.5, 0.5], [1, 0], 0)[0], 2 * math.log(2), rel_tol=1e-12)
+            and math.isclose(_frame_losses([0.5] * 80, [0] * 80, 0)[1], 80 * math.log(2), rel_tol=1e-12)
+            and math.isclose(_frame_losses([0.75], [0], 1)[1], -math.log(0.75), rel_tol=1e-12)
         ),
-        "loss identity": isac_loss(2.0, 4.0, 0.5) == 3.0 and all(
-            isac_loss(lc, ls, b) == b * lc + (1 - b) * ls
-            for lc, ls, b in zip(
-                np.random.default_rng(0).uniform(0, 100, 20),
-                np.random.default_rng(1).uniform(0, 100, 20),
-                np.random.default_rng(2).uniform(0, 1, 20),
-            )
+        "loss identity": all(  # train logs beta*comm + (1 - beta)*sense
+            e.total_loss == b * e.comm_loss + (1 - b) * e.sense_loss
+            for b in (0.0, 0.3, 0.5, 1.0)
+            for e in train(init_model(3, 1, np.random.default_rng(0)), tiny,
+                           TrainConfig(beta=b, epochs=2))[1]
         ),
         "majority rule": (
-            majority_detection([1] * 41 + [0] * 39) == 1
-            and majority_detection([0] * 80) == 0
-            and majority_detection([1] * 40 + [0] * 40) == 0
+            _majority([1] * 41 + [0] * 39) == 1
+            and _majority([0] * 80) == 0
+            and _majority([1] * 40 + [0] * 40) == 0
         ),
         "throughput arithmetic": (  # evaluate / evaluate_ssac on hand-built decode spikes
             scored_throughput([[0, 1, 0, 1]], [[0, 1, 0, 1]]) == 1.0

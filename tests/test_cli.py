@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,24 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--param", "beta", "--values", "0.5,1.5"], "beta must lie in [0, 1], got 1.5"),
+        (["--param", "alpha", "--values", "0.3,0.995", "--L", "8"],
+         "alpha=0.995 leaves no sensing slot at L=8"),
+        (["--param", "lb", "--values", "1,0", "--alpha", "0.5"], "L, L_b and n must all be positive"),
+    ], ids=["beta", "alpha", "lb"])
+    def test_checks_every_grid_point_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                       flags, message):
+        def run(*args, **kwargs):
+            raise AssertionError("a grid point ran before every point was checked")
+
+        monkeypatch.setattr("nisaclab.cli.generate_dataset", run)
+        monkeypatch.setattr("nisaclab.cli.train", run)
+        code = main(["sweep", *self.COMMON, *flags, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_lb_grid_requires_alpha(self, tmp_path):
         code = main([
             "sweep", "--param", "lb", "--values", "1", *self.COMMON,
@@ -603,6 +622,17 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_diverging_train_prints_one_line(self, workdir, tmp_path, capsys):
+        # numpy warns when it overflows; the run must print only its error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(workdir["train"]), "--out", str(tmp_path / "m.nism"),
+                         "--hidden", "4", "--epochs", "2", "--lr", "1.7e308"])
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
 
 
 class TestArgparseErrors:

@@ -6,7 +6,7 @@ import pytest
 import nisaclab.metrics as metrics_module
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import Dataset, generate_dataset
-from nisaclab.metrics import evaluate, evaluate_ssac, majority_detection
+from nisaclab.metrics import evaluate, evaluate_ssac, score_frames
 from nisaclab.snn import COMM, SENSE, SnnModel, forward, forward_batch, init_model
 
 CFG = ChannelConfig(snr_db=10.0)
@@ -52,38 +52,52 @@ class TestNormalizedThroughput:
             evaluate_ssac(_silent_model(), _silent_model(L_b=2), isac_data, alpha=0.5)
 
 
+def _detect(votes, sense_start=0):
+    """score_frames' detection decision per row of (..., slots) sensing votes."""
+    votes = np.asarray(votes)
+    spikes = np.zeros((*votes.shape, 2))
+    spikes[..., SENSE] = votes
+    frames = spikes.reshape(-1, *spikes.shape[-2:])
+    _, detect = score_frames(frames, np.zeros(frames.shape[:2]), 0, sense_start)
+    return detect.reshape(votes.shape[:-1])
+
+
 class TestMajorityDetection:
     def test_strict_majority_says_one(self):
         votes = np.zeros(80, dtype=np.uint8)
         votes[:41] = 1
-        assert majority_detection(votes) == 1
+        assert _detect(votes) == 1
 
     def test_all_zero_says_zero(self):
-        assert majority_detection(np.zeros(80, dtype=np.uint8)) == 0
+        assert _detect(np.zeros(80, dtype=np.uint8)) == 0
 
     def test_tie_says_zero(self):
         votes = np.zeros(80, dtype=np.uint8)
         votes[:40] = 1
-        assert majority_detection(votes) == 0
+        assert _detect(votes) == 0
+        # the vote counts only the slots from sense_start on: 40 of 70 say 1
+        assert _detect(votes[::-1], sense_start=10) == 1
 
     def test_order_invariant(self):
         rng = np.random.default_rng(0)
         votes = rng.integers(0, 2, size=31)
-        assert majority_detection(votes) == majority_detection(votes[::-1])
+        assert _detect(votes) == _detect(votes[::-1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            majority_detection(np.array([]))
+            _detect(np.array([]))
         with pytest.raises(ValueError):
-            majority_detection(np.zeros((3, 0)))
+            _detect(np.zeros((3, 0)))
+        with pytest.raises(ValueError):
+            _detect(np.zeros((3, 4)), sense_start=4)
 
     def test_rows_of_a_batch_vote_alone(self):
         rng = np.random.default_rng(4)
         votes = rng.integers(0, 2, size=(2, 5, 8))
         votes[0, 0] = [1] * 4 + [0] * 4  # a tie
-        decisions = majority_detection(votes)
-        assert decisions.shape == (2, 5)
-        assert decisions.tolist() == [[majority_detection(v) == 1 for v in row] for row in votes]
+        decisions = _detect(votes)
+        assert decisions.shape == (2, 5) and decisions.dtype == bool
+        assert decisions.tolist() == [[bool(_detect(v)) for v in row] for row in votes]
 
 
 class TestDetectionError:
@@ -152,12 +166,13 @@ class TestModelEvaluation:
         assert res.mean_spike_count_per_slot == 0.0
 
     def test_detection_error_matches_evaluate(self, isac_data):
-        # the batched vote in evaluate agrees with the one-frame majority rule
+        # the batched vote in evaluate agrees with the one-frame majority
+        # rule, written out here: present iff more than half the slots vote 1
         model = init_model(4, 1, np.random.default_rng(0))
-        wrong = [
-            majority_detection(forward(model, x).readout_spikes[:, SENSE]) != t
-            for x, t in zip(isac_data.inputs, isac_data.targets)
-        ]
+        wrong = []
+        for x, t in zip(isac_data.inputs, isac_data.targets):
+            votes = forward(model, x).readout_spikes[:, SENSE]
+            wrong.append(int(2 * votes.sum() > len(votes)) != t)
         assert 0.0 < np.mean(wrong) < 1.0
         assert evaluate(model, isac_data).detection_error == np.mean(wrong)
 
@@ -244,7 +259,7 @@ class TestBlockedEvaluation:
         _, bh, _, br = forward_batch(model, ds.inputs)
         want = (
             float((br[:, :, COMM] == ds.bits).mean()),
-            float((majority_detection(br[:, :, SENSE]) != ds.targets.astype(bool)).mean()),
+            float(((br[:, :, SENSE].sum(axis=1) > self.L / 2) != ds.targets.astype(bool)).mean()),
             float((bh.sum(axis=2) + br.sum(axis=2)).mean()),
         )
         res = evaluate(model, ds)
@@ -261,7 +276,7 @@ class TestBlockedEvaluation:
         _, bh_c, _, br_c = forward_batch(comm, ds.inputs)
         _, bh_s, _, br_s = forward_batch(sense, ds.inputs)
         correct = (br_c[:, :n_data, COMM] == ds.bits[:, :n_data]).sum(axis=1)
-        votes = majority_detection(br_s[:, n_data:, SENSE])
+        votes = br_s[:, n_data:, SENSE].sum(axis=1) > (self.L - n_data) / 2
         spikes = bh_c.sum(axis=2) + br_c.sum(axis=2) + bh_s.sum(axis=2) + br_s.sum(axis=2)
         want = (
             float((correct / self.L).mean()),

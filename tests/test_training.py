@@ -16,10 +16,7 @@ from nisaclab.training import (
     TrainConfig,
     _spike_slope,
     backward,
-    comm_loss,
-    isac_loss,
     objective,
-    sense_loss,
     sgd_step,
     train,
 )
@@ -27,19 +24,30 @@ from nisaclab.training import (
 LN2 = math.log(2.0)
 
 
+def _losses(p, bits, targets, n_data=None, sense_start=0):
+    """objective's (decode, detection) losses for (B, L) probabilities on both
+    readouts, (B, L) bits and (B,) targets."""
+    p = np.asarray(p, dtype=np.float64)
+    potentials = np.repeat(np.log(p / (1.0 - p))[..., None], 2, axis=-1)
+    bits = np.asarray(bits, dtype=np.float64)
+    n_data = bits.shape[1] if n_data is None else n_data
+    lc, ls, _ = objective(potentials, bits, np.asarray(targets, dtype=np.float64), 0.5, n_data, sense_start)
+    return lc, ls
+
+
 class TestCommLoss:
     def test_chance_probability_single_slot(self):
-        assert comm_loss([0.5], [0]) == pytest.approx(LN2, rel=1e-12)
+        assert _losses([[0.5]], [[0]], [0])[0] == pytest.approx(LN2, rel=1e-12)
 
     def test_additivity_over_slots(self):
-        assert comm_loss([0.5, 0.5], [1, 0]) == pytest.approx(2 * LN2, rel=1e-12)
+        assert _losses([[0.5, 0.5]], [[1, 0]], [0])[0] == pytest.approx(2 * LN2, rel=1e-12)
 
     def test_confident_correct_is_near_zero(self):
-        assert comm_loss([1.0 - 1e-9], [1]) == pytest.approx(0.0, abs=1e-8)
+        assert _losses([[1.0 - 1e-9]], [[1]], [1])[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            comm_loss([0.5, 0.5], [1])
+            objective(np.zeros((1, 2, 2)), np.array([[1.0]]), np.array([0.0]), 0.5, 1, 0)
 
     def test_ssac_frame_counts_data_slots_only(self):
         p = np.array([0.5, 0.5, 0.9, 0.9])  # sensing-slot values must not contribute
@@ -50,37 +58,36 @@ class TestCommLoss:
 
 class TestSenseLoss:
     def test_chance_over_eighty_slots(self):
-        assert sense_loss([0.5] * 80, 0) == pytest.approx(80 * LN2, rel=1e-12)
+        assert _losses([[0.5] * 80], [[0] * 80], [0])[1] == pytest.approx(80 * LN2, rel=1e-12)
 
     def test_hand_value(self):
-        assert sense_loss([0.75], 1) == pytest.approx(-math.log(0.75), rel=1e-12)
+        assert _losses([[0.75]], [[0]], [1])[1] == pytest.approx(-math.log(0.75), rel=1e-12)
 
     def test_confident_correct_is_near_zero(self):
-        assert sense_loss([1.0 - 1e-9] * 4, 1) == pytest.approx(0.0, abs=1e-7)
+        assert _losses([[1.0 - 1e-9] * 4], [[1] * 4], [1])[1] == pytest.approx(0.0, abs=1e-7)
 
     def test_label_shape_mismatch(self):
         # one label per frame: a single label is not broadcast over three frames
         with pytest.raises(ValueError):
-            sense_loss(np.full((3, 4), 0.5), [1])
+            objective(np.zeros((3, 4, 2)), np.zeros((3, 4)), np.array([1.0]), 0.5, 4, 0)
 
 
 class TestIsacLoss:
-    def test_endpoints(self):
-        assert isac_loss(2.0, 4.0, 1.0) == 2.0
-        assert isac_loss(2.0, 4.0, 0.0) == 4.0
+    """train logs total_loss as beta*comm_loss + (1 - beta)*sense_loss."""
 
-    def test_midpoint(self):
-        assert isac_loss(2.0, 4.0, 0.5) == 3.0
+    @staticmethod
+    def _epoch(tiny_dataset, beta):
+        model = init_model(4, 1, np.random.default_rng(6))
+        return train(model, tiny_dataset, TrainConfig(beta=beta, epochs=1, seed=0))[1][0]
 
-    def test_weighted_sum_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            lc, ls, beta = rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0, 1)
-            assert isac_loss(lc, ls, beta) == beta * lc + (1 - beta) * ls
+    def test_endpoints(self, tiny_dataset):
+        only_decode, only_detect = self._epoch(tiny_dataset, 1.0), self._epoch(tiny_dataset, 0.0)
+        assert only_decode.total_loss == only_decode.comm_loss
+        assert only_detect.total_loss == only_detect.sense_loss
 
-    def test_beta_range(self):
-        with pytest.raises(ValueError):
-            isac_loss(1.0, 1.0, 1.5)
+    def test_midpoint(self, tiny_dataset):
+        e = self._epoch(tiny_dataset, 0.5)
+        assert e.total_loss == (e.comm_loss + e.sense_loss) / 2
 
 
 class TestObjective:
@@ -99,7 +106,7 @@ class TestObjective:
 
         def loss(o):
             lc, ls, _ = objective(o, bits, targets, beta, n_data, sense_start)
-            return isac_loss(lc, ls, beta)
+            return beta * lc + (1.0 - beta) * ls
 
         _, _, got = objective(potentials, bits, targets, beta, n_data, sense_start)
         h = 1e-6
@@ -116,16 +123,23 @@ class TestObjective:
     def test_losses_are_sums_of_per_frame_losses(self):
         rng = np.random.default_rng(12)
         p = rng.uniform(0.01, 0.99, size=(5, 9, 2))
-        bits = rng.integers(0, 2, size=(5, 9))
-        targets = rng.integers(0, 2, size=5)
-        lc, ls, _ = objective(
-            np.log(p / (1 - p)), bits.astype(np.float64), targets.astype(np.float64), 0.5, 6, 4,
-        )
-        per_frame_c = sum(comm_loss(p[i, :6, COMM], bits[i, :6]) for i in range(5))
-        per_frame_s = sum(sense_loss(p[i, 4:, SENSE], targets[i]) for i in range(5))
-        assert comm_loss(p[:, :6, COMM], bits[:, :6]) == pytest.approx(per_frame_c, rel=1e-12)
-        assert sense_loss(p[:, 4:, SENSE], targets) == pytest.approx(per_frame_s, rel=1e-12)
-        assert (lc, ls) == pytest.approx((per_frame_c, per_frame_s), rel=1e-12)
+        bits = rng.integers(0, 2, size=(5, 9)).astype(np.float64)
+        targets = rng.integers(0, 2, size=5).astype(np.float64)
+        o = np.log(p / (1 - p))
+        lc, ls, _ = objective(o, bits, targets, 0.5, 6, 4)
+        per_frame = [objective(o[i : i + 1], bits[i : i + 1], targets[i : i + 1], 0.5, 6, 4)[:2]
+                     for i in range(5)]
+        assert (lc, ls) == pytest.approx(tuple(map(sum, zip(*per_frame))), rel=1e-12)
+        # and both are the textbook cross entropies
+        pc, ps = p[:, :6, COMM], p[:, 4:, SENSE]
+        want_c = -(bits[:, :6] * np.log(pc) + (1 - bits[:, :6]) * np.log(1 - pc)).sum()
+        want_s = -(targets[:, None] * np.log(ps) + (1 - targets[:, None]) * np.log(1 - ps)).sum()
+        assert (lc, ls) == pytest.approx((want_c, want_s), rel=1e-12)
+
+    def test_rejects_labels_that_do_not_fit_the_frame(self):
+        # six bits for a four-slot frame, although only four of them are scored
+        with pytest.raises(ValueError, match="do not fit"):
+            objective(np.zeros((1, 4, 2)), np.zeros((1, 6)), np.array([0.0]), 0.5, 4, 0)
 
 
 class TestProbabilityClamp:
@@ -138,8 +152,11 @@ class TestProbabilityClamp:
             assert clipped[0] == p[0]
 
     def test_keeps_extreme_probabilities_finite(self):
-        assert math.isfinite(comm_loss([1.0], [0]))
-        assert math.isfinite(sense_loss([0.0], 1))
+        # p_comm rounds to exactly 1 against bit 0, p_sense to exactly 0 against target 1
+        potentials = np.array([[[1e3, -1e3]]])
+        assert sigmoid(potentials).tolist() == [[[1.0, 0.0]]]
+        lc, ls, d = objective(potentials, np.array([[0.0]]), np.array([1.0]), 0.5, 1, 0)
+        assert math.isfinite(lc) and math.isfinite(ls) and np.isfinite(d).all()
 
 
 def _gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_start=0):
@@ -154,12 +171,10 @@ def _gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_sta
 
 
 def _smoothed_loss(model, inputs, bits, targets, beta, slope, n_data, sense_start) -> float:
-    p = sigmoid(forward_batch(model, inputs, slope)[2])
-    return isac_loss(
-        comm_loss(p[:, :n_data, COMM], bits[:, :n_data]),
-        sense_loss(p[:, sense_start:, SENSE], targets),
-        beta,
-    )
+    bits = np.asarray(bits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    lc, ls, _ = objective(forward_batch(model, inputs, slope)[2], bits, targets, beta, n_data, sense_start)
+    return beta * lc + (1.0 - beta) * ls
 
 
 def _fd_gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_start=0, h=1e-5):
