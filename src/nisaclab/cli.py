@@ -97,17 +97,23 @@ def _networks(alpha: float | None, beta: float | None, L: int) -> dict:
     return {"comm": (1.0, {"data_slot_count": n_data}), "sense": (0.0, {"sense_slot_start": n_data})}
 
 
+def _train_config(args, beta: float) -> TrainConfig:
+    """One network's training settings; checks every training flag, --hidden included."""
+    if args.hidden < 1:
+        raise UsageError("need at least one hidden neuron")
+    return TrainConfig(
+        beta=beta, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+        surrogate_slope=args.slope, seed=args.seed,
+    )
+
+
 def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -> dict:
     """Fit each network of the receiver; returns {name: (model, history)}."""
     rng = np.random.default_rng(args.seed)  # read only by init_model
     fits = {}
     for name, (net_beta, slots) in _networks(alpha, beta, dataset.slot_count).items():
-        model = init_model(args.hidden, dataset.L_b, rng)
-        cfg = TrainConfig(
-            beta=net_beta, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
-            surrogate_slope=args.slope, seed=args.seed,
-        )
-        fits[name] = train(model, dataset, cfg, **slots)
+        cfg = _train_config(args, net_beta)
+        fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, **slots)
     return fits
 
 
@@ -214,7 +220,7 @@ def cmd_sweep(args) -> int:
         if args.L < 1 or L_b < 1:
             raise UsageError("L, L_b and n must all be positive")
         for net_beta, _ in _networks(alpha, beta, args.L).values():
-            TrainConfig(beta=net_beta)
+            _train_config(args, net_beta)
 
     cache: dict = {}
     rows = []

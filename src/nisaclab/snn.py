@@ -49,17 +49,10 @@ from .fileio import staged_path
 
 COMM, SENSE = 0, 1  # readout rows
 
-# Membrane/synapse/refractory constants are in units of slots.  Short time
-# constants keep the decode responsive at small bandwidth expansion, and the
-# sub-unit hidden threshold keeps several hidden units participating per pulse
-# while staying above the receiver noise floor at 10 dB SNR.
-DEFAULT_HIDDEN_THRESHOLD = 0.75
-DEFAULT_TAU_MEM = 1.0
-DEFAULT_TAU_SYN = 0.5
-DEFAULT_TAU_REF = 0.5
-
 MODEL_MAGIC = b"NISM"
 MODEL_VERSION = 1
+# The five float64 scalars that end a NISM file, in file order.
+_STORED_CONSTANTS = ("hidden_threshold", "readout_threshold", "tau_mem", "tau_syn", "tau_ref")
 
 # Steps per synaptic-kernel block: an 80-slot frame is one block, and a long
 # B=1 trace multiplies (80 x 80) blocks instead of one (L x L) kernel.
@@ -76,20 +69,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SnnModel:
-    """All trainable weights plus the fixed hidden threshold and time constants.
+    """All trainable weights; the thresholds and time constants are fixed.
 
-    Time constants are in units of SNN steps (= slots) and must satisfy
-    tau_mem > tau_syn > 0 so the synaptic kernel is well-formed.  The readout
-    threshold is 0 by design (see the module docstring), not a parameter.
+    Time constants are in units of SNN steps (= slots) and satisfy
+    tau_mem > tau_syn > 0, so the synaptic kernel is well-formed.  The readout
+    threshold is 0 by design (see the module docstring).
     """
 
     input_weights: np.ndarray   # (H, input_width)
     readout_weights: np.ndarray  # (2, H)
-    hidden_threshold: float = DEFAULT_HIDDEN_THRESHOLD
+    # Short time constants keep the decode responsive at small bandwidth
+    # expansion, and the sub-unit hidden threshold keeps several hidden units
+    # participating per pulse while staying above the receiver noise floor at
+    # 10 dB SNR.
+    hidden_threshold: ClassVar[float] = 0.75
     readout_threshold: ClassVar[float] = 0.0
-    tau_mem: float = DEFAULT_TAU_MEM
-    tau_syn: float = DEFAULT_TAU_SYN
-    tau_ref: float = DEFAULT_TAU_REF
+    tau_mem: ClassVar[float] = 1.0
+    tau_syn: ClassVar[float] = 0.5
+    tau_ref: ClassVar[float] = 0.5
 
     def __post_init__(self):
         self.input_weights = np.asarray(self.input_weights, dtype=np.float64)
@@ -100,12 +97,6 @@ class SnnModel:
             raise ValueError("a model needs at least one hidden neuron and an input width of at least 1")
         if not (np.isfinite(self.input_weights).all() and np.isfinite(self.readout_weights).all()):
             raise ValueError("weights must be finite")
-        if not np.isfinite([self.hidden_threshold, self.tau_mem, self.tau_syn, self.tau_ref]).all():
-            raise ValueError("hidden_threshold and time constants must be finite")
-        if not self.tau_mem > self.tau_syn > 0:
-            raise ValueError(f"need tau_mem > tau_syn > 0, got {self.tau_mem}, {self.tau_syn}")
-        if self.tau_ref <= 0:
-            raise ValueError("tau_ref must be positive")
 
     @property
     def hidden_count(self) -> int:
@@ -138,8 +129,7 @@ class ForwardTrace:
 
 
 def init_model(hidden_count: int, L_b: int, rng: np.random.Generator) -> SnnModel:
-    """Fresh model with weights uniform on +-1/sqrt(fan_in) and the default
-    threshold and time constants."""
+    """Fresh model with weights uniform on +-1/sqrt(fan_in)."""
     if hidden_count < 1:
         raise ValueError("need at least one hidden neuron")
     if L_b < 1:
@@ -153,16 +143,6 @@ def init_model(hidden_count: int, L_b: int, rng: np.random.Generator) -> SnnMode
     )
 
 
-def _frame_inputs(model: SnnModel, frame) -> np.ndarray:
-    inputs = np.asarray(frame, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_width:
-        raise ValueError(
-            f"frame width {inputs.shape[-1] if inputs.ndim else '?'} does not match "
-            f"model input width {model.input_width}"
-        )
-    return inputs
-
-
 def forward(model: SnnModel, frame) -> ForwardTrace:
     """Run one (L, input_width) frame through the network: the hard
     forward_batch on a batch of one.
@@ -170,7 +150,7 @@ def forward(model: SnnModel, frame) -> ForwardTrace:
     Hidden spikes reach the readout in the same step they are emitted, so the
     slot-l decisions depend on inputs up to and including slot l only.
     """
-    return ForwardTrace(*(a[0] for a in forward_batch(model, _frame_inputs(model, frame)[None])))
+    return ForwardTrace(*(a[0] for a in forward_batch(model, np.asarray(frame)[None])))
 
 
 @functools.lru_cache(maxsize=16)
@@ -258,9 +238,9 @@ def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = Non
     time-major (L, B, .) records.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    B, L, width = inputs.shape
-    if width != model.input_width:
-        raise ValueError(f"input width {width} does not match model input width {model.input_width}")
+    if inputs.ndim != 3 or inputs.shape[2] != model.input_width:
+        raise ValueError(f"inputs of shape {inputs.shape} are not (B, L, {model.input_width}) for this model")
+    B, L, _ = inputs.shape
     a_syn, a_mem, a_ref = model.decays()
     oh, bh = _spike_layer(
         inputs.transpose(1, 0, 2) @ model.input_weights.T,
@@ -282,10 +262,7 @@ def save_model(model: SnnModel, path) -> None:
     header = struct.pack(
         "<4sIII", MODEL_MAGIC, MODEL_VERSION, model.hidden_count, model.input_width
     )
-    tail = struct.pack(
-        "<5d", model.hidden_threshold, model.readout_threshold,
-        model.tau_mem, model.tau_syn, model.tau_ref,
-    )
+    tail = struct.pack("<5d", *(getattr(model, name) for name in _STORED_CONSTANTS))
     with staged_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(model.input_weights.astype("<f8").tobytes())
@@ -308,10 +285,11 @@ def load_model(path) -> SnnModel:
     check_payload_size(len(raw) - 16, 8 * (n_in + 2 * H + 5), "model")
     values = np.frombuffer(raw, dtype="<f8", offset=16)
     w_in, w_out = values[:n_in], values[n_in:-5]
-    hidden_threshold, readout_threshold, *taus = values[-5:].tolist()  # taus: mem, syn, ref
-    if readout_threshold != SnnModel.readout_threshold:
-        raise InvalidContentError(f"model file holds readout threshold {readout_threshold}; it must be 0.0")
+    for name, stored in zip(_STORED_CONSTANTS, values[-5:].tolist()):
+        required = getattr(SnnModel, name)
+        if stored != required:  # NaN differs too
+            raise InvalidContentError(f"model file holds {name} {stored}; it must be {required}")
     try:
-        return SnnModel(w_in.reshape(H, width).copy(), w_out.reshape(2, H).copy(), hidden_threshold, *taus)
+        return SnnModel(w_in.reshape(H, width).copy(), w_out.reshape(2, H).copy())
     except ValueError as exc:
         raise InvalidContentError(f"model file holds an invalid model: {exc}") from exc

@@ -1,5 +1,6 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
-and the throughput that evaluation scores for hand-built decode spikes."""
+the throughput that evaluation scores for hand-built decode spikes, and
+hand-checkable neuron constants."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ def criterion_line():
         _criterion_lines.append((index, f"criterion {index:2d}: {status}  {detail}"))
 
     return record
+
+
+@pytest.fixture
+def neuron_constants(monkeypatch):
+    """set(**values): replace SnnModel's hidden threshold and time constants
+    for the rest of the test, for every model, as metrics._BLOCK is patched
+    in its tests.  The synapse kernel cache is keyed on the decays, so a
+    patched value gets its own kernel."""
+
+    def set_constants(**values) -> None:
+        for name, value in values.items():
+            monkeypatch.setattr(SnnModel, name, value)
+
+    return set_constants
 
 
 @pytest.fixture

@@ -201,16 +201,19 @@ class TestEval:
         ])
         assert code == 3
 
-    # a NaN in the first input weight (after the 16-byte header) or in one of
-    # the five float64 scalars that end the file, or a nonzero readout threshold
+    # a NaN in the first input weight (after the 16-byte header), or one of
+    # the five float64 scalars that end the file other than its constant
     @pytest.mark.parametrize("offset, value, message", [
         pytest.param(16, np.nan, "finite", id="input_weight"),
-        pytest.param(-40, np.nan, "finite", id="hidden_threshold"),
-        pytest.param(-32, np.nan, "must be 0.0", id="readout_threshold"),
-        pytest.param(-32, 0.6, "must be 0.0", id="readout_threshold_0.6"),
-        pytest.param(-24, np.nan, "finite", id="tau_mem"),
-        pytest.param(-16, np.nan, "finite", id="tau_syn"),
-        pytest.param(-8, np.nan, "finite", id="tau_ref"),
+        pytest.param(-40, np.nan, "hidden_threshold nan; it must be 0.75", id="hidden_threshold"),
+        pytest.param(-40, 1.0, "hidden_threshold 1.0; it must be 0.75", id="hidden_threshold_1.0"),
+        pytest.param(-32, np.nan, "readout_threshold nan; it must be 0.0", id="readout_threshold"),
+        pytest.param(-32, 0.6, "readout_threshold 0.6; it must be 0.0", id="readout_threshold_0.6"),
+        pytest.param(-24, np.nan, "tau_mem nan; it must be 1.0", id="tau_mem"),
+        pytest.param(-24, 2.0, "tau_mem 2.0; it must be 1.0", id="tau_mem_2.0"),
+        pytest.param(-16, np.nan, "tau_syn nan; it must be 0.5", id="tau_syn"),
+        pytest.param(-8, np.nan, "tau_ref nan; it must be 0.5", id="tau_ref"),
+        pytest.param(-8, 0.25, "tau_ref 0.25; it must be 0.5", id="tau_ref_0.25"),
     ])
     def test_nan_model_is_format_error(self, workdir, tmp_path, capsys, offset, value, message):
         bad = tmp_path / "bad.nism"
@@ -405,7 +408,13 @@ class TestSweep:
         (["--param", "alpha", "--values", "0.3,0.995", "--L", "8"],
          "alpha=0.995 leaves no sensing slot at L=8"),
         (["--param", "lb", "--values", "1,0", "--alpha", "0.5"], "L, L_b and n must all be positive"),
-    ], ids=["beta", "alpha", "lb"])
+        (["--param", "beta", "--values", "0.5", "--lr", "0"], "learning_rate must be positive and finite, got 0.0"),
+        (["--param", "beta", "--values", "0.5", "--epochs", "0"], "epochs must be positive and finite, got 0"),
+        (["--param", "beta", "--values", "0.5", "--batch", "0"], "batch_size must be positive and finite, got 0"),
+        (["--param", "beta", "--values", "0.5", "--slope", "nan"],
+         "surrogate_slope must be positive and finite, got nan"),
+        (["--param", "beta", "--values", "0.5", "--hidden", "0"], "need at least one hidden neuron"),
+    ], ids=["beta", "alpha", "lb", "lr", "epochs", "batch", "slope", "hidden"])
     def test_checks_every_grid_point_before_generating(self, tmp_path, capsys, monkeypatch,
                                                        flags, message):
         def run(*args, **kwargs):

@@ -33,16 +33,23 @@ from nisaclab.snn import (
 )
 
 
-def _model(h, width, *, w_in=None, w_out=None, **kw) -> SnnModel:
-    kw.setdefault("hidden_threshold", 1.0)
-    kw.setdefault("tau_mem", 10.0)
-    kw.setdefault("tau_syn", 5.0)
-    kw.setdefault("tau_ref", 5.0)
+# the five float64 scalars that end a NISM file, in file order
+STORED_CONSTANTS = ["hidden_threshold", "readout_threshold", "tau_mem", "tau_syn", "tau_ref"]
+
+
+def _model(h, width, *, w_in=None, w_out=None) -> SnnModel:
     return SnnModel(
         input_weights=np.zeros((h, width)) if w_in is None else np.asarray(w_in, dtype=float),
         readout_weights=np.zeros((2, h)) if w_out is None else np.asarray(w_out, dtype=float),
-        **kw,
     )
+
+
+@pytest.fixture
+def hand_model(neuron_constants):
+    """_model under hand-checkable constants: hidden threshold 1.0 and
+    tau_mem, tau_syn, tau_ref = 10, 5, 5."""
+    neuron_constants(hidden_threshold=1.0, tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
+    return _model
 
 
 def _random_model(seed, h=4, L_b=1) -> SnnModel:
@@ -121,17 +128,10 @@ class TestInitModel:
         with pytest.raises(ValueError):
             init_model(1, 0, np.random.default_rng(0))
 
-    def test_time_constant_ordering_enforced(self):
-        m = init_model(2, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            dataclasses.replace(m, tau_mem=1.0, tau_syn=2.0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(m, tau_syn=-1.0)
-
 
 class TestForward:
-    def test_zero_weight_model_is_silent(self):
-        m = _model(3, 4)
+    def test_zero_weight_model_is_silent(self, hand_model):
+        m = hand_model(3, 4)
         frame = np.random.default_rng(0).standard_normal((6, 4))
         trace = forward(m, frame)
         assert not trace.hidden_potentials.any()
@@ -139,14 +139,14 @@ class TestForward:
         assert not trace.readout_potentials.any()
         assert not trace.readout_spikes.any()
 
-    def test_single_step_hand_values(self):
-        m = _model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
+    def test_single_step_hand_values(self, hand_model):
+        m = hand_model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
         trace = forward(m, np.array([[2.0, 0.0, 0.0, 0.0]]))
         assert trace.hidden_potentials[0, 0] == 2.0  # q = r = o = drive on the first step
         assert trace.hidden_spikes[0, 0] == 1.0
 
-    def test_refractory_subtracts_decayed_threshold(self):
-        m = _model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
+    def test_refractory_subtracts_decayed_threshold(self, hand_model):
+        m = hand_model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
         frame = np.zeros((2, 4))
         frame[0, 0] = 2.0  # spike at step 0, no drive at step 1
         trace = forward(m, frame)
@@ -156,28 +156,29 @@ class TestForward:
         expected = r2 - 1.0 * a_ref  # minus threshold times e^(-1/5)
         assert trace.hidden_potentials[1, 0] == pytest.approx(expected, rel=1e-15)
 
-    def test_refractory_suppression_vs_counterfactual(self):
+    def test_refractory_suppression_vs_counterfactual(self, neuron_constants):
         m = _random_model(0, h=3)
         frame = np.random.default_rng(5).standard_normal((12, 4)) * 3
         spiking = forward(m, frame)
         # the same synaptic input with no spike history: o = r at every step
-        quiet = forward(dataclasses.replace(m, hidden_threshold=1e9), frame)
+        neuron_constants(hidden_threshold=1e9)
+        quiet = forward(m, frame)
         fired = np.cumsum(spiking.hidden_spikes, axis=0) - spiking.hidden_spikes > 0
         assert fired.any() and (~fired).any()
         assert (spiking.hidden_potentials[fired] < quiet.hidden_potentials[fired]).all()
         assert np.array_equal(spiking.hidden_potentials[~fired], quiet.hidden_potentials[~fired])
 
-    def test_readout_uses_its_own_threshold(self):
+    def test_readout_uses_its_own_threshold(self, hand_model):
         w_in = [[2.0, 0.0, 0.0, 0.0]]
         frame = np.array([[1.0, 0.0, 0.0, 0.0]])
-        low = forward(_model(1, 4, w_in=w_in, w_out=[[0.5], [0.5]]), frame)
+        low = forward(hand_model(1, 4, w_in=w_in, w_out=[[0.5], [0.5]]), frame)
         assert low.readout_potentials[0].tolist() == [0.5, 0.5]
         assert low.readout_spikes[0].tolist() == [1.0, 1.0]  # above the zero readout threshold
 
-    def test_same_step_propagation_to_readout(self):
+    def test_same_step_propagation_to_readout(self, hand_model):
         w_in = np.array([[2.0, 0.0, 0.0, 0.0]])
         w_out = np.array([[1.0], [1.0]])
-        m = _model(1, 4, w_in=w_in, w_out=w_out)
+        m = hand_model(1, 4, w_in=w_in, w_out=w_out)
         frame = np.zeros((1, 4))
         frame[0, 0] = 1.0  # drives the hidden potential to 2 at step 0
         trace = forward(m, frame)
@@ -234,6 +235,8 @@ class TestForward:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             forward(_random_model(0), np.zeros((3, 6)))
+        with pytest.raises(ValueError, match=r"are not \(B, L, 4\)"):  # one slot, not a frame
+            forward(_random_model(0), np.zeros(4))
 
 
 class TestForwardBatch:
@@ -279,11 +282,12 @@ class TestForwardBatch:
     @pytest.mark.parametrize("B, L", [
         (3, _BLOCK - 1), (3, _BLOCK), (3, _BLOCK + 1), (2, 2 * _BLOCK + 7), (1, 1000),
     ])
-    def test_block_boundaries_match_reference(self, B, L):
+    def test_block_boundaries_match_reference(self, B, L, neuron_constants):
         # slow time constants, so the state a kernel block hands on still
         # matters tens of steps into the next block
+        neuron_constants(tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
         rng = np.random.default_rng(L)
-        m = dataclasses.replace(init_model(5, 1, rng), tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
+        m = init_model(5, 1, rng)
         inputs = rng.standard_normal((B, L, 4)) * 0.3
         for slope in (None, 2.0):
             batch = forward_batch(m, inputs, slope)
@@ -374,8 +378,8 @@ class TestReadoutHelpers:
             counts, trace.hidden_spikes.sum(1).astype(int) + trace.readout_spikes.sum(1).astype(int)
         )
 
-    def test_zero_model_counts_zero(self):
-        trace = forward(_model(4, 4), np.ones((5, 4)))
+    def test_zero_model_counts_zero(self, hand_model):
+        trace = forward(hand_model(4, 4), np.ones((5, 4)))
         assert spike_count(trace).tolist() == [0] * 5
 
 
@@ -387,10 +391,6 @@ class TestPersistence:
         loaded = load_model(path)
         assert np.array_equal(loaded.input_weights, m.input_weights)
         assert np.array_equal(loaded.readout_weights, m.readout_weights)
-        assert loaded.hidden_threshold == m.hidden_threshold
-        assert (loaded.tau_mem, loaded.tau_syn, loaded.tau_ref) == (
-            m.tau_mem, m.tau_syn, m.tau_ref,
-        )
 
     def test_second_save_is_byte_identical(self, tmp_path):
         m = _random_model(18)
@@ -432,14 +432,17 @@ class TestPersistence:
         with pytest.raises(FileFormatError):
             load_model(path)
 
-    def test_readout_threshold_slot_must_be_zero(self, tmp_path):
+    @pytest.mark.parametrize("field", STORED_CONSTANTS)
+    @pytest.mark.parametrize("value", [0.6, np.nan], ids=["0.6", "nan"])
+    def test_stored_constant_must_match(self, tmp_path, field, value):
         path = tmp_path / "m.nism"
         save_model(_random_model(23), path)
         raw = bytearray(path.read_bytes())
-        assert raw[-32:-24] == np.float64(0.0).tobytes()  # the slot after the hidden threshold
-        raw[-32:-24] = np.float64(0.6).tobytes()
+        at = len(raw) - 8 * (len(STORED_CONSTANTS) - STORED_CONSTANTS.index(field))
+        assert raw[at : at + 8] == np.float64(getattr(SnnModel, field)).tobytes()
+        raw[at : at + 8] = np.float64(value).tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(InvalidContentError):
+        with pytest.raises(InvalidContentError, match=f"holds {field} {value}; it must be"):
             load_model(path)
 
 
@@ -448,16 +451,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             _model(1, 4, w_in=[[np.nan, 0, 0, 0]])
 
-    @pytest.mark.parametrize("field", ["hidden_threshold", "tau_mem", "tau_syn", "tau_ref"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_scalars(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            dataclasses.replace(_random_model(25), **{field: value})
+    def test_shipped_constants_are_valid(self):
+        m = SnnModel
+        assert np.isfinite([getattr(m, name) for name in STORED_CONSTANTS]).all()
+        assert m.tau_mem > m.tau_syn > 0 < m.tau_ref
+        assert m.readout_threshold == 0.0
 
-    def test_dataclass_replace_revalidates(self):
+    def test_weights_are_the_only_fields(self):
         m = _random_model(24)
-        with pytest.raises(ValueError):
-            dataclasses.replace(m, tau_syn=m.tau_mem + 1.0)
+        assert [f.name for f in dataclasses.fields(m)] == ["input_weights", "readout_weights"]
+        with pytest.raises(TypeError):
+            dataclasses.replace(m, tau_mem=2.0)
+        with pytest.raises(TypeError):
+            SnnModel(m.input_weights, m.readout_weights, 0.75)
 
     def test_readout_rows(self):
         assert (COMM, SENSE) == (0, 1)

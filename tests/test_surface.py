@@ -2,8 +2,9 @@
 outside its own definition, in src/, in README.md or in perfbench/.  A name
 that only tests call is code the program carries for nothing; the one
 exception below is a reference implementation the tests check against.
-Likewise every field of a config class is set by some caller: a field that
-only tests set is an option with one value in use, which is a constant."""
+Likewise every field of a config class, or of SnnModel, is set by some
+caller: a field that only tests set is an option with one value in use,
+which is a constant."""
 
 import ast
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nisaclab"
 TEST_REFERENCES = {"modem.ppm_demodulate"}
-CONFIG_CLASSES = {"ChannelConfig", "TrainConfig"}
+CONFIG_CLASSES = {"ChannelConfig", "SnnModel", "TrainConfig"}
 
 
 def _definitions():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nisaclab.channel import ChannelConfig
@@ -202,9 +202,10 @@ def _max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_backward_matches_finite_differences(self, seed):
+    def test_backward_matches_finite_differences(self, seed, neuron_constants):
+        neuron_constants(tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
         rng = np.random.default_rng(seed)
-        model = dataclasses.replace(init_model(2, 1, rng), tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
+        model = init_model(2, 1, rng)
         inputs = rng.standard_normal((4, 4))[None]
         bits = rng.integers(0, 2, size=4)[None]
         targets, beta, slope = [1], 0.5, 1.0
@@ -213,18 +214,21 @@ class TestGradients:
         for g, w in zip(got, want):
             assert _max_rel_error(g, w) <= 1e-4
 
-    @settings(max_examples=20, deadline=None)
+    # the patched constants hold for every example, so the function-scoped
+    # fixture is safe to share
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         H=st.integers(1, 3), L_b=st.integers(1, 2), L=st.integers(1, _BLOCK + 5),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(H=3, L_b=2, L=_BLOCK + 5, seed=0)
-    def test_backward_matches_finite_differences_on_random_shapes(self, H, L_b, L, seed):
+    def test_backward_matches_finite_differences_on_random_shapes(self, neuron_constants, H, L_b, L, seed):
         # L up to 85 crosses a kernel block boundary; these time constants keep
         # the readout potentials clear of the PROB_EPS clamp, where the
         # finite-difference loss goes flat
+        neuron_constants(tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
         rng = np.random.default_rng(seed)
-        model = dataclasses.replace(init_model(H, L_b, rng), tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
+        model = init_model(H, L_b, rng)
         inputs = rng.standard_normal((L, 4 * L_b))[None] * 0.3
         bits = rng.integers(0, 2, size=L)[None]
         targets, beta, slope = [int(rng.integers(0, 2))], 0.5, 1.0
@@ -235,12 +239,13 @@ class TestGradients:
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("B", [2, 3])
-    def test_batch_with_ssac_slot_ranges_matches_finite_differences(self, B, beta):
+    def test_batch_with_ssac_slot_ranges_matches_finite_differences(self, B, beta, neuron_constants):
         # decode loss on the leading 4 of 9 slots, detection loss from slot 3:
         # the ranges overlap and neither covers the frame
+        neuron_constants(tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
         L, n_data, sense_start = 9, 4, 3
         rng = np.random.default_rng(100 * B + int(10 * beta))
-        model = dataclasses.replace(init_model(3, 1, rng), tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
+        model = init_model(3, 1, rng)
         inputs = rng.standard_normal((B, L, 4)) * 0.3
         bits = rng.integers(0, 2, size=(B, L))
         targets = np.arange(B) % 2  # both labels in every batch
