@@ -31,6 +31,7 @@ from .snn import COMM, SENSE, SnnModel, _synapse_filter, forward_batch, sigmoid
 
 # Clamp keeps the logs finite; inert until |potential| exceeds log(1/eps) ~ 32.
 PROB_EPS = 1e-14
+_LOGIT_CLAMP = math.log((1.0 - PROB_EPS) / PROB_EPS)
 
 
 @dataclass
@@ -66,9 +67,14 @@ class EpochStats:
     detection_error: float
 
 
-def _binary_cross_entropy(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    return -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
+def _binary_cross_entropy(o: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Cross entropy of sigmoid(o) against labels, from the potential, as
+    log(1 + exp(-|o|)) + (max(o, 0) - labels*o).  Taking the logs of p itself
+    loses the digits of 1 - p as p nears 1; the bracket is exact for 0/1
+    labels.  Clamping o to +-logit(1 - PROB_EPS) is clamping p to
+    [PROB_EPS, 1 - PROB_EPS]."""
+    o = np.clip(o, -_LOGIT_CLAMP, _LOGIT_CLAMP)
+    return np.log1p(np.exp(-np.abs(o))) + (np.maximum(o, 0.0) - labels * o)
 
 
 def _spike_slope(potentials: np.ndarray, threshold: float, slope: float) -> np.ndarray:
@@ -164,11 +170,12 @@ def objective(
             f"bits {bits.shape} and targets {targets.shape} do not fit "
             f"readout potentials {readout_potentials.shape}"
         )
+    o_comm, data_bits = readout_potentials[:, :n_data, COMM], bits[:, :n_data]
+    o_sense, labels = readout_potentials[:, sense_start:, SENSE], targets[:, None]
+    lc = float(_binary_cross_entropy(o_comm, data_bits).sum())
+    ls = float(_binary_cross_entropy(o_sense, labels).sum())
     p = sigmoid(readout_potentials)
-    p_comm, data_bits = p[:, :n_data, COMM], bits[:, :n_data]
-    p_sense, labels = p[:, sense_start:, SENSE], targets[:, None]
-    lc = float(_binary_cross_entropy(p_comm, data_bits).sum())
-    ls = float(_binary_cross_entropy(p_sense, labels).sum())
+    p_comm, p_sense = p[:, :n_data, COMM], p[:, sense_start:, SENSE]
     d = np.zeros_like(p)
     d[:, :n_data, COMM] = beta * (p_comm - data_bits)
     d[:, sense_start:, SENSE] = (1.0 - beta) * (p_sense - labels)

@@ -147,7 +147,7 @@ GOLDEN = {
     "ssac-lb4.eval.csv":
         "c95a08baa1ede52391b633e89e87c02b22c3f30b186bdacf47343877ba773a3e",
     "ssac-lb4.log.csv":
-        "16d296f35e1b6bc420e75d141d28d197c7c4147a8956d1fb85390ada3b5a2543",
+        "cbe129de751b62849b156b04e3942f18633cb3baff1c7381770c6c0fccbffd1c",
     "ssac-lb4.sense.nism":
         "1886aa51836016592693f74bc048e0bb974c689538b7a9afec7ae0d21259561d",
     "ssac-lb4.test.nisd":
