@@ -58,6 +58,20 @@ def _write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
+def _distinct_outputs(*named) -> None:
+    """Exit 2 if two of the (flag, path) outputs name the same file.  An
+    existing file that is not a regular file, such as /dev/null, is written
+    in place and may repeat."""
+    seen = {}
+    for flag, path in named:
+        if path is None or (Path(path).exists() and not Path(path).is_file()):
+            continue
+        real = Path(path).resolve()
+        if real in seen:
+            raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
+        seen[real] = flag
+
+
 def _alpha(args, mode: str) -> float | None:
     """The receiver below the parser: None is ISAC, else SSAC's data-slot fraction."""
     if mode == "isac":
@@ -128,6 +142,7 @@ def _score(models: dict, dataset: Dataset, alpha: float | None):
 
 def cmd_gen(args) -> int:
     alpha = _alpha(args, args.mode)
+    _distinct_outputs(("--out-train", args.out_train), ("--out-test", args.out_test))
     datasets = _splits(args, args.Lb, alpha)
     # both files appear together or neither does
     with staged_path(args.out_train) as train_tmp, staged_path(args.out_test) as test_tmp:
@@ -147,12 +162,14 @@ def cmd_train(args) -> int:
     alpha = _alpha(args, args.mode)
     dataset = load_dataset(args.data)
     out = Path(args.out)
+    # ssac writes <out>.comm and <out>.sense beside <out>
+    paths = {name: args.out if alpha is None else out.with_suffix(f".{name}{out.suffix}")
+             for name in _networks(alpha, None, dataset.slot_count)}
+    _distinct_outputs(*(("--out", path) for path in paths.values()), ("--log", args.log))
     rows = []
     for name, (model, history) in _train_on(dataset, args, alpha, args.beta).items():
-        # ssac writes <out>.comm and <out>.sense beside <out>
-        path = args.out if alpha is None else out.with_suffix(f".{name}{out.suffix}")
-        save_model(model, path)
-        print(f"wrote {path}")
+        save_model(model, paths[name])
+        print(f"wrote {paths[name]}")
         rows += [
             [ep.epoch, ep.comm_loss, ep.sense_loss, ep.total_loss,
              ep.throughput, ep.detection_error, name, args.seed]
@@ -334,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("isac", "ssac"), default="isac")
     p.add_argument("--alpha", type=float, help="ssac data-slot fraction")
     p.add_argument("--out", required=True, help="metrics CSV path")
-    add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="generate/train/eval across a parameter grid")

@@ -24,8 +24,11 @@ The q/r pair is linear, so it is computed as a filter, not stepped: unrolled,
 r_t = sum_{m<=t} k(t-m) * drive_m with the impulse response
 k(n) = sum_{j=0..n} a_syn^j * a_mem^(n-j), i.e. r = K @ drive for the
 lower-triangular Toeplitz kernel K[t, m] = k(t-m).  K is applied in blocks of
-_BLOCK steps, and the (q, r) state left at the end of a block enters the next
-one in closed form, so a long frame never builds an (L x L) kernel.  Only the
+_BLOCK steps, so a long frame never builds an (L x L) kernel.  Eliminating q
+gives r_t = (a_syn + a_mem) r_{t-1} - a_syn a_mem r_{t-2} + drive_t, so a
+block at t0 > 0 starts from rest once its first drive gains
+(a_syn + a_mem) r_{t0-1} - a_syn a_mem r_{t0-2} and its second loses
+a_syn a_mem r_{t0-1}, the last two outputs of the block before.  Only the
 hidden refractory/spike recursion, which is nonlinear, is stepped.  The
 readout never feeds back into the hidden layer, so each layer runs over the
 whole frame before the next one starts.
@@ -154,31 +157,19 @@ def forward(model: SnnModel, frame) -> ForwardTrace:
 
 
 @functools.lru_cache(maxsize=16)
-def _synapse_kernel(a_syn: float, a_mem: float):
-    """One block of the q/r response, from the recursion run on a unit impulse.
-
-    Returns (K, r_carry, q_carry, q_weights, q_decay): K is the (_BLOCK x
-    _BLOCK) lower-triangular kernel; a block entered with state (q0, r0) adds
-    r_carry[t]*r0 + q_carry[t]*q0 at its step t, and leaves q =
-    q_decay*q0 + q_weights @ drive after its last step.
-    """
-    q_pow = np.empty(_BLOCK)  # a_syn^t
-    k = np.empty(_BLOCK)      # k(t)
+def _synapse_kernel(a_syn: float, a_mem: float) -> np.ndarray:
+    """The (_BLOCK x _BLOCK) lower-triangular kernel K[t, m] = k(t-m), with k
+    the q/r recursion run on a unit impulse; read-only, as the cache shares it."""
+    k = np.empty(_BLOCK)
     q = r = 0.0
     for t in range(_BLOCK):
         q = a_syn * q + (t == 0)
         r = a_mem * r + q
-        q_pow[t], k[t] = q, r
+        k[t] = r
     lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-    parts = (
-        np.where(lag >= 0, k[np.maximum(lag, 0)], 0.0),
-        a_mem ** np.arange(1, _BLOCK + 1),
-        a_syn * k,
-        q_pow[::-1].copy(),
-    )
-    for a in parts:  # shared through the cache
-        a.flags.writeable = False
-    return (*parts, a_syn * q_pow[-1])
+    K = np.where(lag >= 0, k[np.maximum(lag, 0)], 0.0)
+    K.flags.writeable = False
+    return K
 
 
 def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
@@ -188,19 +179,16 @@ def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
     Filtering a time-reversed sequence applies K transposed, which is how the
     backward pass uses it.
     """
-    K, r_carry, q_carry, q_weights, q_decay = _synapse_kernel(a_syn, a_mem)
+    K = _synapse_kernel(a_syn, a_mem)
     L = x.shape[0]
     flat = x.reshape(L, math.prod(x.shape[1:]))  # a view: x is contiguous
     for t0 in range(0, L, _BLOCK):
-        n = min(_BLOCK, L - t0)
-        block = flat[t0 : t0 + n]
-        q_end = q_weights @ block if t0 + n < L else None  # before block is overwritten
-        block[...] = K[:n, :n] @ block
+        block = flat[t0 : t0 + _BLOCK]
         if t0:
-            block += np.outer(r_carry[:n], r) + np.outer(q_carry[:n], q)
-            if q_end is not None:
-                q_end += q_decay * q
-        q, r = q_end, block[-1]
+            block[0] += (a_syn + a_mem) * flat[t0 - 1] - a_syn * a_mem * flat[t0 - 2]
+            block[1:2] -= a_syn * a_mem * flat[t0 - 1]  # empty for a one-step block
+        n = len(block)
+        block[...] = K[:n, :n] @ block
     return x
 
 

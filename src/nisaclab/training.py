@@ -216,10 +216,6 @@ def train(
     if not 0 <= sense_slot_start < L:
         raise ValueError(f"sense_slot_start must lie in [0, {L - 1}], got {sense_slot_start}")
 
-    inputs_all = dataset.inputs
-    bits_all = dataset.bits.astype(np.float64)
-    targets_all = dataset.targets.astype(np.float64)
-
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
 
@@ -233,9 +229,7 @@ def train(
             wrong_detections = 0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                inputs = inputs_all[idx]
-                bits = bits_all[idx]
-                targets = targets_all[idx]
+                inputs, bits, targets = dataset.inputs[idx], dataset.bits[idx], dataset.targets[idx]
                 oh, bh, orr, br = forward_batch(model, inputs)
 
                 lc_batch, ls_batch, d_or = objective(

@@ -92,6 +92,29 @@ class TestGen:
         assert code == 3
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("linked", [False, True], ids=["plain", "symlink"])
+    def test_one_file_for_both_splits_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, linked):
+        monkeypatch.setattr("nisaclab.cli.generate_dataset", lambda *a, **k: pytest.fail("drew a split"))
+        same = tmp_path / "same.nisd"
+        test = tmp_path / "link.nisd" if linked else same
+        if linked:
+            test.symlink_to(same)
+        code = main([
+            "gen", "--n-train", "5", "--n-test", "3", "--L", "8",
+            "--out-train", str(same), "--out-test", str(test),
+        ])
+        assert code == 2
+        assert "--out-train and --out-test name the same file" in capsys.readouterr().err
+        assert not same.exists()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_null_device_may_take_both_splits(self):
+        # a non-regular file is written in place, so naming it twice loses nothing
+        assert main([
+            "gen", "--n-train", "2", "--n-test", "2", "--L", "4",
+            "--out-train", os.devnull, "--out-test", os.devnull,
+        ]) == 0
+
     def test_ssac_requires_alpha(self, tmp_path):
         code = main([
             "gen", "--n-train", "2", "--n-test", "2", "--L", "4", "--mode", "ssac",
@@ -131,6 +154,24 @@ class TestTrain:
         header, rows = _read_csv(log)
         assert header == TRAIN_LOG_COLUMNS
         assert [r[6] for r in rows] == ["comm", "comm", "sense", "sense"]
+
+    # the log names the model file: directly, through a symlink, or as ssac's <out>.sense
+    @pytest.mark.parametrize("out, log, flags", [
+        ("m.nism", "m.nism", []),
+        ("m.nism", "link.csv", []),
+        ("pair.nism", "pair.sense.nism", ["--mode", "ssac", "--alpha", "0.5"]),
+    ], ids=["plain", "symlink", "ssac"])
+    def test_log_on_a_model_path_exits_2_before_training(self, workdir, tmp_path, capsys,
+                                                         monkeypatch, out, log, flags):
+        monkeypatch.setattr("nisaclab.cli.train", lambda *a, **k: pytest.fail("trained"))
+        (tmp_path / "link.csv").symlink_to(tmp_path / "m.nism")
+        code = main([
+            "train", "--data", str(workdir["train"]), "--out", str(tmp_path / out),
+            "--log", str(tmp_path / log), "--epochs", "1", *flags,
+        ])
+        assert code == 2
+        assert "--out and --log name the same file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         code = main([
@@ -183,6 +224,14 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {what} ")
         assert not out.exists()
+
+    def test_has_no_seed_flag(self, workdir, tmp_path):
+        # the seed column is the dataset's master seed; eval draws nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--data", str(workdir["test"]), "--model", str(workdir["model"]),
+                  "--out", str(tmp_path / "e.csv"), "--seed", "3"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "e.csv").exists()
 
     def test_ssac_needs_sense_model_and_alpha(self, workdir, tmp_path):
         base = [

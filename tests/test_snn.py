@@ -281,6 +281,8 @@ class TestForwardBatch:
 
     @pytest.mark.parametrize("B, L", [
         (3, _BLOCK - 1), (3, _BLOCK), (3, _BLOCK + 1), (2, 2 * _BLOCK + 7), (1, 1000),
+        # last blocks of one and two steps after a carried block
+        (1, 2 * _BLOCK + 1), (1, 2 * _BLOCK + 2),
     ])
     def test_block_boundaries_match_reference(self, B, L, neuron_constants):
         # slow time constants, so the state a kernel block hands on still

@@ -222,6 +222,7 @@ class TestGradients:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(H=3, L_b=2, L=_BLOCK + 5, seed=0)
+    @example(H=3, L_b=2, L=2 * _BLOCK + 1, seed=0)  # the adjoint crosses two carries
     def test_backward_matches_finite_differences_on_random_shapes(self, neuron_constants, H, L_b, L, seed):
         # L up to 85 crosses a kernel block boundary; these time constants keep
         # the readout potentials clear of the PROB_EPS clamp, where the
