@@ -58,18 +58,20 @@ def _write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _distinct_outputs(*named) -> None:
-    """Exit 2 if two of the (flag, path) outputs name the same file.  An
-    existing file that is not a regular file, such as /dev/null, is written
-    in place and may repeat."""
+def _distinct_outputs(args, outputs, inputs=()) -> None:
+    """Exit 2 if one of the (flag, path) outputs names the same file as
+    another output or as an input: one of the (flag, path) inputs or the
+    --config file.  Inputs may repeat.  An existing file that is not a
+    regular file, such as /dev/null, is written in place and may repeat."""
+    inputs = [*inputs, ("--config", args.config)]
     seen = {}
-    for flag, path in named:
+    for i, (flag, path) in enumerate([*inputs, *outputs]):
         if path is None or (Path(path).exists() and not Path(path).is_file()):
             continue
         real = Path(path).resolve()
-        if real in seen:
+        if real in seen and i >= len(inputs):
             raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
-        seen[real] = flag
+        seen.setdefault(real, flag)
 
 
 def _alpha(args, mode: str) -> float | None:
@@ -103,12 +105,12 @@ def _splits(args, L_b: int, alpha: float | None) -> list[Dataset]:
     return [generate_dataset(cfg, args.L, L_b, n, master_seed=seed, alpha=alpha) for n, seed in specs]
 
 
-def _networks(alpha: float | None, beta: float | None, L: int) -> dict:
-    """{name: (beta, train's slot ranges)} of the networks the receiver trains."""
+def _networks(alpha: float | None, beta: float | None) -> dict:
+    """{name: (beta, the train keyword that takes SSAC's data-slot count, or
+    None)} of the networks the receiver trains."""
     if alpha is None:
-        return {"isac": (beta, {})}
-    n_data = ssac_data_slots(alpha, L)
-    return {"comm": (1.0, {"data_slot_count": n_data}), "sense": (0.0, {"sense_slot_start": n_data})}
+        return {"isac": (beta, None)}
+    return {"comm": (1.0, "data_slot_count"), "sense": (0.0, "sense_slot_start")}
 
 
 def _train_config(args, beta: float) -> TrainConfig:
@@ -125,8 +127,9 @@ def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -
     """Fit each network of the receiver; returns {name: (model, history)}."""
     rng = np.random.default_rng(args.seed)  # read only by init_model
     fits = {}
-    for name, (net_beta, slots) in _networks(alpha, beta, dataset.slot_count).items():
+    for name, (net_beta, slot_arg) in _networks(alpha, beta).items():
         cfg = _train_config(args, net_beta)
+        slots = {} if slot_arg is None else {slot_arg: ssac_data_slots(alpha, dataset.slot_count)}
         fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, **slots)
     return fits
 
@@ -142,7 +145,7 @@ def _score(models: dict, dataset: Dataset, alpha: float | None):
 
 def cmd_gen(args) -> int:
     alpha = _alpha(args, args.mode)
-    _distinct_outputs(("--out-train", args.out_train), ("--out-test", args.out_test))
+    _distinct_outputs(args, [("--out-train", args.out_train), ("--out-test", args.out_test)])
     datasets = _splits(args, args.Lb, alpha)
     # both files appear together or neither does
     with staged_path(args.out_train) as train_tmp, staged_path(args.out_test) as test_tmp:
@@ -160,12 +163,13 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     alpha = _alpha(args, args.mode)
-    dataset = load_dataset(args.data)
     out = Path(args.out)
     # ssac writes <out>.comm and <out>.sense beside <out>
     paths = {name: args.out if alpha is None else out.with_suffix(f".{name}{out.suffix}")
-             for name in _networks(alpha, None, dataset.slot_count)}
-    _distinct_outputs(*(("--out", path) for path in paths.values()), ("--log", args.log))
+             for name in _networks(alpha, None)}
+    _distinct_outputs(args, [*(("--out", path) for path in paths.values()), ("--log", args.log)],
+                      [("--data", args.data)])
+    dataset = load_dataset(args.data)
     rows = []
     for name, (model, history) in _train_on(dataset, args, alpha, args.beta).items():
         save_model(model, paths[name])
@@ -185,14 +189,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     alpha = _alpha(args, args.mode)
-    dataset = load_dataset(args.data)
-    flags = {"isac": (args.model, "model"), "comm": (args.model, "decode model"),
-             "sense": (args.model_sense, "detection model")}
-    named = [(name, *flags[name]) for name in _networks(alpha, None, dataset.slot_count)]
-    if any(path is None for _, path, _ in named):
+    flags = {"isac": ("--model", args.model, "model"), "comm": ("--model", args.model, "decode model"),
+             "sense": ("--model-sense", args.model_sense, "detection model")}
+    named = {name: flags[name] for name in _networks(alpha, None)}
+    if any(path is None for _, path, _ in named.values()):
         raise UsageError("ssac mode requires --model-sense")
-    models = {name: load_model(path) for name, path, _ in named}
-    for name, _, what in named:
+    _distinct_outputs(args, [("--out", args.out)],
+                      [("--data", args.data), *((flag, path) for flag, path, _ in named.values())])
+    dataset = load_dataset(args.data)
+    models = {name: load_model(path) for name, (_, path, _) in named.items()}
+    for name, (_, _, what) in named.items():
         _lb_of(models[name], what, dataset.L_b)
     result = _score(models, dataset, alpha)
     row = [
@@ -236,8 +242,11 @@ def cmd_sweep(args) -> int:
     for beta, alpha, L_b in points:
         if args.L < 1 or L_b < 1:
             raise UsageError("L, L_b and n must all be positive")
-        for net_beta, _ in _networks(alpha, beta, args.L).values():
+        if alpha is not None:
+            ssac_data_slots(alpha, args.L)
+        for net_beta, _ in _networks(alpha, beta).values():
             _train_config(args, net_beta)
+    _distinct_outputs(args, [("--out", args.out)])
 
     cache: dict = {}
     rows = []
@@ -267,6 +276,7 @@ def cmd_trace(args) -> int:
         raise UsageError("--frame-slots and --idle-slots must be non-negative")
     if args.frame_slots == args.idle_slots == 0:
         raise UsageError("--frame-slots and --idle-slots are both 0: the trace has no slot")
+    _distinct_outputs(args, [("--out", args.out)], [("--model", args.model)])
     model = load_model(args.model)
     L_b = _lb_of(model, "model")
     L = args.frame_slots

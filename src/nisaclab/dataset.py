@@ -8,9 +8,11 @@ single-frame calls, and example i does not depend on how many examples are
 generated.  Only those draws run per example; modulation, the channel
 convolution, the noise sum and the slot framing run once per block of
 _BLOCK frames, through the same functions with a leading frame axis.
-Inputs are quantized to 32-bit floats at generation time (they are noisy
-measurements; no point storing more), which makes the save/load round trip
-bit-exact even though training runs in 64-bit.
+Inputs are held as 32-bit floats, in memory as in the file (they are noisy
+measurements; no point storing more), so the save/load round trip is
+bit-exact; the engines cast each batch or block to 64-bit as they read it.
+A loaded dataset's three arrays are read-only views of the file's records,
+read in one pass, and a save writes the records in chunks of _SAVE_CHUNK frames.
 """
 
 from __future__ import annotations
@@ -46,12 +48,15 @@ _HEADER = struct.Struct("<4sIIIIdQ")  # magic, version, n, L, L_b, snr_db, maste
 # temporaries stay a few MiB.
 _BLOCK = 64
 
+# Frames per records buffer when saving; the buffer stays ~1 MiB at L_b=4.
+_SAVE_CHUNK = 256
+
 
 @dataclass(eq=False)
 class Dataset:
     """In-memory dataset; exactly the fields the NISD file persists."""
 
-    inputs: np.ndarray   # (n, L, 4*L_b) float64, float32-quantized values
+    inputs: np.ndarray   # (n, L, 4*L_b) float32
     bits: np.ndarray     # (n, L) uint8
     targets: np.ndarray  # (n,) uint8
     L_b: int
@@ -59,7 +64,7 @@ class Dataset:
     master_seed: int
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = np.asarray(self.inputs, dtype=np.float32)
         self.bits = np.asarray(self.bits, dtype=np.uint8)
         self.targets = np.asarray(self.targets, dtype=np.uint8)
         n, L, width = self.inputs.shape
@@ -69,7 +74,9 @@ class Dataset:
             raise ValueError(f"slot width {width} does not match 4*L_b={4 * self.L_b}")
         if self.bits.max(initial=0) > 1 or self.targets.max(initial=0) > 1:
             raise ValueError("bits and targets must be 0 or 1")
-        if not np.isfinite(self.inputs).all():
+        # a float64 sum of float32 values cannot overflow, so it is finite
+        # iff every input is, and it needs no full-size temporary
+        if not np.isfinite(self.inputs.sum(dtype=np.float64)):
             raise ValueError("inputs must be finite")
         if not -100.0 <= self.snr_db <= 100.0:
             raise ValueError(f"snr_db must lie in [-100, 100] dB, got {self.snr_db}")
@@ -124,7 +131,7 @@ def generate_dataset(
     n_data = L if alpha is None else ssac_data_slots(alpha, L)
 
     noise_var = noise_variance_from_snr(cfg)
-    inputs = np.empty((n, L, 4 * L_b), dtype=np.float64)
+    inputs = np.empty((n, L, 4 * L_b), dtype=np.float32)
     bits = np.empty((n, L), dtype=np.uint8)
     targets = np.empty(n, dtype=np.uint8)
 
@@ -141,7 +148,7 @@ def generate_dataset(
             targets[i] = v
         rows = slice(start, stop)
         samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
-        inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs.astype(np.float32)
+        inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs
 
     return Dataset(
         inputs=inputs, bits=bits, targets=targets,
@@ -154,26 +161,36 @@ def _payload_dtype(L: int, L_b: int) -> np.dtype:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset in the little-endian NISD layout."""
+    """Write the dataset in the little-endian NISD layout, _SAVE_CHUNK records at a time."""
+    n = dataset.example_count
     header = _HEADER.pack(
         DATASET_MAGIC, DATASET_VERSION,
-        dataset.example_count, dataset.slot_count, dataset.L_b,
+        n, dataset.slot_count, dataset.L_b,
         dataset.snr_db, dataset.master_seed,
     )
-    records = np.empty(dataset.example_count, dtype=_payload_dtype(dataset.slot_count, dataset.L_b))
-    records["v"] = dataset.targets
-    records["bits"] = dataset.bits
-    records["inputs"] = dataset.inputs  # cast in place: no full-size temporary
+    chunk = np.empty(min(n, _SAVE_CHUNK), dtype=_payload_dtype(dataset.slot_count, dataset.L_b))
     with staged_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
-        fh.write(records.data)
+        for start in range(0, n, _SAVE_CHUNK):
+            stop = min(start + _SAVE_CHUNK, n)
+            rows, records = slice(start, stop), chunk[: stop - start]
+            records["v"] = dataset.targets[rows]
+            records["bits"] = dataset.bits[rows]
+            records["inputs"] = dataset.inputs[rows]
+            fh.write(records.data)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by save_dataset; round trip is bit-exact."""
+    """Read a dataset written by save_dataset; round trip is bit-exact.
+
+    The file is read once, into one buffer, and the dataset's inputs, bits
+    and targets are read-only views of its records.  The read is a plain
+    read, not np.fromfile, which must know the file position and so cannot
+    read a pipe.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)
+    if raw.size < _HEADER.size:
         raise TruncatedFileError("dataset file ended inside the header")
     magic, version, n, L, L_b, snr_db, master_seed = _HEADER.unpack_from(raw)
     if magic != DATASET_MAGIC:
@@ -183,13 +200,13 @@ def load_dataset(path) -> Dataset:
     if n == 0 or L == 0 or L_b == 0:
         raise FileFormatError("header counts must be positive")
     record_size = 1 + L + 16 * L * L_b  # _payload_dtype(L, L_b).itemsize
-    check_payload_size(len(raw) - _HEADER.size, n * record_size, "dataset")
-    records = np.frombuffer(raw, dtype=_payload_dtype(L, L_b), offset=_HEADER.size)
+    check_payload_size(raw.size - _HEADER.size, n * record_size, "dataset")
+    records = raw[_HEADER.size:].view(_payload_dtype(L, L_b))
     try:
         return Dataset(
-            inputs=records["inputs"].astype(np.float64),
-            bits=records["bits"].copy(),
-            targets=records["v"].copy(),
+            inputs=records["inputs"],
+            bits=records["bits"],
+            targets=records["v"],
             L_b=L_b,
             snr_db=snr_db,
             master_seed=master_seed,

@@ -229,7 +229,8 @@ def train(
             wrong_detections = 0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                inputs, bits, targets = dataset.inputs[idx], dataset.bits[idx], dataset.targets[idx]
+                inputs = dataset.inputs[idx].astype(np.float64)  # one cast for forward and backward
+                bits, targets = dataset.bits[idx], dataset.targets[idx]
                 oh, bh, orr, br = forward_batch(model, inputs)
 
                 lc_batch, ls_batch, d_or = objective(

@@ -408,6 +408,59 @@ class TestOutputFiles:
         assert data.decode().startswith(",".join(EVAL_COLUMNS))
 
 
+class TestOutputNamesAnInput:
+    """An output that names one of the command's inputs, directly or through
+    a symlink, exits 2 before anything is read, drawn or trained."""
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["plain", "symlink"])
+    @pytest.mark.parametrize("argv, inp, out", [
+        (["train", "--data", "{data}", "--out", "{same}"], "--data", "--out"),
+        (["train", "--data", "{data}", "--out", "{root}/m.nism", "--log", "{same}"], "--data", "--log"),
+        (["eval", "--data", "{data}", "--model", "{model}", "--out", "{same}"], "--data", "--out"),
+        (["eval", "--data", "{data}", "--model", "{model}", "--out", "{same}"], "--model", "--out"),
+        (["eval", "--mode", "ssac", "--alpha", "0.5", "--data", "{data}", "--model", "{model}",
+          "--model-sense", "{sense}", "--out", "{same}"], "--model-sense", "--out"),
+        (["trace", "--model", "{model}", "--out", "{same}"], "--model", "--out"),
+        (["--config", "{config}", "gen", "--n-train", "2", "--n-test", "2", "--L", "4",
+          "--out-train", "{same}", "--out-test", "{root}/b.nisd"], "--config", "--out-train"),
+        (["--config", "{config}", "train", "--data", "{data}", "--out", "{root}/m.nism",
+          "--log", "{same}"], "--config", "--log"),
+        (["--config", "{config}", "sweep", "--param", "beta", "--values", "0.5",
+          "--n-train", "2", "--n-test", "2", "--L", "4", "--out", "{same}"], "--config", "--out"),
+    ], ids=["train-out-data", "train-log-data", "eval-out-data", "eval-out-model",
+            "eval-out-model-sense", "trace-out-model", "gen-out-config", "train-log-config",
+            "sweep-out-config"])
+    def test_exits_2_before_reading(self, workdir, tmp_path, capsys, monkeypatch, argv, inp, out, linked):
+        for name in ("load_dataset", "load_model", "generate_dataset", "train"):
+            monkeypatch.setattr(f"nisaclab.cli.{name}", lambda *a, **k: pytest.fail("read, drew or trained"))
+        files = {"data": tmp_path / "data.nisd", "model": tmp_path / "model.nism",
+                 "sense": tmp_path / "sense.nism", "config": tmp_path / "cfg.json"}
+        files["data"].write_bytes(workdir["train"].read_bytes())
+        files["model"].write_bytes(workdir["model"].read_bytes())
+        files["sense"].write_bytes(workdir["model"].read_bytes())
+        files["config"].write_text(json.dumps({"seed": 0}))
+        before = {path: path.read_bytes() for path in files.values()}
+        target = files[{"--data": "data", "--model": "model", "--model-sense": "sense",
+                        "--config": "config"}[inp]]
+        same = tmp_path / "link" if linked else target
+        if linked:
+            same.symlink_to(target)
+        code = main([arg.format(root=tmp_path, same=same, **files) for arg in argv])
+        assert code == 2
+        assert f"{inp} and {out} name the same file" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in files.values()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [p.name for p in files.values()] + (["link"] if linked else []))
+
+    def test_model_and_sense_model_may_be_one_file(self, workdir, tmp_path):
+        # inputs may repeat: only an output may not name an input
+        assert main([
+            "eval", "--mode", "ssac", "--alpha", "0.5", "--data", str(workdir["test"]),
+            "--model", str(workdir["model"]), "--model-sense", str(workdir["model"]),
+            "--out", str(tmp_path / "e.csv"),
+        ]) == 0
+
+
 class TestSweep:
     COMMON = [
         "--n-train", "8", "--n-test", "4", "--L", "4",

@@ -1,6 +1,9 @@
 """Frame generation determinism and the binary dataset format."""
 
 import hashlib
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,7 +79,7 @@ class TestGenerate:
         assert not np.array_equal(a, c)
 
     def test_inputs_are_float32_exact(self, small):
-        assert np.array_equal(small.inputs, small.inputs.astype(np.float32).astype(np.float64))
+        assert small.inputs.dtype == np.float32
 
     def test_rejects_bad_mode(self):
         # alpha=None is ISAC and an alpha is SSAC; there is no mode keyword
@@ -112,7 +115,7 @@ class TestRegeneration:
             inputs = frame_received(samples, L_b, noise_var).slot_inputs.astype(np.float32)
             assert ds.targets[i] == v
             assert np.array_equal(ds.bits[i], bits)
-            assert ds.inputs[i].tobytes() == inputs.astype(np.float64).tobytes()
+            assert ds.inputs[i].tobytes() == inputs.tobytes()
 
 
 class TestGoldenBytes:
@@ -162,6 +165,32 @@ class TestPersistence:
         assert loaded.L_b == 2
         assert loaded.snr_db == 10.0
         assert loaded.master_seed == 42
+
+    def test_float64_inputs_are_quantized_once(self, tmp_path):
+        rng = np.random.default_rng(0)
+        ds = Dataset(
+            inputs=rng.standard_normal((5, 3, 8)), bits=rng.integers(0, 2, (5, 3)),
+            targets=rng.integers(0, 2, 5), L_b=2, snr_db=3.0, master_seed=9,
+        )
+        assert ds.inputs.dtype == np.float32
+        save_dataset(ds, tmp_path / "d.nisd")
+        loaded = load_dataset(tmp_path / "d.nisd")
+        assert loaded == ds
+        assert loaded.inputs.dtype == np.float32
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_loads_from_a_pipe(self, small, tmp_path):
+        path, pipe = tmp_path / "d.nisd", tmp_path / "pipe"
+        save_dataset(small, path)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            loaded = load_dataset(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded == small
 
     def test_second_save_is_byte_identical(self, small, tmp_path):
         p1, p2 = tmp_path / "a.nisd", tmp_path / "b.nisd"
@@ -238,6 +267,40 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
             load_dataset(path)
+
+
+class TestMemory:
+    """A load holds the file's bytes and little more, and a save a small
+    fraction of them: no full-size copy of the records.  numpy reports its
+    buffers to tracemalloc."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("memory") / "d.nisd"
+        ds = generate_dataset(CFG, L=80, L_b=4, n=2000, master_seed=0)
+        save_dataset(ds, path)
+        return ds, path
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak_is_about_the_file(self, saved):
+        _, path = saved
+        assert self._peak_bytes(lambda: load_dataset(path)) <= 1.3 * path.stat().st_size
+
+    def test_save_peak_is_a_fraction_of_the_file(self, saved, tmp_path):
+        ds, path = saved
+        copy = tmp_path / "copy.nisd"
+        assert self._peak_bytes(lambda: save_dataset(ds, copy)) <= 0.25 * path.stat().st_size
+        assert copy.read_bytes() == path.read_bytes()
 
 
 class TestDatasetValidation:
