@@ -47,10 +47,6 @@ SWEEP_COLUMNS = [
 TRACE_COLUMNS = ["slot", "segment", "spike_count", "seed"]
 
 
-class UsageError(Exception):
-    """Inconsistent flag values or mismatched inputs; exits with code 2."""
-
-
 def _write_csv(path, columns, rows) -> None:
     with staged_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -70,7 +66,7 @@ def _distinct_outputs(args, outputs, inputs=()) -> None:
             continue
         real = Path(path).resolve()
         if real in seen and i >= len(inputs):
-            raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
+            raise ValueError(f"{seen[real]} and {flag} name the same file {path}")
         seen.setdefault(real, flag)
 
 
@@ -79,7 +75,7 @@ def _alpha(args, mode: str) -> float | None:
     if mode == "isac":
         return None
     if args.alpha is None:
-        raise UsageError("ssac mode requires --alpha")
+        raise ValueError("ssac mode requires --alpha")
     return args.alpha
 
 
@@ -87,9 +83,9 @@ def _lb_of(model: SnnModel, what: str, L_b: int | None = None) -> int:
     """The model's L_b; exit 2 unless its input width is 4*L_b (the dataset's, if given)."""
     width = model.input_width
     if width % 4:
-        raise UsageError(f"{what} input width {width} is not a multiple of 4")
+        raise ValueError(f"{what} input width {width} is not a multiple of 4")
     if L_b is not None and width != 4 * L_b:
-        raise UsageError(f"{what} expects input width {width} (L_b={width // 4}), dataset has L_b={L_b}")
+        raise ValueError(f"{what} expects input width {width} (L_b={width // 4}), dataset has L_b={L_b}")
     return width // 4
 
 
@@ -99,9 +95,9 @@ def _splits(args, L_b: int, alpha: float | None) -> list[Dataset]:
     specs = [(args.n_train, args.seed), (args.n_test, args.seed + 1)]
     for n, seed in specs:
         if n < 1:
-            raise UsageError(f"split sizes must be positive, got {n}")
+            raise ValueError(f"split sizes must be positive, got {n}")
         if not 0 <= seed < 2**64:
-            raise UsageError(f"split seed {seed} does not fit an unsigned 64-bit integer")
+            raise ValueError(f"split seed {seed} does not fit an unsigned 64-bit integer")
     return [generate_dataset(cfg, args.L, L_b, n, master_seed=seed, alpha=alpha) for n, seed in specs]
 
 
@@ -116,7 +112,7 @@ def _networks(alpha: float | None, beta: float | None) -> dict:
 def _train_config(args, beta: float) -> TrainConfig:
     """One network's training settings; checks every training flag, --hidden included."""
     if args.hidden < 1:
-        raise UsageError("need at least one hidden neuron")
+        raise ValueError("need at least one hidden neuron")
     return TrainConfig(
         beta=beta, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
         surrogate_slope=args.slope, seed=args.seed,
@@ -193,7 +189,7 @@ def cmd_eval(args) -> int:
              "sense": ("--model-sense", args.model_sense, "detection model")}
     named = {name: flags[name] for name in _networks(alpha, None)}
     if any(path is None for _, path, _ in named.values()):
-        raise UsageError("ssac mode requires --model-sense")
+        raise ValueError("ssac mode requires --model-sense")
     _distinct_outputs(args, [("--out", args.out)],
                       [("--data", args.data), *((flag, path) for flag, path, _ in named.values())])
     dataset = load_dataset(args.data)
@@ -219,13 +215,13 @@ def cmd_eval(args) -> int:
 def _parse_grid(raw: str, param: str) -> list[float]:
     values = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not values:
-        raise UsageError("--values must name at least one grid point")
+        raise ValueError("--values must name at least one grid point")
     try:
         if param == "lb":
             return [int(tok) for tok in values]
         return [float(tok) for tok in values]
     except ValueError as exc:
-        raise UsageError(f"bad grid value: {exc}") from None
+        raise ValueError(f"bad grid value: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -241,7 +237,7 @@ def cmd_sweep(args) -> int:
     # the first split is drawn
     for beta, alpha, L_b in points:
         if args.L < 1 or L_b < 1:
-            raise UsageError("L, L_b and n must all be positive")
+            raise ValueError("L, L_b and n must all be positive")
         if alpha is not None:
             ssac_data_slots(alpha, args.L)
         for net_beta, _ in _networks(alpha, beta).values():
@@ -273,9 +269,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     if args.frame_slots < 0 or args.idle_slots < 0:
-        raise UsageError("--frame-slots and --idle-slots must be non-negative")
+        raise ValueError("--frame-slots and --idle-slots must be non-negative")
     if args.frame_slots == args.idle_slots == 0:
-        raise UsageError("--frame-slots and --idle-slots are both 0: the trace has no slot")
+        raise ValueError("--frame-slots and --idle-slots are both 0: the trace has no slot")
     _distinct_outputs(args, [("--out", args.out)], [("--model", args.model)])
     model = load_model(args.model)
     L_b = _lb_of(model, "model")
@@ -440,7 +436,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, FileFormatError) as exc:

@@ -17,6 +17,7 @@ read in one pass, and a save writes the records in chunks of _SAVE_CHUNK frames.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -29,15 +30,8 @@ from .channel import (
     frame_received,
     noise_variance_from_snr,
 )
-from .errors import (
-    BadMagicError,
-    FileFormatError,
-    FormatVersionError,
-    InvalidContentError,
-    TruncatedFileError,
-    check_payload_size,
-)
-from .fileio import staged_path
+from .errors import FileFormatError, InvalidContentError, check_payload_size
+from .fileio import read_file, staged_path
 from .modem import ppm_modulate, ssac_data_slots
 
 DATASET_MAGIC = b"NISD"
@@ -64,22 +58,23 @@ class Dataset:
     master_seed: int
 
     def __post_init__(self):
+        self.L_b, self.master_seed = operator.index(self.L_b), operator.index(self.master_seed)
         self.inputs = np.asarray(self.inputs, dtype=np.float32)
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        self.targets = np.asarray(self.targets, dtype=np.uint8)
+        bits, targets = np.asarray(self.bits), np.asarray(self.targets)
         n, L, width = self.inputs.shape
-        if self.bits.shape != (n, L) or self.targets.shape != (n,):
+        if bits.shape != (n, L) or targets.shape != (n,):
             raise ValueError("inputs, bits and targets disagree on example count or length")
         if width != 4 * self.L_b:
             raise ValueError(f"slot width {width} does not match 4*L_b={4 * self.L_b}")
-        if self.bits.max(initial=0) > 1 or self.targets.max(initial=0) > 1:
+        # checked before the uint8 cast, which would wrap or truncate any other value
+        if not all(((a == 0) | (a == 1)).all() for a in (bits, targets)):
             raise ValueError("bits and targets must be 0 or 1")
+        self.bits, self.targets = bits.astype(np.uint8, copy=False), targets.astype(np.uint8, copy=False)
         # a float64 sum of float32 values cannot overflow, so it is finite
         # iff every input is, and it needs no full-size temporary
         if not np.isfinite(self.inputs.sum(dtype=np.float64)):
             raise ValueError("inputs must be finite")
-        if not -100.0 <= self.snr_db <= 100.0:
-            raise ValueError(f"snr_db must lie in [-100, 100] dB, got {self.snr_db}")
+        ChannelConfig(snr_db=self.snr_db)  # raises ValueError outside its SNR range
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit an unsigned 64-bit integer")
 
@@ -188,20 +183,13 @@ def load_dataset(path) -> Dataset:
     read, not np.fromfile, which must know the file position and so cannot
     read a pipe.
     """
-    with open(path, "rb") as fh:
-        raw = np.frombuffer(fh.read(), dtype=np.uint8)
-    if raw.size < _HEADER.size:
-        raise TruncatedFileError("dataset file ended inside the header")
-    magic, version, n, L, L_b, snr_db, master_seed = _HEADER.unpack_from(raw)
-    if magic != DATASET_MAGIC:
-        raise BadMagicError(f"expected magic {DATASET_MAGIC!r}, found {magic!r}")
-    if version != DATASET_VERSION:
-        raise FormatVersionError(f"unsupported dataset format version {version}")
+    fields, raw = read_file(path, _HEADER, DATASET_MAGIC, DATASET_VERSION, "dataset")
+    n, L, L_b, snr_db, master_seed = fields
     if n == 0 or L == 0 or L_b == 0:
         raise FileFormatError("header counts must be positive")
     record_size = 1 + L + 16 * L * L_b  # _payload_dtype(L, L_b).itemsize
-    check_payload_size(raw.size - _HEADER.size, n * record_size, "dataset")
-    records = raw[_HEADER.size:].view(_payload_dtype(L, L_b))
+    check_payload_size(len(raw) - _HEADER.size, n * record_size, "dataset")
+    records = np.frombuffer(raw, dtype=_payload_dtype(L, L_b), offset=_HEADER.size)
     try:
         return Dataset(
             inputs=records["inputs"],

@@ -1,10 +1,29 @@
-"""Whole-file writes: a file is either the complete new content or untouched."""
+"""Whole-file reads and writes: a file is read in one pass, with its header
+checked, and written so it is either the complete new content or untouched."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 import secrets
+import struct
+
+from .errors import BadMagicError, FormatVersionError, TruncatedFileError
+
+
+def read_file(path, header: struct.Struct, magic: bytes, version: int, what: str):
+    """Read a whole `what` file; returns the header fields after its magic and
+    version, and the file's bytes, once both of those match."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < header.size:
+        raise TruncatedFileError(f"{what} file ended inside the header")
+    found_magic, found_version, *fields = header.unpack_from(raw)
+    if found_magic != magic:
+        raise BadMagicError(f"expected magic {magic!r}, found {found_magic!r}")
+    if found_version != version:
+        raise FormatVersionError(f"unsupported {what} format version {found_version}")
+    return fields, raw
 
 
 @contextlib.contextmanager

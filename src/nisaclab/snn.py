@@ -47,13 +47,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadMagicError, FormatVersionError, InvalidContentError, TruncatedFileError, check_payload_size
-from .fileio import staged_path
+from .errors import InvalidContentError, check_payload_size
+from .fileio import read_file, staged_path
 
 COMM, SENSE = 0, 1  # readout rows
 
 MODEL_MAGIC = b"NISM"
 MODEL_VERSION = 1
+_HEADER = struct.Struct("<4sIII")  # magic, version, H, input_width
 # The five float64 scalars that end a NISM file, in file order.
 _STORED_CONSTANTS = ("hidden_threshold", "readout_threshold", "tau_mem", "tau_syn", "tau_ref")
 
@@ -247,9 +248,7 @@ def spike_count(trace: ForwardTrace) -> np.ndarray:
 
 def save_model(model: SnnModel, path) -> None:
     """Write the model in the little-endian NISM binary layout."""
-    header = struct.pack(
-        "<4sIII", MODEL_MAGIC, MODEL_VERSION, model.hidden_count, model.input_width
-    )
+    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, model.hidden_count, model.input_width)
     tail = struct.pack("<5d", *(getattr(model, name) for name in _STORED_CONSTANTS))
     with staged_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
@@ -260,18 +259,10 @@ def save_model(model: SnnModel, path) -> None:
 
 def load_model(path) -> SnnModel:
     """Read a model written by save_model; round trip is bit-exact."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise TruncatedFileError("model file ended inside the header")
-    magic, version, H, width = struct.unpack_from("<4sIII", raw)
-    if magic != MODEL_MAGIC:
-        raise BadMagicError(f"expected magic {MODEL_MAGIC!r}, found {magic!r}")
-    if version != MODEL_VERSION:
-        raise FormatVersionError(f"unsupported model format version {version}")
+    (H, width), raw = read_file(path, _HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
     n_in = H * width
-    check_payload_size(len(raw) - 16, 8 * (n_in + 2 * H + 5), "model")
-    values = np.frombuffer(raw, dtype="<f8", offset=16)
+    check_payload_size(len(raw) - _HEADER.size, 8 * (n_in + 2 * H + 5), "model")
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     w_in, w_out = values[:n_in], values[n_in:-5]
     for name, stored in zip(_STORED_CONSTANTS, values[-5:].tolist()):
         required = getattr(SnnModel, name)

@@ -678,7 +678,10 @@ class TestConfigFile:
         ({"n_train": 4.5}, ["gen", "--n-test", "2", "--out-train", "{root}/a.nisd",
                             "--out-test", "{root}/b.nisd"]),
         ({"epochs": [3]}, ["train", "--data", "{train}", "--out", "{root}/a.nisd"]),
-    ], ids=["float-for-int", "list-for-int"])
+        ({"out_train": 3}, ["gen", "--n-train", "2", "--n-test", "2", "--out-test", "{root}/b.nisd"]),
+        ({"mode": "both"}, ["gen", "--n-train", "2", "--n-test", "2", "--out-train", "{root}/a.nisd",
+                            "--out-test", "{root}/b.nisd"]),
+    ], ids=["float-for-int", "list-for-int", "int-for-path", "outside-choices"])
     def test_wrong_type_exits_2_before_writing(self, workdir, tmp_path, capsys, payload, command):
         cfg = self._write(tmp_path, payload)
         paths = {"root": tmp_path, "train": workdir["train"]}

@@ -18,6 +18,7 @@ from nisaclab.channel import (
 from nisaclab.dataset import (
     _BLOCK,
     Dataset,
+    _payload_dtype,
     example_rng,
     generate_dataset,
     load_dataset,
@@ -326,3 +327,48 @@ class TestDatasetValidation:
                 inputs=np.zeros((1, 2, 6)), bits=np.zeros((1, 2), dtype=np.uint8),
                 targets=np.zeros(1, dtype=np.uint8), L_b=1, snr_db=10.0, master_seed=0,
             )
+
+    @pytest.mark.parametrize("bits, targets", [
+        (np.full((2, 3), 0.7), np.array([0.9, 1.5])),
+        (np.full((2, 3), -255.0), np.zeros(2)),
+        (np.zeros((2, 3)), np.array([0, 257])),
+        (np.zeros((2, 3)), np.array([0.0, np.nan])),
+    ], ids=["fractions", "negative-bits", "wrapping-target", "nan-target"])
+    def test_rejects_labels_other_than_0_or_1_before_the_cast(self, bits, targets):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Dataset(np.zeros((2, 3, 4)), bits, targets, L_b=1, snr_db=10.0, master_seed=0)
+
+    def test_exact_float_labels_are_accepted(self):
+        ds = Dataset(np.zeros((2, 3, 4)), np.ones((2, 3)), np.array([0.0, 1.0]),
+                     L_b=1, snr_db=10.0, master_seed=0)
+        assert ds.bits.dtype == ds.targets.dtype == np.uint8
+        assert ds.bits.tolist() == [[1, 1, 1]] * 2 and ds.targets.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("field, value", [("L_b", 1.0), ("master_seed", 0.5)])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = {"L_b": 1, "snr_db": 10.0, "master_seed": 0, field: value}
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((1, 2, 4)), np.zeros((1, 2)), np.zeros(1), **kwargs)
+
+    def test_numpy_integer_counts_build_a_saveable_dataset(self, tmp_path):
+        ds = Dataset(np.zeros((1, 2, 4)), np.zeros((1, 2)), np.zeros(1),
+                     L_b=np.int64(1), snr_db=10.0, master_seed=np.uint64(2**64 - 1))
+        assert type(ds.L_b) is int and type(ds.master_seed) is int
+        save_dataset(ds, tmp_path / "d.nisd")
+        assert load_dataset(tmp_path / "d.nisd") == ds
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, master_seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            Dataset(np.zeros((1, 2, 4)), np.zeros((1, 2)), np.zeros(1),
+                    L_b=1, snr_db=10.0, master_seed=master_seed)
+
+    def test_equality_with_a_non_dataset(self, small):
+        assert small.__eq__(1) is NotImplemented
+        assert small != 1 and not small == 1
+
+    @pytest.mark.parametrize("L, L_b", [(1, 1), (8, 2), (80, 4), (3, 7)])
+    def test_load_record_size_is_the_record_dtype_size(self, L, L_b):
+        # load_dataset checks the payload size with this formula before it
+        # builds the record dtype from the header's counts
+        assert 1 + L + 16 * L * L_b == _payload_dtype(L, L_b).itemsize

@@ -453,6 +453,10 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             _model(1, 4, w_in=[[np.nan, 0, 0, 0]])
 
+    def test_rejects_mismatched_weight_shapes(self):
+        with pytest.raises(ValueError, match="weight shapes"):
+            SnnModel(np.zeros((3, 4)), np.zeros((2, 5)))
+
     def test_shipped_constants_are_valid(self):
         m = SnnModel
         assert np.isfinite([getattr(m, name) for name in STORED_CONSTANTS]).all()
