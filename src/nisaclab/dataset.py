@@ -66,8 +66,10 @@ class Dataset:
             raise ValueError("inputs, bits and targets disagree on example count or length")
         if width != 4 * self.L_b:
             raise ValueError(f"slot width {width} does not match 4*L_b={4 * self.L_b}")
-        # checked before the uint8 cast, which would wrap or truncate any other value
-        if not all(((a == 0) | (a == 1)).all() for a in (bits, targets)):
+        # checked before the uint8 cast, which would wrap or truncate other values;
+        # a uint8 array, as generated or loaded, is checked without a temporary array
+        if not all((a.dtype == np.uint8 and a.max(initial=0) <= 1) or ((a == 0) | (a == 1)).all()
+                   for a in (bits, targets)):
             raise ValueError("bits and targets must be 0 or 1")
         self.bits, self.targets = bits.astype(np.uint8, copy=False), targets.astype(np.uint8, copy=False)
         # a float64 sum of float32 values cannot overflow, so it is finite
