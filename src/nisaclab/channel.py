@@ -110,6 +110,10 @@ def apply_channel(
     taps = np.asarray(taps, dtype=np.complex128)
     if s.ndim == 1:
         return apply_channel(s[None], taps[None], noise_var, [rng])[0]
+    if taps.shape[:-1] != s.shape[:1] or len(rng) != len(s):
+        raise ValueError(f"a block of {len(s)} frames needs {len(s)} tap vectors and "
+                         f"{len(s)} generators, got taps of shape {taps.shape} and "
+                         f"{len(rng)} generators")
     S = s.shape[1]
     h = np.stack([taps.real, taps.imag], axis=1)  # (B, 2, T): the chips are real
     # Highest delay first, the order np.convolve sums in: on pulse-train chips

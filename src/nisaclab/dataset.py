@@ -62,6 +62,9 @@ class Dataset:
         self.inputs = np.asarray(self.inputs, dtype=np.float32)
         bits, targets = np.asarray(self.bits), np.asarray(self.targets)
         n, L, width = self.inputs.shape
+        # the NISD header counts, which load_dataset requires to be positive
+        if n < 1 or L < 1 or self.L_b < 1:
+            raise ValueError("a dataset needs n >= 1 examples, L >= 1 slots and L_b >= 1")
         if bits.shape != (n, L) or targets.shape != (n,):
             raise ValueError("inputs, bits and targets disagree on example count or length")
         if width != 4 * self.L_b:
@@ -73,8 +76,12 @@ class Dataset:
             raise ValueError("bits and targets must be 0 or 1")
         self.bits, self.targets = bits.astype(np.uint8, copy=False), targets.astype(np.uint8, copy=False)
         # a float64 sum of float32 values cannot overflow, so it is finite
-        # iff every input is, and it needs no full-size temporary
-        if not np.isfinite(self.inputs.sum(dtype=np.float64)):
+        # iff every input is, and it needs no full-size temporary; a
+        # signalling NaN (a corrupted file can hold one) or inf - inf sets
+        # the invalid flag, which is the ValueError below, not a warning
+        with np.errstate(invalid="ignore"):
+            total = self.inputs.sum(dtype=np.float64)
+        if not np.isfinite(total):
             raise ValueError("inputs must be finite")
         ChannelConfig(snr_db=self.snr_db)  # raises ValueError outside its SNR range
         if not 0 <= self.master_seed < 2**64:

@@ -1,6 +1,8 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
-the throughput that evaluation scores for hand-built decode spikes, and
-hand-checkable neuron constants."""
+the throughput that evaluation scores for hand-built decode spikes,
+hand-checkable neuron constants, and the traced memory peak of a call."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +63,25 @@ def scored_throughput(monkeypatch):
         return evaluate_ssac(model, model, data, alpha).throughput
 
     return throughput
+
+
+@pytest.fixture
+def peak_bytes():
+    """peak_bytes(call): the most memory call() held at once beyond what was
+    held when it started, as tracemalloc sees it; numpy reports its buffers
+    to tracemalloc."""
+
+    def measure(call) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

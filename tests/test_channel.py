@@ -172,6 +172,16 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             apply_channel(np.ones(4), [1], -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("tap_rows, generators", [(1, 1), (3, 2)],
+                             ids=["one-channel-for-three-frames", "two-generators-for-three-frames"])
+    def test_block_needs_a_channel_and_a_generator_per_frame(self, tap_rows, generators):
+        rngs = [np.random.default_rng(seed) for seed in range(generators)]
+        with pytest.raises(ValueError, match="block of 3 frames needs 3 tap vectors and 3 generators"):
+            apply_channel(np.ones((3, 8)), np.ones((tap_rows, 5)), 0.1, rngs)
+        # the check comes before any noise draw
+        assert [g.standard_normal() for g in rngs] == [
+            np.random.default_rng(seed).standard_normal() for seed in range(generators)]
+
 
 class TestFrameReceived:
     def test_stacking_order(self):

@@ -3,7 +3,6 @@
 import hashlib
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,8 +271,7 @@ class TestPersistence:
 
 class TestMemory:
     """A load holds the file's bytes and little more, and a save a small
-    fraction of them: no full-size copy of the records.  numpy reports its
-    buffers to tracemalloc."""
+    fraction of them: no full-size copy of the records."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -282,25 +280,14 @@ class TestMemory:
         save_dataset(ds, path)
         return ds, path
 
-    @staticmethod
-    def _peak_bytes(call) -> int:
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
-    def test_load_peak_is_about_the_file(self, saved):
+    def test_load_peak_is_about_the_file(self, saved, peak_bytes):
         _, path = saved
-        assert self._peak_bytes(lambda: load_dataset(path)) <= 1.3 * path.stat().st_size
+        assert peak_bytes(lambda: load_dataset(path)) <= 1.3 * path.stat().st_size
 
-    def test_save_peak_is_a_fraction_of_the_file(self, saved, tmp_path):
+    def test_save_peak_is_a_fraction_of_the_file(self, saved, tmp_path, peak_bytes):
         ds, path = saved
         copy = tmp_path / "copy.nisd"
-        assert self._peak_bytes(lambda: save_dataset(ds, copy)) <= 0.25 * path.stat().st_size
+        assert peak_bytes(lambda: save_dataset(ds, copy)) <= 0.25 * path.stat().st_size
         assert copy.read_bytes() == path.read_bytes()
 
 
@@ -320,6 +307,25 @@ class TestDatasetValidation:
                 inputs=bad, bits=np.zeros((1, 2), dtype=np.uint8),
                 targets=np.zeros(1, dtype=np.uint8), L_b=1, snr_db=10.0, master_seed=0,
             )
+
+    @pytest.mark.parametrize("shape, L_b", [((0, 2, 4), 1), ((3, 0, 4), 1), ((1, 2, 0), 0)],
+                             ids=["no-examples", "no-slots", "no-chips"])
+    def test_rejects_empty_counts_that_the_file_format_refuses(self, shape, L_b):
+        n, L, _ = shape
+        with pytest.raises(ValueError, match="n >= 1"):
+            Dataset(np.zeros(shape), np.zeros((n, L)), np.zeros(n),
+                    L_b=L_b, snr_db=10.0, master_seed=0)
+
+    @pytest.mark.parametrize("patterns", [[0xFFB670D6], [0x7F800000, 0xFF800000]],
+                             ids=["signalling-nan", "inf-and-minus-inf"])
+    def test_rejects_invalid_float32_inputs_without_a_warning(self, patterns):
+        # both set numpy's invalid flag in the finiteness sum, and the tests
+        # turn warnings into errors; a byte flip in a NISD file made the
+        # signalling NaN, so a warning there escaped load_dataset
+        bad = np.zeros((1, 2, 4), dtype=np.float32)
+        bad.view(np.uint32)[0, 1, :len(patterns)] = patterns
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(bad, np.zeros((1, 2)), np.zeros(1), L_b=1, snr_db=10.0, master_seed=0)
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):

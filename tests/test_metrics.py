@@ -1,5 +1,7 @@
 """Throughput, majority-rule detection, and whole-system evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -197,14 +199,11 @@ class TestModelEvaluation:
         assert res.detection_error == says_zero
 
     def test_empty_dataset_rejected(self, isac_data):
-        import dataclasses
-
-        empty = dataclasses.replace(
-            isac_data,
-            inputs=isac_data.inputs[:0],
-            bits=isac_data.bits[:0],
-            targets=isac_data.targets[:0],
-        )
+        # Dataset refuses to build an empty set, so empty a copy in place
+        empty = dataclasses.replace(isac_data)
+        empty.inputs = isac_data.inputs[:0]
+        empty.bits = isac_data.bits[:0]
+        empty.targets = isac_data.targets[:0]
         with pytest.raises(ValueError):
             evaluate(_silent_model(), empty)
         with pytest.raises(ValueError):
@@ -289,3 +288,18 @@ class TestBlockedEvaluation:
         assert all(type(v) is float for v in vars(res).values())
         assert all(len(c) <= 7 for c in calls) and len(calls) == 16
         assert np.array_equal(np.concatenate(calls), np.concatenate([ds.inputs, ds.inputs]))
+
+
+class TestEvaluationMemory:
+    """Evaluation holds one block's records at a time, and a block's records
+    stay small: the peak does not grow with the dataset."""
+
+    def test_peak_is_small_and_flat_in_the_frame_count(self, peak_bytes):
+        ds = generate_dataset(CFG, L=80, L_b=4, n=4000, master_seed=0)
+        first = Dataset(ds.inputs[:1000], ds.bits[:1000], ds.targets[:1000],
+                        L_b=ds.L_b, snr_db=ds.snr_db, master_seed=ds.master_seed)
+        model = init_model(10, 4, np.random.default_rng(0))
+        whole = peak_bytes(lambda: evaluate(model, ds))
+        part = peak_bytes(lambda: evaluate(model, first))
+        assert whole <= 10 * 2**20
+        assert whole <= 1.1 * part
