@@ -27,7 +27,7 @@ from .dataset import Dataset, generate_dataset, load_dataset, save_dataset
 from .errors import FileFormatError
 from .fileio import staged_path
 from .metrics import evaluate, evaluate_ssac
-from .modem import ppm_modulate, ssac_data_slots
+from .modem import ppm_modulate, slot_split
 from .snn import SnnModel, forward, init_model, load_model, save_model, spike_count
 from .training import TrainConfig, train
 
@@ -102,11 +102,10 @@ def _splits(args, L_b: int, alpha: float | None) -> list[Dataset]:
 
 
 def _networks(alpha: float | None, beta: float | None) -> dict:
-    """{name: (beta, the train keyword that takes SSAC's data-slot count, or
-    None)} of the networks the receiver trains."""
+    """{name: beta} of the networks the receiver trains."""
     if alpha is None:
-        return {"isac": (beta, None)}
-    return {"comm": (1.0, "data_slot_count"), "sense": (0.0, "sense_slot_start")}
+        return {"isac": beta}
+    return {"comm": 1.0, "sense": 0.0}
 
 
 def _train_config(args, beta: float) -> TrainConfig:
@@ -123,10 +122,9 @@ def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -
     """Fit each network of the receiver; returns {name: (model, history)}."""
     rng = np.random.default_rng(args.seed)  # read only by init_model
     fits = {}
-    for name, (net_beta, slot_arg) in _networks(alpha, beta).items():
+    for name, net_beta in _networks(alpha, beta).items():
         cfg = _train_config(args, net_beta)
-        slots = {} if slot_arg is None else {slot_arg: ssac_data_slots(alpha, dataset.slot_count)}
-        fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, **slots)
+        fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
     return fits
 
 
@@ -238,9 +236,8 @@ def cmd_sweep(args) -> int:
     for beta, alpha, L_b in points:
         if args.L < 1 or L_b < 1:
             raise ValueError("L, L_b and n must all be positive")
-        if alpha is not None:
-            ssac_data_slots(alpha, args.L)
-        for net_beta, _ in _networks(alpha, beta).values():
+        slot_split(alpha, args.L)
+        for net_beta in _networks(alpha, beta).values():
             _train_config(args, net_beta)
     _distinct_outputs(args, [("--out", args.out)])
 
@@ -321,17 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_train_flags(p):
         p.add_argument("--hidden", type=int, default=10, help="hidden neurons (default 10)")
         p.add_argument("--beta", type=float, default=0.5, help="decode loss weight (default 0.5)")
-        p.add_argument("--epochs", type=int, default=50)
-        p.add_argument("--lr", type=float, default=0.005)
-        p.add_argument("--batch", type=int, default=32)
-        p.add_argument("--slope", type=float, default=1.0, help="surrogate sigmoid slope")
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+        p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+        p.add_argument("--slope", type=float, default=TrainConfig.surrogate_slope,
+                       help="surrogate sigmoid slope")
 
     p = sub.add_parser("gen", help="generate train/test dataset files")
     p.add_argument("--n-train", type=int, required=True)
     p.add_argument("--n-test", type=int, required=True)
     p.add_argument("--L", type=int, default=80, help="slots per frame (default 80)")
     p.add_argument("--Lb", type=int, default=1, help="bandwidth expansion factor (default 1)")
-    p.add_argument("--snr-db", type=float, default=10.0)
+    p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
     p.add_argument("--mode", choices=("isac", "ssac"), default="isac")
     p.add_argument("--alpha", type=float, help="ssac data-slot fraction")
     p.add_argument("--out-train", required=True)
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=int, required=True)
     p.add_argument("--L", type=int, default=80)
     p.add_argument("--Lb", type=int, default=1, help="fixed L_b for beta/alpha sweeps")
-    p.add_argument("--snr-db", type=float, default=10.0)
+    p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
     p.add_argument("--alpha", type=float, help="fixed alpha for the lb sweep's ssac rows")
     p.add_argument("--out", required=True, help="results CSV path")
     add_train_flags(p)
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model (NISM)")
     p.add_argument("--frame-slots", type=int, default=80, help="slots per active frame")
     p.add_argument("--idle-slots", type=int, default=20, help="idle slots between frames")
-    p.add_argument("--snr-db", type=float, default=10.0)
+    p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
     p.add_argument("--target", type=int, choices=(0, 1), default=1)
     p.add_argument("--out", required=True, help="trace CSV path")
     add_common(p)

@@ -32,7 +32,7 @@ from .channel import (
 )
 from .errors import FileFormatError, InvalidContentError, check_payload_size
 from .fileio import read_file, staged_path
-from .modem import ppm_modulate, ssac_data_slots
+from .modem import ppm_modulate, slot_split
 
 DATASET_MAGIC = b"NISD"
 DATASET_VERSION = 1
@@ -59,9 +59,8 @@ class Dataset:
 
     def __post_init__(self):
         self.L_b, self.master_seed = operator.index(self.L_b), operator.index(self.master_seed)
-        self.inputs = np.asarray(self.inputs, dtype=np.float32)
-        bits, targets = np.asarray(self.bits), np.asarray(self.targets)
-        n, L, width = self.inputs.shape
+        inputs, bits, targets = np.asarray(self.inputs), np.asarray(self.bits), np.asarray(self.targets)
+        n, L, width = inputs.shape
         # the NISD header counts, which load_dataset requires to be positive
         if n < 1 or L < 1 or self.L_b < 1:
             raise ValueError("a dataset needs n >= 1 examples, L >= 1 slots and L_b >= 1")
@@ -76,10 +75,12 @@ class Dataset:
             raise ValueError("bits and targets must be 0 or 1")
         self.bits, self.targets = bits.astype(np.uint8, copy=False), targets.astype(np.uint8, copy=False)
         # a float64 sum of float32 values cannot overflow, so it is finite
-        # iff every input is, and it needs no full-size temporary; a
-        # signalling NaN (a corrupted file can hold one) or inf - inf sets
-        # the invalid flag, which is the ValueError below, not a warning
-        with np.errstate(invalid="ignore"):
+        # iff every input is, and it needs no full-size temporary; a value
+        # past float32's range overflows in the cast, and a signalling NaN (a
+        # corrupted file can hold one) or inf - inf sets the invalid flag,
+        # each the ValueError below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.inputs = inputs.astype(np.float32, copy=False)
             total = self.inputs.sum(dtype=np.float64)
         if not np.isfinite(total):
             raise ValueError("inputs must be finite")
@@ -132,7 +133,7 @@ def generate_dataset(
     """
     if L < 1 or L_b < 1 or n < 1:
         raise ValueError("L, L_b and n must all be positive")
-    n_data = L if alpha is None else ssac_data_slots(alpha, L)
+    n_data, _ = slot_split(alpha, L)
 
     noise_var = noise_variance_from_snr(cfg)
     inputs = np.empty((n, L, 4 * L_b), dtype=np.float32)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modem import ssac_data_slots
+from .modem import slot_split
 from .snn import COMM, SENSE, SnnModel, forward_batch
 
 # Frames per forward_batch call.  At L=80 and H=10 each (L, _BLOCK, H)
@@ -43,12 +43,13 @@ def score_frames(readout_spikes: np.ndarray, bits: np.ndarray, n_data: int, sens
     return correct, votes.sum(axis=1) > votes.shape[1] / 2
 
 
-def _frame_counts(model: SnnModel, dataset, n_data: int, sense_start: int):
-    """score_frames over the dataset, one block at a time; and the total
-    spike count."""
+def _frame_counts(model: SnnModel, dataset, alpha: float | None):
+    """score_frames over the dataset, one block at a time, on the slots
+    slot_split(alpha) gives; and the total spike count."""
     n = dataset.example_count
     if n == 0:
         raise ValueError("dataset is empty")
+    n_data, sense_start = slot_split(alpha, dataset.slot_count)
     correct = np.empty(n, dtype=np.int64)
     detect = np.empty(n, dtype=bool)
     total = 0.0
@@ -62,7 +63,7 @@ def _frame_counts(model: SnnModel, dataset, n_data: int, sense_start: int):
 
 def evaluate(model: SnnModel, dataset) -> EvalResult:
     """Full-frame evaluation of a jointly trained model."""
-    correct, detect, spikes = _frame_counts(model, dataset, dataset.slot_count, 0)
+    correct, detect, spikes = _frame_counts(model, dataset, None)
     slots = dataset.bits.size
     det = (detect != dataset.targets.astype(bool)).mean()
     return EvalResult(float(correct.sum() / slots), float(det), float(spikes / slots))
@@ -75,10 +76,8 @@ def evaluate_ssac(comm_model: SnnModel, sense_model: SnnModel, dataset, alpha: f
     the full frame), the detection network votes over the sensing slots, and
     the spike count sums both networks since both run on every frame.
     """
-    L = dataset.slot_count
-    n_data = ssac_data_slots(alpha, L)
-    correct, _, spikes_c = _frame_counts(comm_model, dataset, n_data, n_data)
-    _, detect, spikes_s = _frame_counts(sense_model, dataset, n_data, n_data)
+    correct, _, spikes_c = _frame_counts(comm_model, dataset, alpha)
+    _, detect, spikes_s = _frame_counts(sense_model, dataset, alpha)
     det = (detect != dataset.targets.astype(bool)).mean()
     spikes = (spikes_c + spikes_s) / dataset.bits.size
-    return EvalResult(float((correct / L).mean()), float(det), float(spikes))
+    return EvalResult(float((correct / dataset.slot_count).mean()), float(det), float(spikes))

@@ -40,14 +40,18 @@ def ppm_demodulate(chips, L_b: int) -> np.ndarray:
     return (per_slot.argmax(axis=-1) >= L_b).astype(np.uint8)
 
 
-def ssac_data_slots(alpha: float, L: int) -> int:
-    """Data slots of an SSAC frame of L slots: alpha*L rounded up; the rest sense.
+def slot_split(alpha: float | None, L: int) -> tuple[int, int]:
+    """(n_data, sense_start) of a frame of L slots: the leading n_data slots
+    carry data, the slots from sense_start on sense.  ISAC (alpha=None) uses
+    every slot for both, (L, 0); SSAC splits at alpha*L rounded up.
 
-    Raises ValueError unless alpha leaves at least one slot of each kind.
+    Raises ValueError unless an SSAC alpha leaves at least one slot of each kind.
     """
-    if alpha is None or not 0.0 < alpha < 1.0:
+    if alpha is None:
+        return L, 0
+    if not 0.0 < alpha < 1.0:
         raise ValueError(f"ssac mode needs alpha in (0, 1), got {alpha}")
     n_data = math.ceil(alpha * L)
     if n_data >= L:
         raise ValueError(f"alpha={alpha} leaves no sensing slot at L={L}")
-    return n_data
+    return n_data, n_data

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import score_frames
+from .modem import slot_split
 from .snn import COMM, SENSE, SnnModel, _synapse_filter, forward_batch, sigmoid
 
 # Clamp keeps the logs finite; inert until |potential| exceeds log(1/eps) ~ 32.
@@ -191,30 +192,20 @@ def sgd_step(model: SnnModel, g_w_in: np.ndarray, g_w_out: np.ndarray, lr: float
     )
 
 
-def train(
-    model: SnnModel,
-    dataset,
-    cfg: TrainConfig,
-    *,
-    data_slot_count: int | None = None,
-    sense_slot_start: int = 0,
-):
+def train(model: SnnModel, dataset, cfg: TrainConfig, alpha: float | None = None):
     """Minibatch SGD over the dataset; returns (trained model, epoch log).
 
-    data_slot_count restricts the decode loss to the leading data slots and
-    sense_slot_start restricts the detection loss to the trailing slots, both
-    for the SSAC variants; defaults cover every slot.  Deterministic given
+    alpha splits each frame as modem.slot_split does: None (ISAC) scores
+    both losses on every slot, an SSAC alpha the decode loss on the leading
+    data slots and the detection loss on the trailing sensing slots, the
+    slots evaluate_ssac scores with the same alpha.  Deterministic given
     (cfg.seed, dataset, cfg): the only randomness is the per-epoch shuffle.
     """
     n = dataset.example_count
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     L = dataset.slot_count
-    n_data = L if data_slot_count is None else data_slot_count
-    if not 1 <= n_data <= L:
-        raise ValueError(f"data_slot_count must lie in [1, {L}], got {n_data}")
-    if not 0 <= sense_slot_start < L:
-        raise ValueError(f"sense_slot_start must lie in [0, {L - 1}], got {sense_slot_start}")
+    n_data, sense_start = slot_split(alpha, L)
 
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
@@ -234,7 +225,7 @@ def train(
                 oh, bh, orr, br = forward_batch(model, inputs)
 
                 lc_batch, ls_batch, d_or = objective(
-                    orr, bits, targets, cfg.beta, n_data, sense_slot_start
+                    orr, bits, targets, cfg.beta, n_data, sense_start
                 )
                 if not (np.isfinite(lc_batch) and np.isfinite(ls_batch)):
                     raise FloatingPointError(
@@ -247,7 +238,7 @@ def train(
                 g_w_in, g_w_out = backward(model, inputs, oh, bh, d_or, cfg.surrogate_slope)
                 model = sgd_step(model, g_w_in / idx.size, g_w_out / idx.size, cfg.learning_rate)
 
-                correct, detect = score_frames(br, bits, n_data, sense_slot_start)
+                correct, detect = score_frames(br, bits, n_data, sense_start)
                 correct_bits += int(correct.sum())
                 wrong_detections += int((detect != targets).sum())
 

@@ -31,7 +31,7 @@ from nisaclab.channel import (
 from nisaclab.cli import main
 from nisaclab.dataset import generate_dataset, load_dataset, save_dataset
 from nisaclab.metrics import evaluate, evaluate_ssac, score_frames
-from nisaclab.modem import ppm_modulate, ssac_data_slots
+from nisaclab.modem import ppm_modulate, slot_split
 from nisaclab.snn import (
     SENSE,
     forward,
@@ -118,16 +118,11 @@ def isac_lb4_model(isac_lb4_data, timings):
 def ssac_lb4_models(ssac_lb4_data, timings):
     def build():
         tr = ssac_lb4_data[0]
-        n_data = ssac_data_slots(0.5, tr.slot_count)
         rng = np.random.default_rng(0)
         comm = init_model(10, tr.L_b, rng)
         sense = init_model(10, tr.L_b, rng)
-        comm, _ = train(
-            comm, tr, TrainConfig(beta=1.0, epochs=EPOCHS, seed=0), data_slot_count=n_data
-        )
-        sense, _ = train(
-            sense, tr, TrainConfig(beta=0.0, epochs=EPOCHS, seed=0), sense_slot_start=n_data
-        )
+        comm, _ = train(comm, tr, TrainConfig(beta=1.0, epochs=EPOCHS, seed=0), alpha=0.5)
+        sense, _ = train(sense, tr, TrainConfig(beta=0.0, epochs=EPOCHS, seed=0), alpha=0.5)
         return comm, sense
 
     return _timed(timings, "train_lb4_ssac", build)
@@ -323,7 +318,7 @@ def test_throughput_beats_time_division(
         timings["gen_lb4"] + timings["gen_lb4_ssac"]
         + timings["train_lb4"] + timings["train_lb4_ssac"] + eval_time
     )
-    cap = ssac_data_slots(0.5, L) / L
+    cap = slot_split(0.5, L)[0] / L
     ok = (
         ssac_res.throughput <= cap
         and isac_res.throughput > ssac_res.throughput

@@ -30,7 +30,7 @@ from nisaclab.errors import (
     InvalidContentError,
     TruncatedFileError,
 )
-from nisaclab.modem import ppm_modulate, ssac_data_slots
+from nisaclab.modem import ppm_modulate, slot_split
 
 CFG = ChannelConfig(snr_db=10.0)
 
@@ -103,7 +103,7 @@ class TestRegeneration:
     def test_examples_rebuild_alone(self, cfg, L_b, alpha):
         L, n, seed = 80, _BLOCK + 1, 11
         ds = generate_dataset(cfg, L, L_b, n, master_seed=seed, alpha=alpha)
-        n_data = L if alpha is None else ssac_data_slots(alpha, L)
+        n_data = slot_split(alpha, L)[0]
         noise_var = noise_variance_from_snr(cfg)
         for i in range(n):
             rng = example_rng(seed, i)
@@ -151,7 +151,7 @@ class TestSsacMode:
         assert np.array_equal(isac.targets, ssac.targets)
         assert np.array_equal(isac.bits[:, :4], ssac.bits[:, :4])
 
-    def test_ceil_data_slot_count(self):
+    def test_ceil_data_slots(self):
         ds = generate_dataset(CFG, L=5, L_b=1, n=4, master_seed=0, alpha=0.3)
         assert (ds.bits[:, 2:] == 1).all()  # ceil(1.5) = 2 data slots
 
@@ -316,14 +316,17 @@ class TestDatasetValidation:
             Dataset(np.zeros(shape), np.zeros((n, L)), np.zeros(n),
                     L_b=L_b, snr_db=10.0, master_seed=0)
 
-    @pytest.mark.parametrize("patterns", [[0xFFB670D6], [0x7F800000, 0xFF800000]],
-                             ids=["signalling-nan", "inf-and-minus-inf"])
-    def test_rejects_invalid_float32_inputs_without_a_warning(self, patterns):
-        # both set numpy's invalid flag in the finiteness sum, and the tests
-        # turn warnings into errors; a byte flip in a NISD file made the
-        # signalling NaN, so a warning there escaped load_dataset
-        bad = np.zeros((1, 2, 4), dtype=np.float32)
-        bad.view(np.uint32)[0, 1, :len(patterns)] = patterns
+    @pytest.mark.parametrize("dtype, patterns", [
+        (np.float32, [0xFFB670D6]), (np.float32, [0x7F800000, 0xFF800000]),
+        (np.float64, [0x7FF0000000000001]), (np.float64, [0x7E37E43C8800759C]),  # 1e300
+    ], ids=["signalling-nan", "inf-and-minus-inf", "float64-signalling-nan", "float64-overflow"])
+    def test_rejects_invalid_float32_inputs_without_a_warning(self, dtype, patterns):
+        # float32 patterns set numpy's invalid flag in the finiteness sum,
+        # float64 ones the invalid or overflow flag in the float32 cast, and
+        # the tests turn warnings into errors; a byte flip in a NISD file made
+        # the signalling NaN, so a warning there escaped load_dataset
+        bad = np.zeros((1, 2, 4), dtype=dtype)
+        bad.view(f"u{bad.itemsize}")[0, 1, :len(patterns)] = patterns
         with pytest.raises(ValueError, match="finite"):
             Dataset(bad, np.zeros((1, 2)), np.zeros(1), L_b=1, snr_db=10.0, master_seed=0)
 

@@ -56,16 +56,30 @@ def saved(tmp_path_factory):
     return {"nism": model.read_bytes(), "nisd": data.read_bytes(), "root": root}
 
 
-@pytest.mark.parametrize("fmt", ["nism", "nisd"])
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_corrupted_file_loads_or_raises_format_error(saved, fmt, data):
+def _load_corrupted(saved, fmt, data):
     path = saved["root"] / f"corrupt.{fmt}"
     path.write_bytes(data.draw(corrupted(saved[fmt], HEADER_FIELDS[fmt])))
     try:
         LOADERS[fmt](path)
     except FileFormatError:
         pass
+
+
+@pytest.mark.parametrize("fmt", ["nism", "nisd"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_file_loads_or_raises_format_error(saved, fmt, data):
+    _load_corrupted(saved, fmt, data)
+
+
+@pytest.mark.parametrize("fmt", ["nism", "nisd"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fixed_corrupted_files_load_or_raise_format_error(saved, fmt, data):
+    """The same check on a fixed sequence of corrupted files, so a reader
+    fault among them fails every run in every checkout, not only the runs
+    whose random draws reach it."""
+    _load_corrupted(saved, fmt, data)
 
 
 @pytest.mark.parametrize("fmt", ["nism", "nisd"])

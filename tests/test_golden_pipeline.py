@@ -133,7 +133,7 @@ GOLDEN = {
     "ssac-lb1.eval.csv":
         "c702b6ceec0247a3e7d082e5b25b4f53a73adc85a23c829f7af0f466e43b3019",
     "ssac-lb1.log.csv":
-        "1a0d13b0ed978b0468b8ba04f4b6cef20e8bf90a285345aa6ee2b8d987bb0f53",
+        "8071e674f547c268b6b7d91d02ddf781b04542d712e6ce3261923066cc316e31",
     "ssac-lb1.sense.nism":
         "1bcefe27e7a18e51606e31d9406345e0031742358eeb2146c6207b6a3e0374fb",
     "ssac-lb1.test.nisd":
@@ -147,7 +147,7 @@ GOLDEN = {
     "ssac-lb4.eval.csv":
         "c95a08baa1ede52391b633e89e87c02b22c3f30b186bdacf47343877ba773a3e",
     "ssac-lb4.log.csv":
-        "cbe129de751b62849b156b04e3942f18633cb3baff1c7381770c6c0fccbffd1c",
+        "f494a47758ee8764ec4a9782327564ce378071cca15841d66d63c4fe357402dd",
     "ssac-lb4.sense.nism":
         "1886aa51836016592693f74bc048e0bb974c689538b7a9afec7ae0d21259561d",
     "ssac-lb4.test.nisd":

@@ -178,7 +178,7 @@ class TestModelEvaluation:
         assert 0.0 < np.mean(wrong) < 1.0
         assert evaluate(model, isac_data).detection_error == np.mean(wrong)
 
-    def test_sense_slot_start_restricts_votes(self, ssac_data, monkeypatch):
+    def test_sense_start_restricts_votes(self, ssac_data, monkeypatch):
         # the sensing network votes 1 on every data slot and 0 on every
         # sensing slot: restricted to the sensing slots the vote says 0, over
         # the whole frame (6 of 8 slots) it would say 1

@@ -7,7 +7,7 @@ import pytest
 
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
-from nisaclab.modem import ppm_demodulate, ppm_modulate, ssac_data_slots
+from nisaclab.modem import ppm_demodulate, ppm_modulate, slot_split
 
 
 class TestPpmModulate:
@@ -68,23 +68,26 @@ class TestPpmDemodulate:
 
 
 class TestSsacDataSlots:
+    """slot_split's (n_data, sense_start): SSAC senses from its first non-data slot."""
+
     def test_half_data_frame(self):
-        assert ssac_data_slots(0.5, 80) == 40
+        assert slot_split(0.5, 80) == (40, 40)
 
     def test_ceil_rounding(self):
-        assert ssac_data_slots(0.3, 5) == 2  # ceil(1.5)
+        assert slot_split(0.3, 5) == (2, 2)  # ceil(1.5)
 
     def test_smallest_alpha_keeps_one_data_slot(self):
-        assert ssac_data_slots(1e-9, 80) == 1
+        assert slot_split(1e-9, 80) == (1, 1)
 
     def test_alpha_range(self):
+        assert slot_split(None, 80) == (80, 0)  # ISAC: every slot both carries and senses
         for alpha, L in (
-            (0.0, 80), (1.0, 80), (1.5, 1), (-0.5, 80), (float("nan"), 80), (None, 80),
+            (0.0, 80), (1.0, 80), (1.5, 1), (-0.5, 80), (float("nan"), 80),
             (0.995, 80),  # ceil(79.6) = 80 leaves no sensing slot
             (0.5, 1),
         ):
             with pytest.raises(ValueError):
-                ssac_data_slots(alpha, L)
+                slot_split(alpha, L)
 
 
 class TestMakeSsacFrame:
@@ -96,7 +99,7 @@ class TestMakeSsacFrame:
     def _check_against_isac(self, alpha, L):
         isac = generate_dataset(self.CFG, L=L, L_b=1, n=6, master_seed=4)
         ssac = generate_dataset(self.CFG, L=L, L_b=1, n=6, master_seed=4, alpha=alpha)
-        n_data = ssac_data_slots(alpha, L)
+        n_data = slot_split(alpha, L)[0]
         assert 1 <= n_data < L
         assert np.array_equal(ssac.bits[:, :n_data], isac.bits[:, :n_data])
         assert (ssac.bits[:, n_data:] == 1).all()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
+from nisaclab.metrics import evaluate_ssac
 from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward, forward_batch, init_model, sigmoid
 from nisaclab.training import (
     PROB_EPS,
@@ -458,11 +459,8 @@ class TestTrain:
 
     def test_slot_masks_route_the_losses(self, tiny_dataset):
         model = init_model(4, 1, np.random.default_rng(3))
-        # decode loss restricted to 4 data slots; detection loss to the rest
-        _, hist_c = train(
-            model, tiny_dataset,
-            TrainConfig(beta=1.0, epochs=1, seed=0), data_slot_count=4,
-        )
+        # alpha=0.5 restricts the decode loss to 4 data slots; detection loss to the rest
+        _, hist_c = train(model, tiny_dataset, TrainConfig(beta=1.0, epochs=1, seed=0), alpha=0.5)
         _, hist_full = train(model, tiny_dataset, TrainConfig(beta=1.0, epochs=1, seed=0))
         assert hist_c[0].comm_loss < hist_full[0].comm_loss
 
@@ -479,19 +477,34 @@ class TestTrain:
         with pytest.raises(FloatingPointError, match="epoch 1"):
             train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=1, seed=0))
 
-    @pytest.mark.parametrize("slots", [
-        {"data_slot_count": -3}, {"data_slot_count": 0}, {"data_slot_count": 50},
-        {"sense_slot_start": -2}, {"sense_slot_start": 8},
-    ], ids=["data-negative", "data-zero", "data-past-frame", "sense-negative", "sense-at-L"])
-    def test_slot_ranges_checked_before_any_step(self, tiny_dataset, monkeypatch, slots):
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 0.9, 1.0, math.nan], ids=[
+        "data-negative", "data-zero", "data-past-frame",
+        "sense-at-L",  # ceil(0.9*8) = 8 data slots leave none to sense
+        "alpha-one", "alpha-nan",
+    ])
+    def test_slot_ranges_checked_before_any_step(self, tiny_dataset, monkeypatch, alpha):
         import nisaclab.training as training_module
 
         steps = []
         monkeypatch.setattr(training_module, "sgd_step", lambda *a: steps.append(a))
         model = init_model(4, 1, np.random.default_rng(6))
-        with pytest.raises(ValueError, match="data_slot_count|sense_slot_start"):
-            train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=1, seed=0), **slots)
+        with pytest.raises(ValueError, match="alpha"):
+            train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=1, seed=0), alpha=alpha)
         assert steps == []
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0], ids=["comm", "sense"])
+    def test_ssac_logs_score_the_slots_evaluate_ssac_scores(self, monkeypatch, beta):
+        # with frozen weights every batch runs the same network, so the
+        # running metrics of an SSAC network are its evaluate_ssac scores
+        import nisaclab.training as training_module
+
+        monkeypatch.setattr(training_module, "sgd_step", lambda model, *a: model)
+        ds = generate_dataset(ChannelConfig(snr_db=10.0), L=8, L_b=1, n=48, master_seed=0, alpha=0.5)
+        model = init_model(4, 1, np.random.default_rng(4))
+        _, (logged,) = train(model, ds, TrainConfig(beta=beta, epochs=1, seed=0), alpha=0.5)
+        scored = evaluate_ssac(model, model, ds, 0.5)
+        assert logged.detection_error == scored.detection_error
+        assert logged.throughput == pytest.approx(scored.throughput, rel=1e-12)
 
     def test_empty_dataset_rejected(self, tiny_dataset):
         model = init_model(4, 1, np.random.default_rng(5))
