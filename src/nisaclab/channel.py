@@ -64,25 +64,30 @@ def noise_variance_from_snr(cfg: ChannelConfig) -> float:
     return expected_channel_energy(cfg) / 10.0 ** (cfg.snr_db / 10.0)
 
 
-def draw_channel(cfg: ChannelConfig, v: int, rng: np.random.Generator) -> np.ndarray:
+def draw_channel(cfg: ChannelConfig, v, rng) -> np.ndarray:
     """Draw one channel realization for target indicator v: its (tap_count,)
     complex tap vector.
 
     Draw order is fixed (target amplitude, clutter magnitudes, phases, delays)
     so a given rng state always yields the same realization; the target
     amplitude is drawn even when v=0 to keep the stream aligned across
-    hypotheses.
+    hypotheses.  B indicators (B,) and a sequence of B generators give
+    (B, tap_count) taps, frame b drawing from rng[b]; one frame is a block of one.
     """
-    if v not in (0, 1):
-        raise ValueError("target indicator must be 0 or 1")
-    target_re, target_im = rng.normal(scale=math.sqrt(cfg.target_power / 2.0), size=2)
-    mags = rng.weibull(cfg.weibull_shape, size=cfg.num_clutter)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=cfg.num_clutter)
-    clutter_delays = rng.integers(0, cfg.max_clutter_delay + 1, size=cfg.num_clutter)
+    v = np.asarray(v)
+    if v.ndim == 0:
+        return draw_channel(cfg, v[None], [rng])[0]
+    if len(rng) != len(v) or not ((v == 0) | (v == 1)).all():
+        raise ValueError(f"need one target indicator of 0 or 1 per generator, got {v} for {len(rng)}")
+    draws = [(g.normal(scale=math.sqrt(cfg.target_power / 2.0), size=2),
+              g.weibull(cfg.weibull_shape, size=cfg.num_clutter),
+              g.uniform(0.0, 2.0 * math.pi, size=cfg.num_clutter),
+              g.integers(0, cfg.max_clutter_delay + 1, size=cfg.num_clutter)) for g in rng]
+    target, mags, phases, delays = (np.array(d) for d in zip(*draws))
 
-    taps = np.zeros(cfg.tap_count, dtype=np.complex128)
-    taps[cfg.target_delay] += v * complex(target_re, target_im)
-    np.add.at(taps, clutter_delays, mags * np.exp(1j * phases))
+    taps = np.zeros((len(v), cfg.tap_count), dtype=np.complex128)
+    taps[:, cfg.target_delay] += v * target.view(np.complex128)[:, 0]
+    np.add.at(taps, (np.arange(len(v))[:, None], delays), mags * np.exp(1j * phases))
     return taps
 
 

@@ -5,9 +5,9 @@ receiver inputs after modulation, channel, noise and framing.  Example i
 draws every random value it uses from its own generator seeded by
 (master_seed, i), so any example can be regenerated alone with the
 single-frame calls, and example i does not depend on how many examples are
-generated.  Only those draws run per example; modulation, the channel
-convolution, the noise sum and the slot framing run once per block of
-_BLOCK frames, through the same functions with a leading frame axis.
+generated.  Only those draws run per example; seeding, tap sums, modulation,
+convolution, noise sums and slot framing run once per block of _BLOCK frames,
+through the same functions with a leading frame axis.
 Inputs are held as 32-bit floats, in memory as in the file (they are noisy
 measurements; no point storing more), so the save/load round trip is
 bit-exact; the engines cast each batch or block to 64-bit as they read it.
@@ -109,9 +109,48 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def example_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Generator for example `index`: master seed plus the index as spawn key."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): hashes 16-19 of its entropy
+# mix take the spawn key into the pool (mix multipliers 0xCA01F9DD, 0x4973F715), _HASH_B the state
+_HASH_A = np.array([0x43B0D7E5 * 0x931E8875**k & 0xFFFFFFFF for k in range(16, 21)], dtype=np.uint64)
+_HASH_B = np.array([0x8B51F9DD * 0x58F38DED**k & 0xFFFFFFFF for k in range(9)], dtype=np.uint64)
+
+
+def _fold(x):
+    x = x & 0xFFFFFFFF  # x a uint64 array of 32-bit words
+    return x ^ x >> 16
+
+
+class _StateWords:
+    """Known PCG64 seed words; example_rng registers it as an ISeedSequence (a subclass
+    would load numpy.random, which numpy imports lazily, with every nisaclab command)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def example_rng(master_seed: int, index):
+    """Generator for example `index`: the master seed plus the index as spawn key,
+    np.random.default_rng(SeedSequence(entropy=master_seed, spawn_key=(index,))).
+
+    A 1-D array of indices gives a list of generators, one per index; one index
+    is a block of one.  The seed's SeedSequence pool is the same for every
+    index; a block mixes in its index words with numpy's steps, all at once.
+    """
+    master_seed, keys = operator.index(master_seed), np.asarray(index)
+    if not (0 <= master_seed < 2**64 and keys.dtype.kind in "iu"
+            and keys.min(initial=0) >= 0 and keys.max(initial=0) < 2**32):
+        raise ValueError("master_seed must lie in [0, 2**64), example indices be integers in [0, 2**32)")
+    keys = keys.astype(np.uint64).reshape(-1, 1)
+    pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)
+    pool = _fold(0xCA01F9DD * pool - 0x4973F715 * _fold((keys ^ _HASH_A[:-1]) * _HASH_A[1:]))
+    state = _fold((np.tile(pool, 2) ^ _HASH_B[:-1]) * _HASH_B[1:])
+    words = state[:, 0::2] | state[:, 1::2] << 32
+    np.random.bit_generator.ISeedSequence.register(_StateWords)  # a no-op once registered
+    rngs = [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+    return rngs if np.ndim(index) else rngs[0]
 
 
 def generate_dataset(
@@ -141,17 +180,13 @@ def generate_dataset(
     targets = np.empty(n, dtype=np.uint8)
 
     for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        rngs, taps = [], []
-        for i in range(start, stop):
-            rng = example_rng(master_seed, i)
-            v = int(rng.integers(0, 2))
+        rows = slice(start, min(start + _BLOCK, n))
+        rngs = example_rng(master_seed, np.arange(rows.start, rows.stop))
+        for i, rng in enumerate(rngs, start):
+            targets[i] = rng.integers(0, 2)
             bits[i] = rng.integers(0, 2, size=L)
-            bits[i, n_data:] = 1
-            taps.append(draw_channel(cfg, v, rng))
-            rngs.append(rng)  # apply_channel draws the noise from it next
-            targets[i] = v
-        rows = slice(start, stop)
+        bits[rows, n_data:] = 1
+        taps = draw_channel(cfg, targets[rows], rngs)
         samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
         inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs
 

@@ -130,6 +130,44 @@ class TestDrawChannel:
         with pytest.raises(ValueError):
             draw_channel(ChannelConfig(), 2, np.random.default_rng(0))
 
+    def test_block_equals_frame_by_frame_calls(self):
+        cfg = ChannelConfig()
+        seeds, v = range(40), np.arange(40) % 2
+        block = draw_channel(cfg, v, [np.random.default_rng(seed) for seed in seeds])
+        assert block.shape == (len(seeds), cfg.tap_count)
+        for b, seed in enumerate(seeds):
+            alone = draw_channel(cfg, int(v[b]), np.random.default_rng(seed))
+            assert block[b].tobytes() == alone.tobytes()
+
+    def test_block_sums_repeated_delays_in_draw_order(self):
+        # np.add.at's order, written out: target first, then clutter tap by tap
+        cfg = ChannelConfig()
+        seeds, v = range(40), np.arange(40) % 2
+        block = draw_channel(cfg, v, [np.random.default_rng(seed) for seed in seeds])
+        repeats = set()
+        for b, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            re, im = rng.normal(scale=math.sqrt(0.5), size=2)
+            mags, phases = rng.weibull(2.0, size=5), rng.uniform(0.0, 2.0 * math.pi, size=5)
+            delays = rng.integers(0, 5, size=5)
+            if len(set(delays.tolist())) < 5:
+                repeats.add(int(v[b]))
+            expected = [0j] * 5
+            expected[0] += int(v[b]) * complex(re, im)
+            for k in range(5):
+                expected[delays[k]] += mags[k] * np.exp(1j * phases[k])
+            assert block[b].tobytes() == np.array(expected).tobytes()
+        assert repeats == {0, 1}  # frames with a repeated delay, at both indicators
+
+    @pytest.mark.parametrize("v, generators", [([0, 1, 1], 2), ([0, 2, 1], 3), ([0, -1, 1], 3)],
+                             ids=["two-generators-for-three-frames", "v-2", "v--1"])
+    def test_block_checks_come_before_any_draw(self, v, generators):
+        rngs = [np.random.default_rng(seed) for seed in range(generators)]
+        with pytest.raises(ValueError):
+            draw_channel(ChannelConfig(), np.array(v), rngs)
+        assert [g.bit_generator.state for g in rngs] == [
+            np.random.default_rng(seed).bit_generator.state for seed in range(generators)]
+
 
 class TestApplyChannel:
     def test_identity_channel(self):

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import nisaclab.dataset as dataset_module
 from nisaclab.channel import (
     ChannelConfig,
     apply_channel,
@@ -93,6 +94,49 @@ class TestGenerate:
             generate_dataset(CFG, L=8, L_b=1, n=0)
 
 
+SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+INDICES = [0, 1, 2, 63, 64, 4999, 2**31, 2**32 - 1]
+
+
+class TestExampleRng:
+    """example_rng hashes numpy's SeedSequence words itself, so both of its
+    forms are checked against numpy's own generator for each seed width."""
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_block_and_scalar_forms_equal_numpy(self, master_seed):
+        block = example_rng(master_seed, np.array(INDICES))
+        assert len(block) == len(INDICES)
+        for index, from_block in zip(INDICES, block):
+            expected = np.random.default_rng(
+                np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+            alone = example_rng(master_seed, index)
+            assert from_block.bit_generator.state == expected.bit_generator.state
+            assert alone.bit_generator.state == expected.bit_generator.state
+            draws = expected.integers(0, 2**63, size=4)
+            assert np.array_equal(from_block.integers(0, 2**63, size=4), draws)
+            assert np.array_equal(alone.integers(0, 2**63, size=4), draws)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, master_seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            example_rng(master_seed, 0)
+        with pytest.raises(ValueError, match="master_seed"):
+            example_rng(master_seed, np.arange(3))
+
+    @pytest.mark.parametrize("index", [-1, 2**32, 2**64, [0, -1], [0, 2**32], [0.0, 1.0]],
+                             ids=["-1", "2**32", "2**64", "block-with--1", "block-with-2**32",
+                                  "float-block"])
+    def test_rejects_index_outside_32_bits(self, index):
+        with pytest.raises(ValueError, match="indices"):
+            example_rng(7, index)
+
+    def test_generation_checks_the_seed_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "draw_channel",
+                            lambda *args: pytest.fail("a channel was drawn"))
+        with pytest.raises(ValueError, match="master_seed"):
+            generate_dataset(CFG, L=8, L_b=1, n=3, master_seed=2**64)
+
+
 class TestRegeneration:
     """Every example equals its rebuild from the single-frame calls, in the
     draw order generate_dataset documents; n crosses a block edge."""
@@ -119,7 +163,7 @@ class TestRegeneration:
 
 
 class TestGoldenBytes:
-    """The saved bytes of two small datasets are pinned, so any change to
+    """The saved bytes of three small datasets are pinned, so any change to
     the stored draws or values fails here."""
 
     @pytest.mark.parametrize("kwargs, digest", [
@@ -127,7 +171,10 @@ class TestGoldenBytes:
          "aef08d39fe2f9a46c86d2d1be342b161e06ea1ac30719f593a3f0630c92cbbed"),
         (dict(L_b=1, alpha=0.5, master_seed=3),
          "be69d9485704f0989192ed9a45665995360a34017c66675a43af3bcc2e8b337e"),
-    ], ids=["isac-Lb4-seed0", "ssac-Lb1-seed3"])
+        # a seed of two 32-bit words pins the high word, which is 0 below 2**32
+        (dict(L_b=2, master_seed=2**40 + 3),
+         "d03f6fb30b5b92389617092197a0d59646e66535c3df3ec0e6caf9265db60343"),
+    ], ids=["isac-Lb4-seed0", "ssac-Lb1-seed3", "isac-Lb2-seed2**40+3"])
     def test_saved_bytes(self, kwargs, digest, tmp_path):
         path = tmp_path / "d.nisd"
         save_dataset(generate_dataset(CFG, L=80, n=130, **kwargs), path)
