@@ -7,7 +7,8 @@ draws every random value it uses from its own generator seeded by
 single-frame calls, and example i does not depend on how many examples are
 generated.  Only those draws run per example; seeding, tap sums, modulation,
 convolution, noise sums and slot framing run once per block of _BLOCK frames,
-through the same functions with a leading frame axis.
+through the same functions with a leading frame axis, by one process per usable CPU (the
+caller and forked children that pipe their rows back), so no byte depends on the CPU count.
 Inputs are held as 32-bit floats, in memory as in the file (they are noisy
 measurements; no point storing more), so the save/load round trip is
 bit-exact; the engines cast each batch or block to 64-bit as they read it.
@@ -18,6 +19,8 @@ read in one pass, and a save writes the records in chunks of _SAVE_CHUNK frames.
 from __future__ import annotations
 
 import operator
+import os
+import signal
 import struct
 from dataclasses import dataclass
 
@@ -135,22 +138,23 @@ def example_rng(master_seed: int, index):
     """Generator for example `index`: the master seed plus the index as spawn key,
     np.random.default_rng(SeedSequence(entropy=master_seed, spawn_key=(index,))).
 
-    A 1-D array of indices gives a list of generators, one per index; one index
-    is a block of one.  The seed's SeedSequence pool is the same for every
+    One index gives numpy's own generator; a 1-D array of indices gives a list of
+    generators, one per index.  The seed's SeedSequence pool is the same for every
     index; a block mixes in its index words with numpy's steps, all at once.
     """
     master_seed, keys = operator.index(master_seed), np.asarray(index)
     if not (0 <= master_seed < 2**64 and keys.dtype.kind in "iu"
             and keys.min(initial=0) >= 0 and keys.max(initial=0) < 2**32):
         raise ValueError("master_seed must lie in [0, 2**64), example indices be integers in [0, 2**32)")
+    if keys.ndim == 0:
+        return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(keys),)))
     keys = keys.astype(np.uint64).reshape(-1, 1)
     pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)
     pool = _fold(0xCA01F9DD * pool - 0x4973F715 * _fold((keys ^ _HASH_A[:-1]) * _HASH_A[1:]))
     state = _fold((np.tile(pool, 2) ^ _HASH_B[:-1]) * _HASH_B[1:])
     words = state[:, 0::2] | state[:, 1::2] << 32
     np.random.bit_generator.ISeedSequence.register(_StateWords)  # a no-op once registered
-    rngs = [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
-    return rngs if np.ndim(index) else rngs[0]
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
 def generate_dataset(
@@ -168,32 +172,67 @@ def generate_dataset(
     draws ISAC frames; an alpha draws SSAC frames, whose trailing sensing
     slots are overwritten with 1 after the bit draw, so the two receivers'
     sets consume identical random streams and share channels and noise
-    example for example.
+    example for example.  RuntimeError: a forked worker stopped early.
     """
     if L < 1 or L_b < 1 or n < 1:
         raise ValueError("L, L_b and n must all be positive")
     n_data, _ = slot_split(alpha, L)
+    example_rng(master_seed, n - 1)  # the seed and index range checks, before any fork
 
     noise_var = noise_variance_from_snr(cfg)
     inputs = np.empty((n, L, 4 * L_b), dtype=np.float32)
     bits = np.empty((n, L), dtype=np.uint8)
     targets = np.empty(n, dtype=np.uint8)
 
-    for start in range(0, n, _BLOCK):
+    def _fill(start):
         rows = slice(start, min(start + _BLOCK, n))
         rngs = example_rng(master_seed, np.arange(rows.start, rows.stop))
         for i, rng in enumerate(rngs, start):
-            targets[i] = rng.integers(0, 2)
-            bits[i] = rng.integers(0, 2, size=L)
+            draw = rng.integers(0, 2, size=L + 1)  # the target's draw, then the bits'
+            targets[i], bits[i] = draw[0], draw[1:]
         bits[rows, n_data:] = 1
         taps = draw_channel(cfg, targets[rows], rngs)
         samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
         inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs
 
-    return Dataset(
-        inputs=inputs, bits=bits, targets=targets,
-        L_b=L_b, snr_db=cfg.snr_db, master_seed=master_seed,
-    )
+    # Block j goes to process j % workers: this one, or a forked child that pipes its rows here.
+    # A child calls no BLAS (OpenBLAS's threads do not survive a fork) and leaves by os._exit.
+    starts = range(0, n, _BLOCK)
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(os.sched_getaffinity(0)), len(starts)) if can_fork else 1
+    pids, pipes = [], []
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    try:
+                        for pipe in pipes:  # its own read end and its elder siblings'
+                            pipe.close()
+                        for start in starts[k::workers]:
+                            _fill(start)
+                            out.writelines(a[start:start + _BLOCK] for a in (inputs, bits, targets))
+                            out.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        for j, start in enumerate(starts):
+            if j % workers == 0:
+                _fill(start)
+            elif any(pipes[j % workers - 1].readinto(row) != row.nbytes
+                     for row in (a[start:start + _BLOCK] for a in (inputs, bits, targets))):
+                raise RuntimeError("a generation worker stopped before it sent all its blocks")
+    finally:  # a child still running here has failed or is no longer needed
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    return Dataset(inputs=inputs, bits=bits, targets=targets,
+                   L_b=L_b, snr_db=cfg.snr_db, master_seed=master_seed)
 
 
 def _payload_dtype(L: int, L_b: int) -> np.dtype:

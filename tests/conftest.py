@@ -1,7 +1,9 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
 the throughput that evaluation scores for hand-built decode spikes,
-hand-checkable neuron constants, and the traced memory peak of a call."""
+hand-checkable neuron constants, the traced memory peak of a call, and a
+check that no test leaves a child process behind."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,17 @@ from nisaclab.metrics import evaluate, evaluate_ssac
 from nisaclab.snn import COMM, SnnModel
 
 _criterion_lines: list[tuple[int, str]] = []
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process unreaped: {f'pid {pid}' if pid else 'still running'}")
 
 
 @pytest.fixture

@@ -195,6 +195,18 @@ class TestApplyChannel:
         y3 = apply_channel(3.0 * chips, taps, 0.0, np.random.default_rng(0))
         assert np.allclose(y3, 3.0 * y1)
 
+    def test_pulse_trains_equal_np_convolve_bit_for_bit(self):
+        # at L_b=1 a sample can sum pulses through up to three taps, so the sum
+        # order shows; highest delay first is np.convolve's order
+        B, L = 64, 80
+        rngs = [np.random.default_rng(seed) for seed in range(B)]
+        taps = draw_channel(ChannelConfig(), np.arange(B) % 2, rngs)
+        chips = ppm_modulate(np.random.default_rng(B).integers(0, 2, size=(B, L)), 1)
+        y = apply_channel(chips, taps, 0.0, rngs)
+        for b in range(B):
+            expected = np.convolve(chips[b], taps[b])[: 2 * L]
+            assert y[b].tobytes() == expected.tobytes()
+
     def test_noise_calibration(self):
         z = apply_channel(np.zeros(100_000), [0], 0.55, np.random.default_rng(5))
         assert np.mean(np.abs(z) ** 2) == pytest.approx(0.55, rel=0.02)

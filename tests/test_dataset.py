@@ -2,7 +2,14 @@
 
 import hashlib
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +167,136 @@ class TestRegeneration:
             assert ds.targets[i] == v
             assert np.array_equal(ds.bits[i], bits)
             assert ds.inputs[i].tobytes() == inputs.tobytes()
+
+
+class TestOneDrawForTargetAndBits:
+    """generate_dataset draws a frame's target and bits with one
+    integers(0, 2, size=L + 1); it matches the two-call form value for value
+    and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("L", [1, 8, 80])
+    def test_one_call_equals_target_then_bits(self, L):
+        for master_seed in range(200):
+            one = example_rng(master_seed, np.arange(0, 64, 7))
+            two = example_rng(master_seed, np.arange(0, 64, 7))
+            for a, b in zip(one, two):
+                draw = a.integers(0, 2, size=L + 1)
+                assert draw[0] == b.integers(0, 2)
+                assert np.array_equal(draw[1:], b.integers(0, 2, size=L))
+                assert a.bit_generator.state == b.bit_generator.state
+                assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestForkedGeneration:
+    """Blocks drawn by forked children land in the dataset's arrays exactly
+    as one process draws them, and no child outlives the call."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    @pytest.mark.parametrize("L_b", [1, 2, 4])
+    @pytest.mark.parametrize("alpha", [None, 0.5], ids=["isac-None", "ssac-0.5"])
+    def test_forked_equals_serial_byte_for_byte(self, monkeypatch, n, L_b, alpha):
+        real_fork, forks = os.fork, []
+        _affinity(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        serial = generate_dataset(CFG, 80, L_b, n, master_seed=5, alpha=alpha)
+        _affinity(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        forked = generate_dataset(CFG, 80, L_b, n, master_seed=5, alpha=alpha)
+        assert len(forks) == min(3, -(-n // _BLOCK)) - 1
+        for name in ("inputs", "bits", "targets"):
+            assert getattr(forked, name).tobytes() == getattr(serial, name).tobytes()
+
+    def test_serial_without_fork(self, monkeypatch):
+        _affinity(monkeypatch, 2)
+        forked = generate_dataset(CFG, 8, 1, 3 * _BLOCK, master_seed=5)
+        monkeypatch.delattr(os, "fork")
+        assert generate_dataset(CFG, 8, 1, 3 * _BLOCK, master_seed=5) == forked
+
+    def test_a_failing_child_fails_the_call(self, monkeypatch):
+        parent, draw = os.getpid(), dataset_module.draw_channel
+
+        def child_fails(cfg, v, rngs):
+            if os.getpid() != parent:
+                raise RuntimeError("child fault")
+            return draw(cfg, v, rngs)
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(dataset_module, "draw_channel", child_fails)
+        with pytest.raises(RuntimeError, match="generation worker stopped before it sent all its blocks"):
+            generate_dataset(CFG, 8, 1, 2 * _BLOCK)
+
+    def test_a_parent_fault_kills_and_reaps_the_children(self, monkeypatch):
+        parent, pids, real_fork = os.getpid(), [], os.fork
+
+        def parent_fails(cfg, v, rngs):
+            if os.getpid() == parent:
+                raise KeyError("parent fault")
+            time.sleep(60)  # only SIGKILL ends the child in time
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        _affinity(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(dataset_module, "draw_channel", parent_fails)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyError, match="parent fault"):
+            generate_dataset(CFG, 8, 1, 3 * _BLOCK)
+        assert time.perf_counter() - t0 < 30
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # reaped already
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_children_exit_when_the_parent_is_killed(self):
+        # the parent stalls in its first block and is killed; its child, whose
+        # writes then block on a full pipe, must see the pipe break and exit
+        script = textwrap.dedent("""
+            import os, time
+            import nisaclab.dataset as dataset
+            from nisaclab.channel import ChannelConfig
+            parent, fork, draw = os.getpid(), os.fork, dataset.draw_channel
+            def reporting_fork():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+            def stalling_parent(cfg, v, rngs):
+                if os.getpid() == parent:
+                    time.sleep(60)
+                return draw(cfg, v, rngs)
+            os.sched_getaffinity = lambda pid: {0, 1}
+            os.fork, dataset.draw_channel = reporting_fork, stalling_parent
+            dataset.generate_dataset(ChannelConfig(), 80, 4, 4 * 64)
+        """)
+        # every process holding alive_w keeps alive_r from reaching end of file
+        alive_r, alive_w = os.pipe()
+        env = {**os.environ, "PYTHONPATH": str(Path(dataset_module.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, pass_fds=(alive_w,))
+        os.close(alive_w)
+        with proc:
+            child = int(proc.stdout.readline())
+            proc.kill()
+        gone = select.select([alive_r], [], [], 30)[0]
+        os.close(alive_r)
+        if not gone:
+            os.kill(child, signal.SIGKILL)
+        assert gone, "a child outlived its killed parent"
+
+    def test_checks_run_before_any_fork(self, monkeypatch):
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        for kwargs in (dict(n=2 * _BLOCK, master_seed=2**64), dict(n=2**32 + 1),
+                       dict(n=2 * _BLOCK, alpha=1.0), dict(n=2 * _BLOCK, L_b=0)):
+            with pytest.raises(ValueError):
+                generate_dataset(CFG, **{"L": 8, "L_b": 1, **kwargs})
 
 
 class TestGoldenBytes:
