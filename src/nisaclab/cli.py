@@ -113,8 +113,7 @@ def _train_config(args, beta: float) -> TrainConfig:
     if args.hidden < 1:
         raise ValueError("need at least one hidden neuron")
     return TrainConfig(
-        beta=beta, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
-        surrogate_slope=args.slope, seed=args.seed,
+        beta=beta, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch, seed=args.seed,
     )
 
 
@@ -291,7 +290,7 @@ def cmd_trace(args) -> int:
         else:
             chips.append(np.zeros(2 * L_b * slots))
 
-    taps = draw_channel(cfg, args.target, rng)
+    taps = draw_channel(cfg, 1, rng)  # the target is present
     samples = apply_channel(np.concatenate(chips), taps, noise_var, rng)
     trace = forward(model, frame_received(samples, L_b, noise_var).slot_inputs)
     counts = spike_count(trace)
@@ -321,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
         p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
         p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-        p.add_argument("--slope", type=float, default=TrainConfig.surrogate_slope,
-                       help="surrogate sigmoid slope")
 
     p = sub.add_parser("gen", help="generate train/test dataset files")
     p.add_argument("--n-train", type=int, required=True)
@@ -376,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-slots", type=int, default=80, help="slots per active frame")
     p.add_argument("--idle-slots", type=int, default=20, help="idle slots between frames")
     p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
-    p.add_argument("--target", type=int, choices=(0, 1), default=1)
     p.add_argument("--out", required=True, help="trace CSV path")
     add_common(p)
     p.set_defaults(func=cmd_trace)

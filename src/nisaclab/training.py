@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,13 +45,13 @@ class TrainConfig:
     learning_rate: float = 0.005
     epochs: int = 50
     batch_size: int = 32
-    surrogate_slope: float = 1.0
     seed: int = 0
+    surrogate_slope: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        for name in ("learning_rate", "epochs", "batch_size", "surrogate_slope"):
+        for name in ("learning_rate", "epochs", "batch_size"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value}")

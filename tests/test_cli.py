@@ -513,10 +513,8 @@ class TestSweep:
         (["--param", "beta", "--values", "0.5", "--lr", "0"], "learning_rate must be positive and finite, got 0.0"),
         (["--param", "beta", "--values", "0.5", "--epochs", "0"], "epochs must be positive and finite, got 0"),
         (["--param", "beta", "--values", "0.5", "--batch", "0"], "batch_size must be positive and finite, got 0"),
-        (["--param", "beta", "--values", "0.5", "--slope", "nan"],
-         "surrogate_slope must be positive and finite, got nan"),
         (["--param", "beta", "--values", "0.5", "--hidden", "0"], "need at least one hidden neuron"),
-    ], ids=["beta", "alpha", "lb", "lr", "epochs", "batch", "slope", "hidden"])
+    ], ids=["beta", "alpha", "lb", "lr", "epochs", "batch", "hidden"])
     def test_checks_every_grid_point_before_generating(self, tmp_path, capsys, monkeypatch,
                                                        flags, message):
         def run(*args, **kwargs):
@@ -661,6 +659,15 @@ class TestConfigFile:
                   "--out", str(tmp_path / "m.nism")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key", ["slope", "target"])
+    def test_fixed_setting_is_an_unknown_key(self, tmp_path, capsys, key):
+        # the surrogate slope and the trace's target are constants, not flags
+        cfg = self._write(tmp_path, {key: 1})
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "trace", "--model", "m.nism", "--out", "t.csv"])
+        assert exc.value.code == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, workdir, tmp_path):
         cfg = self._write(tmp_path, "{not json")
         with pytest.raises(SystemExit) as exc:
@@ -718,11 +725,9 @@ class TestOutOfRangeValues:
          "--out-train", "{root}/a", "--out-test", "{root}/b"],
         ["gen", "--n-train", "2", "--n-test", "2", "--snr-db", "4000",
          "--out-train", "{root}/a", "--out-test", "{root}/b"],
-        # non-finite rates and slopes are refused before the first step
+        # non-finite rates are refused before the first step
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "nan"],
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "inf"],
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--slope", "nan"],
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--slope", "inf"],
         # a finite rate so large that the loss diverges to NaN in epoch 2
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--hidden", "4",
          "--epochs", "2", "--lr", "1.7e308"],
@@ -759,3 +764,13 @@ class TestArgparseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--data", "d.nisd", "--out", "m.nism", "--slope", "1"],
+        ["trace", "--model", "m.nism", "--out", "t.csv", "--target", "0"],
+    ], ids=["train-slope", "trace-target"])
+    def test_fixed_setting_is_not_a_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

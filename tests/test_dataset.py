@@ -24,6 +24,7 @@ from nisaclab.channel import (
 )
 from nisaclab.dataset import (
     _BLOCK,
+    _FORK_BLOCKS,
     Dataset,
     _payload_dtype,
     example_rng,
@@ -193,7 +194,12 @@ def _affinity(monkeypatch, cpus):
 
 class TestForkedGeneration:
     """Blocks drawn by forked children land in the dataset's arrays exactly
-    as one process draws them, and no child outlives the call."""
+    as one process draws them, and no child outlives the call.  Each test
+    lets a process draw as few as one block, so small sets fork too."""
+
+    @pytest.fixture(autouse=True)
+    def fork_from_one_block(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_FORK_BLOCKS", 1)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
     @pytest.mark.parametrize("L_b", [1, 2, 4])
@@ -272,7 +278,7 @@ class TestForkedGeneration:
                     time.sleep(60)
                 return draw(cfg, v, rngs)
             os.sched_getaffinity = lambda pid: {0, 1}
-            os.fork, dataset.draw_channel = reporting_fork, stalling_parent
+            os.fork, dataset.draw_channel, dataset._FORK_BLOCKS = reporting_fork, stalling_parent, 1
             dataset.generate_dataset(ChannelConfig(), 80, 4, 4 * 64)
         """)
         # every process holding alive_w keeps alive_r from reaching end of file
@@ -289,6 +295,14 @@ class TestForkedGeneration:
         if not gone:
             os.kill(child, signal.SIGKILL)
         assert gone, "a child outlived its killed parent"
+
+    def test_small_set_draws_serially(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_FORK_BLOCKS", _FORK_BLOCKS)  # the module's own rule
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a 4-block set"))
+        serial = generate_dataset(CFG, 8, 1, 4 * _BLOCK, master_seed=5)
+        monkeypatch.delattr(os, "fork")
+        assert generate_dataset(CFG, 8, 1, 4 * _BLOCK, master_seed=5) == serial
 
     def test_checks_run_before_any_fork(self, monkeypatch):
         _affinity(monkeypatch, 2)
@@ -446,11 +460,19 @@ class TestPersistence:
     def test_zero_count_header_rejected(self, small, tmp_path):
         path = tmp_path / "d.nisd"
         save_dataset(small, path)
-        raw = bytearray(path.read_bytes())
+        saved = path.read_bytes()
+        raw = bytearray(saved)
         raw[8:12] = (0).to_bytes(4, "little")  # example count field
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
             load_dataset(path)
+        # with a payload that matches the zero count, Dataset refuses the counts
+        for field, payload in ((8, 0), (12, 10 * 1), (16, 10 * (1 + 8))):  # n, L, L_b of n=10, L=8
+            raw = bytearray(saved[:36 + payload])
+            raw[field:field + 4] = (0).to_bytes(4, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(InvalidContentError, match="n >= 1 examples, L >= 1 slots and L_b >= 1"):
+                load_dataset(path)
 
 
 class TestMemory:

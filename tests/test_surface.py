@@ -4,11 +4,15 @@ that only tests call is code the program carries for nothing; the one
 exception below is a reference implementation the tests check against.
 Likewise every field of a config class, or of SnnModel, is set by some
 caller: a field that only tests set is an option with one value in use,
-which is a constant."""
+which is a constant.  So is a command-line flag that only tests pass:
+every option the parser defines appears in README.md or perfbench/."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from nisaclab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nisaclab"
@@ -101,3 +105,20 @@ def test_every_config_field_is_set_by_a_caller():
         if not (in_src or re.search(rf"\b{re.escape(field)}=(?!=)", text)):
             unset.append(f"{cls}.{field}")
     assert unset == []
+
+
+def _option_strings():
+    """Every option string of the parser and of each subcommand, help aside."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in [parser, *commands.choices.values()]:
+        for action in p._actions:
+            if not isinstance(action, argparse._HelpAction):
+                yield from action.option_strings
+
+
+def test_every_flag_has_a_caller():
+    text = _text_outside_src()
+    # --out must not count as a use of itself inside --out-train, nor --L inside --Lb
+    unused = {opt for opt in _option_strings() if not re.search(rf"{re.escape(opt)}(?![\w-])", text)}
+    assert unused == set()
