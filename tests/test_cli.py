@@ -728,6 +728,9 @@ class TestOutOfRangeValues:
         # non-finite rates are refused before the first step
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "nan"],
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "inf"],
+        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr=-inf"],
+        ["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
+         "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "nan", "--out", "{root}/s.csv"],
         # a finite rate so large that the loss diverges to NaN in epoch 2
         ["train", "--data", "{train}", "--out", "{root}/m.nism", "--hidden", "4",
          "--epochs", "2", "--lr", "1.7e308"],
