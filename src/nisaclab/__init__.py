@@ -4,9 +4,9 @@ Pipeline: pulse-position modulation onto a chip grid (modem), a stochastic
 multipath radar/clutter channel (channel), a spike-response network receiver
 (snn) trained with surrogate-gradient backpropagation through time
 (training), reproducible dataset generation and binary persistence
-(dataset), evaluation metrics (metrics), and a CLI harness (cli).  The
-package root re-exports the names the README's library example uses; the
-rest is imported from its module.
+(dataset), evaluation metrics (metrics), both run on every usable CPU
+(workers), and a CLI harness (cli).  The package root re-exports the names
+the README's library example uses; the rest is imported from its module.
 """
 
 from .channel import ChannelConfig

@@ -19,8 +19,6 @@ read in one pass, and a save writes the records in chunks of _SAVE_CHUNK frames.
 from __future__ import annotations
 
 import operator
-import os
-import signal
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +34,7 @@ from .channel import (
 from .errors import InvalidContentError, check_payload_size
 from .fileio import read_file, staged_path
 from .modem import ppm_modulate, slot_split
+from .workers import _deal_blocks
 
 DATASET_MAGIC = b"NISD"
 DATASET_VERSION = 1
@@ -47,11 +46,6 @@ _BLOCK = 64
 
 # Frames per records buffer when saving; the buffer stays ~1 MiB at L_b=4.
 _SAVE_CHUNK = 256
-
-# Fewest blocks per process before generation forks.  Serial -> forked on 2 CPUs, medians of 9, L_b=1:
-# 4 blocks 21.7 -> 18.1 ms, but 13.7 -> 18.6 ms with 160 MiB more held; 6 blocks 27.9 -> 23.7 ms.
-_FORK_BLOCKS = 3
-
 
 @dataclass(eq=False)
 class Dataset:
@@ -188,10 +182,10 @@ def generate_dataset(
     bits = np.empty((n, L), dtype=np.uint8)
     targets = np.empty(n, dtype=np.uint8)
 
-    def _fill(start):
-        rows = slice(start, min(start + _BLOCK, n))
+    def fill(j):
+        rows = slice(j * _BLOCK, min(j * _BLOCK + _BLOCK, n))
         rngs = example_rng(master_seed, np.arange(rows.start, rows.stop))
-        for i, rng in enumerate(rngs, start):
+        for i, rng in enumerate(rngs, rows.start):
             draw = rng.integers(0, 2, size=L + 1)  # the target's draw, then the bits'
             targets[i], bits[i] = draw[0], draw[1:]
         bits[rows, n_data:] = 1
@@ -199,42 +193,9 @@ def generate_dataset(
         samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
         inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs
 
-    # Block j goes to process j % workers: this one, or a forked child that pipes its rows here.
-    # A child calls no BLAS (OpenBLAS's threads do not survive a fork) and leaves by os._exit.
-    starts = range(0, n, _BLOCK)
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts) // _FORK_BLOCKS)) if can_fork else 1
-    pids, pipes = [], []
-    try:
-        for k in range(1, workers):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with open(write_end, "wb") as out:
-                if (pid := os.fork()) == 0:
-                    try:
-                        for pipe in pipes:  # its own read end and its elder siblings'
-                            pipe.close()
-                        for start in starts[k::workers]:
-                            _fill(start)
-                            out.writelines(a[start:start + _BLOCK] for a in (inputs, bits, targets))
-                            out.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            pids.append(pid)
-        for j, start in enumerate(starts):
-            if j % workers == 0:
-                _fill(start)
-            elif any(pipes[j % workers - 1].readinto(row) != row.nbytes
-                     for row in (a[start:start + _BLOCK] for a in (inputs, bits, targets))):
-                raise RuntimeError("a generation worker stopped before it sent all its blocks")
-    finally:  # a child still running here has failed or is no longer needed
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
+    # While forked, BLAS runs 1 thread per process (2 processes x 2 threads on 2 cores stall); fill uses none.
+    _deal_blocks(fill, -(-n // _BLOCK),
+                 lambda j: (a[j * _BLOCK:j * _BLOCK + _BLOCK] for a in (inputs, bits, targets)))
     return Dataset(inputs=inputs, bits=bits, targets=targets,
                    L_b=L_b, snr_db=cfg.snr_db, master_seed=master_seed)
 

@@ -5,7 +5,8 @@ reserves slots for sensing is capped by its data fraction even when it
 decodes every data slot correctly.  Evaluation runs the network on _BLOCK
 frames at a time and keeps only per-frame counts, so its memory does not
 grow with the dataset, and each of a block's records is small enough to stay
-in a core's L2 cache from the input projection to the scoring.
+in a core's L2 cache from the input projection to the scoring.  The blocks are
+dealt over every usable CPU (workers._deal_blocks); no result depends on how.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .modem import slot_split
 from .snn import COMM, SENSE, SnnModel, forward_batch
+from .workers import _deal_blocks
 
 # Frames per forward_batch call.  At L=80 and H=10 each (L, _BLOCK, H)
 # float64 record is 1.6 MiB: inside a 2 MiB per-core L2, and below the 4 MiB
@@ -43,29 +45,35 @@ def score_frames(readout_spikes: np.ndarray, bits: np.ndarray, n_data: int, sens
     return correct, votes.sum(axis=1) > votes.shape[1] / 2
 
 
-def _frame_counts(model: SnnModel, dataset, alpha: float | None):
-    """score_frames over the dataset, one block at a time, on the slots
-    slot_split(alpha) gives; and the total spike count."""
+def _frame_counts(models, dataset, alpha: float | None):
+    """score_frames of each model over the dataset, one block at a time, on the slots slot_split(alpha)
+    gives: (n, models) correct counts and detections, and each model's total spike count."""
     n = dataset.example_count
     if n == 0:
         raise ValueError("dataset is empty")
     n_data, sense_start = slot_split(alpha, dataset.slot_count)
-    correct = np.empty(n, dtype=np.int64)
-    detect = np.empty(n, dtype=bool)
-    total = 0.0
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        _, bh, _, br = forward_batch(model, dataset.inputs[rows])
-        correct[rows], detect[rows] = score_frames(br, dataset.bits[rows], n_data, sense_start)
-        total += bh.sum() + br.sum()
-    return correct, detect, total
+    blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+    correct = np.empty((n, len(models)), dtype=np.int64)
+    detect = np.empty((n, len(models)), dtype=bool)
+    sums = np.empty((len(blocks), len(models)))  # each block's spike count per model
+
+    def fill(j):
+        rows = blocks[j]
+        inputs = dataset.inputs[rows].astype(np.float64)  # once for every model
+        for k, model in enumerate(models):
+            _, bh, _, br = forward_batch(model, inputs)
+            correct[rows, k], detect[rows, k] = score_frames(br, dataset.bits[rows], n_data, sense_start)
+            sums[j, k] = bh.sum() + br.sum()
+
+    _deal_blocks(fill, len(blocks), lambda j: (correct[blocks[j]], detect[blocks[j]], sums[j]), blas=True)
+    return correct, detect, np.add.accumulate(sums)[-1]  # summed in block order, one block at a time
 
 
 def evaluate(model: SnnModel, dataset) -> EvalResult:
     """Full-frame evaluation of a jointly trained model."""
-    correct, detect, spikes = _frame_counts(model, dataset, None)
+    correct, detect, (spikes,) = _frame_counts((model,), dataset, None)
     slots = dataset.bits.size
-    det = (detect != dataset.targets.astype(bool)).mean()
+    det = (detect[:, 0] != dataset.targets.astype(bool)).mean()
     return EvalResult(float(correct.sum() / slots), float(det), float(spikes / slots))
 
 
@@ -76,8 +84,7 @@ def evaluate_ssac(comm_model: SnnModel, sense_model: SnnModel, dataset, alpha: f
     the full frame), the detection network votes over the sensing slots, and
     the spike count sums both networks since both run on every frame.
     """
-    correct, _, spikes_c = _frame_counts(comm_model, dataset, alpha)
-    _, detect, spikes_s = _frame_counts(sense_model, dataset, alpha)
-    det = (detect != dataset.targets.astype(bool)).mean()
+    correct, detect, (spikes_c, spikes_s) = _frame_counts((comm_model, sense_model), dataset, alpha)
+    det = (detect[:, 1] != dataset.targets.astype(bool)).mean()
     spikes = (spikes_c + spikes_s) / dataset.bits.size
-    return EvalResult(float((correct / dataset.slot_count).mean()), float(det), float(spikes))
+    return EvalResult(float((correct[:, 0] / dataset.slot_count).mean()), float(det), float(spikes))

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import nisaclab.workers as workers_module
 from nisaclab.cli import EVAL_COLUMNS, SWEEP_COLUMNS, TRACE_COLUMNS, TRAIN_LOG_COLUMNS, main
 from nisaclab.dataset import load_dataset
 from nisaclab.snn import SnnModel, load_model, save_model
@@ -360,6 +361,41 @@ class TestEval:
         assert not out.exists()
 
 
+@pytest.mark.skipif(workers_module._openblas_threads() is None,
+                    reason="forked evaluation needs OpenBLAS's thread control")
+class TestForkedEval:
+    def test_forked_eval_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        # the golden eval pins score 1,200 frames (5 blocks), which one process
+        # scores; here a process may score one block, so 600 frames fork
+        monkeypatch.chdir(tmp_path)
+        ssac = ["--mode", "ssac", "--alpha", "0.5"]
+        commands = {
+            "isac": ["eval", "--data", "isac.test.nisd", "--model", "isac.nism"],
+            "ssac": ["eval", "--data", "ssac.test.nisd", "--model", "ssac.comm.nism",
+                     "--model-sense", "ssac.sense.nism", *ssac],
+        }
+        for mode, flags in (("isac", []), ("ssac", ssac)):
+            assert main(["gen", "--n-train", "12", "--n-test", "600", "--L", "8", *flags,
+                         "--out-train", f"{mode}.train.nisd", "--out-test", f"{mode}.test.nisd"]) == 0
+            assert main(["train", "--data", f"{mode}.train.nisd", "--out", f"{mode}.nism",
+                         "--hidden", "4", "--epochs", "2", *flags]) == 0
+
+        def scores(tag):
+            for mode, argv in commands.items():
+                assert main([*argv, "--out", f"{mode}.{tag}.csv"]) == 0
+            return [(tmp_path / f"{mode}.{tag}.csv").read_bytes() for mode in commands]
+
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(workers_module, "_FORK_BLOCKS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        serial = scores("serial")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        assert scores("forked") == serial
+        assert len(forks) == 2  # one child per eval
+
+
 class TestSsacAlphaRule:
     # ceil(0.995 * 8) = 8: no slot is left for sensing
     @pytest.mark.parametrize("command", [
@@ -705,37 +741,42 @@ class TestConfigFile:
 
 
 class TestOutOfRangeValues:
+    # each case carries its id, so adding or removing a case renames no other
     @pytest.mark.parametrize("command", [
-        ["gen", "--n-train", "0", "--n-test", "2", "--out-train", "{root}/a", "--out-test", "{root}/b"],
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--epochs", "0"],
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "0"],
-        ["eval", "--data", "{test}", "--model", "{model}", "--model-sense", "{model}",
-         "--mode", "ssac", "--alpha", "1.5", "--out", "{root}/e.csv"],
-        ["trace", "--model", "{model}", "--idle-slots", "-3", "--out", "{root}/t.csv"],
-        ["trace", "--model", "{model}", "--frame-slots", "0", "--idle-slots", "0",
-         "--out", "{root}/t.csv"],
+        pytest.param(["gen", "--n-train", "0", "--n-test", "2", "--out-train", "{root}/a",
+                      "--out-test", "{root}/b"], id="command0"),
+        pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--epochs", "0"], id="command1"),
+        pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "0"], id="command2"),
+        pytest.param(["eval", "--data", "{test}", "--model", "{model}", "--model-sense", "{model}",
+                      "--mode", "ssac", "--alpha", "1.5", "--out", "{root}/e.csv"], id="command3"),
+        pytest.param(["trace", "--model", "{model}", "--idle-slots", "-3", "--out", "{root}/t.csv"],
+                     id="command4"),
+        pytest.param(["trace", "--model", "{model}", "--frame-slots", "0", "--idle-slots", "0",
+                      "--out", "{root}/t.csv"], id="command5"),
         # SNRs outside [-100, 100] dB, NaN included
-        ["trace", "--model", "{model}", "--snr-db", "nan", "--out", "{root}/t.csv"],
-        ["trace", "--model", "{model}", "--snr-db=-inf", "--out", "{root}/t.csv"],
-        ["trace", "--model", "{model}", "--snr-db=-4000", "--out", "{root}/t.csv"],
-        ["trace", "--model", "{model}", "--snr-db", "4000", "--out", "{root}/t.csv"],
-        ["gen", "--n-train", "2", "--n-test", "2", "--snr-db=-inf",
-         "--out-train", "{root}/a", "--out-test", "{root}/b"],
-        ["gen", "--n-train", "2", "--n-test", "2", "--snr-db=-4000",
-         "--out-train", "{root}/a", "--out-test", "{root}/b"],
-        ["gen", "--n-train", "2", "--n-test", "2", "--snr-db", "4000",
-         "--out-train", "{root}/a", "--out-test", "{root}/b"],
+        pytest.param(["trace", "--model", "{model}", "--snr-db", "nan", "--out", "{root}/t.csv"], id="command6"),
+        pytest.param(["trace", "--model", "{model}", "--snr-db=-inf", "--out", "{root}/t.csv"], id="command7"),
+        pytest.param(["trace", "--model", "{model}", "--snr-db=-4000", "--out", "{root}/t.csv"], id="command8"),
+        pytest.param(["trace", "--model", "{model}", "--snr-db", "4000", "--out", "{root}/t.csv"], id="command9"),
+        pytest.param(["gen", "--n-train", "2", "--n-test", "2", "--snr-db=-inf",
+                      "--out-train", "{root}/a", "--out-test", "{root}/b"], id="command10"),
+        pytest.param(["gen", "--n-train", "2", "--n-test", "2", "--snr-db=-4000",
+                      "--out-train", "{root}/a", "--out-test", "{root}/b"], id="command11"),
+        pytest.param(["gen", "--n-train", "2", "--n-test", "2", "--snr-db", "4000",
+                      "--out-train", "{root}/a", "--out-test", "{root}/b"], id="command12"),
         # non-finite rates are refused before the first step
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "nan"],
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "inf"],
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr=-inf"],
-        ["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
-         "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "nan", "--out", "{root}/s.csv"],
+        pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "nan"], id="command13"),
+        pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr", "inf"], id="command14"),
+        pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--lr=-inf"], id="command15"),
+        pytest.param(["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
+                      "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "nan", "--out", "{root}/s.csv"],
+                     id="command16"),
         # a finite rate so large that the loss diverges to NaN in epoch 2
-        ["train", "--data", "{train}", "--out", "{root}/m.nism", "--hidden", "4",
-         "--epochs", "2", "--lr", "1.7e308"],
-        ["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
-         "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "1.7e308", "--out", "{root}/s.csv"],
+        pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--hidden", "4",
+                      "--epochs", "2", "--lr", "1.7e308"], id="command17"),
+        pytest.param(["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
+                      "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "1.7e308", "--out", "{root}/s.csv"],
+                     id="command18"),
     ])
     def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
         paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import nisaclab.dataset as dataset_module
+import nisaclab.workers as workers_module
 from nisaclab.channel import (
     ChannelConfig,
     apply_channel,
@@ -24,7 +25,6 @@ from nisaclab.channel import (
 )
 from nisaclab.dataset import (
     _BLOCK,
-    _FORK_BLOCKS,
     Dataset,
     _payload_dtype,
     example_rng,
@@ -40,6 +40,7 @@ from nisaclab.errors import (
     TruncatedFileError,
 )
 from nisaclab.modem import ppm_modulate, slot_split
+from nisaclab.workers import _FORK_BLOCKS
 
 CFG = ChannelConfig(snr_db=10.0)
 
@@ -199,7 +200,7 @@ class TestForkedGeneration:
 
     @pytest.fixture(autouse=True)
     def fork_from_one_block(self, monkeypatch):
-        monkeypatch.setattr(dataset_module, "_FORK_BLOCKS", 1)
+        monkeypatch.setattr(workers_module, "_FORK_BLOCKS", 1)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
     @pytest.mark.parametrize("L_b", [1, 2, 4])
@@ -232,7 +233,7 @@ class TestForkedGeneration:
 
         _affinity(monkeypatch, 2)
         monkeypatch.setattr(dataset_module, "draw_channel", child_fails)
-        with pytest.raises(RuntimeError, match="generation worker stopped before it sent all its blocks"):
+        with pytest.raises(RuntimeError, match="forked worker stopped before it sent all its blocks"):
             generate_dataset(CFG, 8, 1, 2 * _BLOCK)
 
     def test_a_parent_fault_kills_and_reaps_the_children(self, monkeypatch):
@@ -266,6 +267,7 @@ class TestForkedGeneration:
         script = textwrap.dedent("""
             import os, time
             import nisaclab.dataset as dataset
+            import nisaclab.workers as workers
             from nisaclab.channel import ChannelConfig
             parent, fork, draw = os.getpid(), os.fork, dataset.draw_channel
             def reporting_fork():
@@ -278,7 +280,7 @@ class TestForkedGeneration:
                     time.sleep(60)
                 return draw(cfg, v, rngs)
             os.sched_getaffinity = lambda pid: {0, 1}
-            os.fork, dataset.draw_channel, dataset._FORK_BLOCKS = reporting_fork, stalling_parent, 1
+            os.fork, dataset.draw_channel, workers._FORK_BLOCKS = reporting_fork, stalling_parent, 1
             dataset.generate_dataset(ChannelConfig(), 80, 4, 4 * 64)
         """)
         # every process holding alive_w keeps alive_r from reaching end of file
@@ -297,7 +299,7 @@ class TestForkedGeneration:
         assert gone, "a child outlived its killed parent"
 
     def test_small_set_draws_serially(self, monkeypatch):
-        monkeypatch.setattr(dataset_module, "_FORK_BLOCKS", _FORK_BLOCKS)  # the module's own rule
+        monkeypatch.setattr(workers_module, "_FORK_BLOCKS", _FORK_BLOCKS)  # the module's own rule
         _affinity(monkeypatch, 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a 4-block set"))
         serial = generate_dataset(CFG, 8, 1, 4 * _BLOCK, master_seed=5)

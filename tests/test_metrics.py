@@ -1,11 +1,14 @@
 """Throughput, majority-rule detection, and whole-system evaluation."""
 
 import dataclasses
+import os
+import time
 
 import numpy as np
 import pytest
 
 import nisaclab.metrics as metrics_module
+import nisaclab.workers as workers_module
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import Dataset, generate_dataset
 from nisaclab.metrics import evaluate, evaluate_ssac, score_frames
@@ -245,6 +248,8 @@ class TestBlockedEvaluation:
 
         monkeypatch.setattr(metrics_module, "_BLOCK", 7)
         monkeypatch.setattr(metrics_module, "forward_batch", spy)
+        # the spy sees only this process's calls, so this process scores every block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         return seen
 
     @staticmethod
@@ -287,7 +292,9 @@ class TestBlockedEvaluation:
         assert want[2] > 0.0 and correct.any()
         assert all(type(v) is float for v in vars(res).values())
         assert all(len(c) <= 7 for c in calls) and len(calls) == 16
-        assert np.array_equal(np.concatenate(calls), np.concatenate([ds.inputs, ds.inputs]))
+        # each block runs through the decode network, then the detection network
+        blocks = [ds.inputs[start:start + 7] for start in range(0, 50, 7)]
+        assert np.array_equal(np.concatenate(calls), np.concatenate([b for b in blocks for _ in range(2)]))
 
 
 class TestEvaluationMemory:
@@ -303,3 +310,140 @@ class TestEvaluationMemory:
         part = peak_bytes(lambda: evaluate(model, first))
         assert whole <= 10 * 2**20
         assert whole <= 1.1 * part
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _head(ds, n):
+    return Dataset(ds.inputs[:n], ds.bits[:n], ds.targets[:n],
+                   L_b=ds.L_b, snr_db=ds.snr_db, master_seed=ds.master_seed)
+
+
+def _bits(result):
+    return [v.hex() for v in dataclasses.astuple(result)]
+
+
+@pytest.mark.skipif(workers_module._openblas_threads() is None,
+                    reason="forked evaluation needs OpenBLAS's thread control")
+class TestForkedEvaluation:
+    """Blocks scored by forked children give the EvalResult one process
+    gives, bit for bit; BLAS runs one thread per process while forked and
+    the old count after; no child outlives the call.  Each test lets a
+    process score as few as one block, so small sets fork too."""
+
+    @pytest.fixture(autouse=True)
+    def fork_from_one_block(self, monkeypatch):
+        monkeypatch.setattr(workers_module, "_FORK_BLOCKS", 1)
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        isac = generate_dataset(CFG, L=80, L_b=1, n=1000, master_seed=3)
+        ssac = generate_dataset(CFG, L=80, L_b=1, n=1000, master_seed=3, alpha=0.5)
+        rng = np.random.default_rng(4)
+        return isac, ssac, [init_model(10, 1, rng) for _ in range(3)]
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The OpenBLAS thread count, set to 3 for the test (not the default, so
+        a restore cannot pass by resetting it) and put back after."""
+        get, set_threads = workers_module._openblas_threads()
+        old = get()
+        set_threads(3)
+        yield get
+        set_threads(old)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_equals_serial_bit_for_bit(self, monkeypatch, sets, blas_threads, n, cpus):
+        isac, ssac, (model, comm, sense) = sets
+        isac, ssac = _head(isac, n), _head(ssac, n)
+        real_fork, forks, seen = os.fork, [], set()
+
+        def spy(model, inputs, slope=None):
+            seen.add(blas_threads())  # in this process only; a child's is checked below
+            return forward_batch(model, inputs, slope)
+
+        monkeypatch.setattr(metrics_module, "forward_batch", spy)
+        _affinity(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        serial = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
+        assert seen == {3}  # serial evaluation keeps the thread count it finds
+        seen.clear()
+        _affinity(monkeypatch, cpus)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        forked = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
+        blocks = -(-n // 256)
+        assert len(forks) == 2 * (min(cpus, blocks) - 1)  # one set of children per call
+        assert seen == ({1} if blocks > 1 else {3})
+        assert [_bits(r) for r in forked] == [_bits(r) for r in serial]
+        assert blas_threads() == 3
+
+    def test_a_child_runs_one_blas_thread(self, monkeypatch, sets, blas_threads):
+        isac, _, (model, _, _) = sets
+
+        def one_thread_only(model, inputs, slope=None):
+            if blas_threads() != 1:
+                raise AssertionError(f"{blas_threads()} BLAS threads in process {os.getpid()}")
+            return forward_batch(model, inputs, slope)
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(metrics_module, "forward_batch", one_thread_only)
+        assert _bits(evaluate(model, isac)) == _bits(evaluate(model, isac))  # no child raised
+
+    def test_a_failing_child_fails_the_call(self, monkeypatch, sets, blas_threads):
+        isac, _, (model, _, _) = sets
+        parent = os.getpid()
+
+        def child_fails(model, inputs, slope=None):
+            if os.getpid() != parent:
+                raise RuntimeError("child fault")
+            return forward_batch(model, inputs, slope)
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(metrics_module, "forward_batch", child_fails)
+        with pytest.raises(RuntimeError, match="forked worker stopped before it sent all its blocks"):
+            evaluate(model, isac)
+        assert blas_threads() == 3
+
+    def test_a_parent_fault_kills_and_reaps_the_children(self, monkeypatch, sets, blas_threads):
+        _, ssac, (_, comm, sense) = sets
+        parent, pids, real_fork = os.getpid(), [], os.fork
+
+        def parent_fails(model, inputs, slope=None):
+            if os.getpid() == parent:
+                raise KeyError("parent fault")
+            time.sleep(60)  # only SIGKILL ends the child in time
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        _affinity(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(metrics_module, "forward_batch", parent_fails)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyError, match="parent fault"):
+            evaluate_ssac(comm, sense, ssac, alpha=0.5)
+        assert time.perf_counter() - t0 < 30
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # reaped already
+                os.waitpid(pid, os.WNOHANG)
+        assert blas_threads() == 3
+
+    def test_serial_without_openblas_thread_control(self, monkeypatch, sets):
+        isac, ssac, (model, comm, sense) = sets
+        _affinity(monkeypatch, 2)
+        forked = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(workers_module, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without BLAS thread control"))
+        serial = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
+        assert [_bits(r) for r in serial] == [_bits(r) for r in forked]
+        # generation calls no BLAS, so it forks all the same
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        generate_dataset(CFG, L=8, L_b=1, n=128, master_seed=3)
+        assert len(forks) == 1
