@@ -311,70 +311,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    # Each flag that several subcommands share is declared once, in a parent
+    # parser.  A subcommand lists its parents' flags before its own, so sweep's
+    # --param and --values sit in a parent too: they lead its required flags.
+    grid, sizes, snr, mode, alpha, training, seed = (argparse.ArgumentParser(add_help=False) for _ in range(7))
+    grid.add_argument("--param", choices=("beta", "alpha", "lb"), required=True,
+                      help="grid axis; beta and alpha sweeps fix L_b at --Lb, and the lb sweep's "
+                      "ssac rows use --alpha")
+    grid.add_argument("--values", required=True, help="comma-separated grid points")
+    sizes.add_argument("--n-train", type=int, required=True)
+    sizes.add_argument("--n-test", type=int, required=True)
+    sizes.add_argument("--L", type=int, default=80, help="slots per frame (default 80)")
+    sizes.add_argument("--Lb", type=int, default=1, help="bandwidth expansion factor (default 1)")
+    snr.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
+    mode.add_argument("--mode", choices=("isac", "ssac"), default="isac")
+    alpha.add_argument("--alpha", type=float, help="ssac data-slot fraction")
+    training.add_argument("--hidden", type=int, default=10, help="hidden neurons (default 10)")
+    training.add_argument("--beta", type=float, default=0.5, help="decode loss weight (default 0.5)")
+    training.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    training.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    training.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
-    def add_train_flags(p):
-        p.add_argument("--hidden", type=int, default=10, help="hidden neurons (default 10)")
-        p.add_argument("--beta", type=float, default=0.5, help="decode loss weight (default 0.5)")
-        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-        p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-        p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-
-    p = sub.add_parser("gen", help="generate train/test dataset files")
-    p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--n-test", type=int, required=True)
-    p.add_argument("--L", type=int, default=80, help="slots per frame (default 80)")
-    p.add_argument("--Lb", type=int, default=1, help="bandwidth expansion factor (default 1)")
-    p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
-    p.add_argument("--mode", choices=("isac", "ssac"), default="isac")
-    p.add_argument("--alpha", type=float, help="ssac data-slot fraction")
+    p = sub.add_parser("gen", parents=[sizes, snr, mode, alpha, seed],
+                       help="generate train/test dataset files")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
-    add_common(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train on a dataset file")
+    p = sub.add_parser("train", parents=[mode, alpha, training, seed], help="train on a dataset file")
     p.add_argument("--data", required=True, help="training dataset (NISD)")
-    p.add_argument("--mode", choices=("isac", "ssac"), default="isac")
-    p.add_argument("--alpha", type=float, help="ssac data-slot fraction")
     p.add_argument("--out", required=True, help="model output path (NISM); "
                    "ssac writes <out>.comm/<out>.sense variants")
     p.add_argument("--log", help="training-log CSV path")
-    add_train_flags(p)
-    add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model on a dataset file")
+    p = sub.add_parser("eval", parents=[mode, alpha], help="evaluate a model on a dataset file")
     p.add_argument("--data", required=True, help="test dataset (NISD)")
     p.add_argument("--model", required=True, help="model (NISM); comm model in ssac mode")
     p.add_argument("--model-sense", help="detection model (NISM, ssac mode)")
-    p.add_argument("--mode", choices=("isac", "ssac"), default="isac")
-    p.add_argument("--alpha", type=float, help="ssac data-slot fraction")
     p.add_argument("--out", required=True, help="metrics CSV path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="generate/train/eval across a parameter grid")
-    p.add_argument("--param", choices=("beta", "alpha", "lb"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated grid points")
-    p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--n-test", type=int, required=True)
-    p.add_argument("--L", type=int, default=80)
-    p.add_argument("--Lb", type=int, default=1, help="fixed L_b for beta/alpha sweeps")
-    p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
-    p.add_argument("--alpha", type=float, help="fixed alpha for the lb sweep's ssac rows")
+    p = sub.add_parser("sweep", parents=[grid, sizes, snr, alpha, training, seed],
+                       help="generate/train/eval across a parameter grid")
     p.add_argument("--out", required=True, help="results CSV path")
-    add_train_flags(p)
-    add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("trace", help="per-slot spike counts for active/idle/active frames")
+    p = sub.add_parser("trace", parents=[snr, seed],
+                       help="per-slot spike counts for active/idle/active frames")
     p.add_argument("--model", required=True, help="model (NISM)")
     p.add_argument("--frame-slots", type=int, default=80, help="slots per active frame")
     p.add_argument("--idle-slots", type=int, default=20, help="idle slots between frames")
-    p.add_argument("--snr-db", type=float, default=ChannelConfig.snr_db)
     p.add_argument("--out", required=True, help="trace CSV path")
-    add_common(p)
     p.set_defaults(func=cmd_trace)
 
     return parser

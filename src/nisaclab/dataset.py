@@ -31,7 +31,7 @@ from .channel import (
     frame_received,
     noise_variance_from_snr,
 )
-from .errors import InvalidContentError, check_payload_size
+from .errors import InvalidContentError
 from .fileio import read_file, staged_path
 from .modem import ppm_modulate, slot_split
 from .workers import _deal_blocks
@@ -193,7 +193,7 @@ def generate_dataset(
         samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
         inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs
 
-    # While forked, BLAS runs 1 thread per process (2 processes x 2 threads on 2 cores stall); fill uses none.
+    # fill calls no BLAS, so it forks with BLAS threads unpinned, even without OpenBLAS's thread control.
     _deal_blocks(fill, -(-n // _BLOCK),
                  lambda j: (a[j * _BLOCK:j * _BLOCK + _BLOCK] for a in (inputs, bits, targets)))
     return Dataset(inputs=inputs, bits=bits, targets=targets,
@@ -232,11 +232,12 @@ def load_dataset(path) -> Dataset:
     read, not np.fromfile, which must know the file position and so cannot
     read a pipe.
     """
-    fields, raw = read_file(path, _HEADER, DATASET_MAGIC, DATASET_VERSION, "dataset")
+    # the record size is _payload_dtype(L, L_b).itemsize, computed without
+    # building the dtype, so a corrupt count fails the size check first
+    fields, payload = read_file(path, _HEADER, DATASET_MAGIC, DATASET_VERSION, "dataset",
+                                lambda n, L, L_b, *_: n * (1 + L + 16 * L * L_b))
     n, L, L_b, snr_db, master_seed = fields
-    record_size = 1 + L + 16 * L * L_b  # _payload_dtype(L, L_b).itemsize
-    check_payload_size(len(raw) - _HEADER.size, n * record_size, "dataset")
-    records = np.frombuffer(raw, dtype=_payload_dtype(L, L_b), offset=_HEADER.size)
+    records = np.frombuffer(payload, dtype=_payload_dtype(L, L_b))
     try:
         return Dataset(
             inputs=records["inputs"],

@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 import struct
 
-from .errors import BadMagicError, FormatVersionError, TruncatedFileError
+from .errors import BadMagicError, FileFormatError, FormatVersionError, TruncatedFileError
 
 
-def read_file(path, header: struct.Struct, magic: bytes, version: int, what: str):
+def read_file(path, header: struct.Struct, magic: bytes, version: int, what: str, payload_size):
     """Read a whole `what` file; returns the header fields after its magic and
-    version, and the file's bytes, once both of those match."""
+    version, and a view of the payload, once those match and the payload holds
+    exactly the payload_size(*fields) bytes the header promises.  So a corrupt
+    count fails here before it can size an allocation."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < header.size:
@@ -23,7 +24,13 @@ def read_file(path, header: struct.Struct, magic: bytes, version: int, what: str
         raise BadMagicError(f"expected magic {magic!r}, found {found_magic!r}")
     if found_version != version:
         raise FormatVersionError(f"unsupported {what} format version {found_version}")
-    return fields, raw
+    payload = memoryview(raw)[header.size:]
+    promised = payload_size(*fields)
+    if len(payload) < promised:
+        raise TruncatedFileError(f"{what} payload holds {len(payload)} bytes, header promises {promised}")
+    if len(payload) > promised:
+        raise FileFormatError(f"trailing bytes after {what} payload")
+    return fields, payload
 
 
 @contextlib.contextmanager
@@ -44,7 +51,7 @@ def staged_path(path):
         return
     path = os.path.realpath(path)
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         yield tmp

@@ -47,7 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidContentError, check_payload_size
+from .errors import InvalidContentError
 from .fileio import read_file, staged_path
 
 COMM, SENSE = 0, 1  # readout rows
@@ -259,10 +259,10 @@ def save_model(model: SnnModel, path) -> None:
 
 def load_model(path) -> SnnModel:
     """Read a model written by save_model; round trip is bit-exact."""
-    (H, width), raw = read_file(path, _HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
+    (H, width), payload = read_file(path, _HEADER, MODEL_MAGIC, MODEL_VERSION, "model",
+                                    lambda H, width: 8 * (H * width + 2 * H + 5))
     n_in = H * width
-    check_payload_size(len(raw) - _HEADER.size, 8 * (n_in + 2 * H + 5), "model")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    values = np.frombuffer(payload, dtype="<f8")
     w_in, w_out = values[:n_in], values[n_in:-5]
     for name, stored in zip(_STORED_CONSTANTS, values[-5:].tolist()):
         required = getattr(SnnModel, name)

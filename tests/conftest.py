@@ -1,9 +1,11 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
 the throughput that evaluation scores for hand-built decode spikes,
-hand-checkable neuron constants, the traced memory peak of a call, and a
-check that no test leaves a child process behind."""
+hand-checkable neuron constants, the traced memory peak of a call, a file
+loaded through a named pipe, and a check that no test leaves a child process
+behind."""
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -95,6 +97,27 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def load_through_pipe(tmp_path):
+    """load_through_pipe(load, path): load(pipe), where a writer thread feeds
+    the bytes of path into the named pipe; the writer is joined before it
+    returns.  Tests that use it skip where os.mkfifo is missing."""
+
+    def through(load, path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            loaded = load(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        return loaded
+
+    return through
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from pathlib import Path
 
@@ -379,18 +378,10 @@ class TestPersistence:
         assert loaded.inputs.dtype == np.float32
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_loads_from_a_pipe(self, small, tmp_path):
-        path, pipe = tmp_path / "d.nisd", tmp_path / "pipe"
+    def test_loads_from_a_pipe(self, small, tmp_path, load_through_pipe):
+        path = tmp_path / "d.nisd"
         save_dataset(small, path)
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
-        writer.start()
-        try:
-            loaded = load_dataset(pipe)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert loaded == small
+        assert load_through_pipe(load_dataset, path) == small
 
     def test_second_save_is_byte_identical(self, small, tmp_path):
         p1, p2 = tmp_path / "a.nisd", tmp_path / "b.nisd"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -391,6 +392,15 @@ class TestPersistence:
         path = tmp_path / "model.nism"
         save_model(m, path)
         loaded = load_model(path)
+        assert np.array_equal(loaded.input_weights, m.input_weights)
+        assert np.array_equal(loaded.readout_weights, m.readout_weights)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_loads_from_a_pipe(self, tmp_path, load_through_pipe):
+        m = _random_model(17, h=3, L_b=2)
+        path = tmp_path / "model.nism"
+        save_model(m, path)
+        loaded = load_through_pipe(load_model, path)
         assert np.array_equal(loaded.input_weights, m.input_weights)
         assert np.array_equal(loaded.readout_weights, m.readout_weights)
 

@@ -5,7 +5,8 @@ exception below is a reference implementation the tests check against.
 Likewise every field of a config class, or of SnnModel, is set by some
 caller: a field that only tests set is an option with one value in use,
 which is a constant.  So is a command-line flag that only tests pass:
-every option the parser defines appears in README.md or perfbench/."""
+every option the parser defines appears in README.md or perfbench/.  A flag
+that several subcommands define parses and reads the same in each."""
 
 import argparse
 import ast
@@ -18,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nisaclab"
 TEST_REFERENCES = {"modem.ppm_demodulate"}
 CONFIG_CLASSES = {"ChannelConfig", "SnnModel", "TrainConfig"}
+# paths whose help names what each subcommand reads or writes there
+PER_COMMAND_HELP = {"--data", "--model", "--out"}
 
 
 def _definitions():
@@ -107,14 +110,22 @@ def test_every_config_field_is_set_by_a_caller():
     assert unset == []
 
 
+def _flags(parser):
+    """Every action of a parser but its help."""
+    return [action for action in parser._actions if not isinstance(action, argparse._HelpAction)]
+
+
+def _subcommands(parser) -> dict:
+    """{name: subparser} of the parser's subcommands."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _option_strings():
     """Every option string of the parser and of each subcommand, help aside."""
     parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for p in [parser, *commands.choices.values()]:
-        for action in p._actions:
-            if not isinstance(action, argparse._HelpAction):
-                yield from action.option_strings
+    for p in [parser, *_subcommands(parser).values()]:
+        for action in _flags(p):
+            yield from action.option_strings
 
 
 def test_every_flag_has_a_caller():
@@ -122,3 +133,14 @@ def test_every_flag_has_a_caller():
     # --out must not count as a use of itself inside --out-train, nor --L inside --Lb
     unused = {opt for opt in _option_strings() if not re.search(rf"{re.escape(opt)}(?![\w-])", text)}
     assert unused == set()
+
+
+def test_shared_flags_agree():
+    specs = {}
+    for command, p in _subcommands(build_parser()).items():
+        for action in _flags(p):
+            flag = action.option_strings[0]
+            help_text = None if flag in PER_COMMAND_HELP else action.help
+            spec = (action.type, action.default, action.choices, action.required, action.nargs, help_text)
+            specs.setdefault(flag, {})[command] = spec
+    assert {flag: by_command for flag, by_command in specs.items() if len(set(by_command.values())) > 1} == {}
