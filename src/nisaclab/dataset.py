@@ -237,8 +237,8 @@ def load_dataset(path) -> Dataset:
     fields, payload = read_file(path, _HEADER, DATASET_MAGIC, DATASET_VERSION, "dataset",
                                 lambda n, L, L_b, *_: n * (1 + L + 16 * L * L_b))
     n, L, L_b, snr_db, master_seed = fields
-    records = np.frombuffer(payload, dtype=_payload_dtype(L, L_b))
-    try:
+    try:  # n = 0 passes the size check for any L and L_b, which the dtype may refuse
+        records = np.frombuffer(payload, dtype=_payload_dtype(L, L_b))
         return Dataset(
             inputs=records["inputs"],
             bits=records["bits"],

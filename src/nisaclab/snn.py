@@ -148,8 +148,8 @@ def init_model(hidden_count: int, L_b: int, rng: np.random.Generator) -> SnnMode
 
 
 def forward(model: SnnModel, frame) -> ForwardTrace:
-    """Run one (L, input_width) frame through the network: the hard
-    forward_batch on a batch of one.
+    """Run one (L, input_width) frame through the network: forward_batch on a
+    batch of one.
 
     Hidden spikes reach the readout in the same step they are emitted, so the
     slot-l decisions depend on inputs up to and including slot l only.
@@ -193,8 +193,7 @@ def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
     return x
 
 
-def _spike_layer(drive: np.ndarray, a_syn: float, a_mem: float, a_ref: float,
-                 threshold: float, slope: float | None):
+def _spike_layer(drive: np.ndarray, a_syn: float, a_mem: float, a_ref: float, threshold: float):
     """Potentials and spikes of the hidden layer from its time-major drive
     (L, B, H); the drive array becomes the potential record.  A step is five
     in-place calls into buffers made before the loop, with 0-d array scalars,
@@ -208,36 +207,29 @@ def _spike_layer(drive: np.ndarray, a_syn: float, a_mem: float, a_ref: float,
         np.multiply(s, a_ref, s)
         np.multiply(th, s, penalty)
         np.subtract(o, penalty, o)
-        if slope is None:
-            np.greater(o, th, b_next)
-        else:
-            b_next[...] = sigmoid(slope * (o - threshold))
+        np.greater(o, th, b_next)
         b = b_next
     return potentials, spikes
 
 
-def forward_batch(model: SnnModel, inputs: np.ndarray, slope: float | None = None):
+def forward_batch(model: SnnModel, inputs: np.ndarray):
     """Vectorized forward over a batch of frames, recording only what training
     and evaluation need.
 
-    inputs has shape (B, L, input_width).  slope=None runs the hard-threshold
-    network; a float runs the smoothed twin with spikes sigmoid(slope*(o-th)).
-    Returns (hidden_potentials, hidden_spikes, readout_potentials,
-    readout_spikes) with shapes (B, L, H) / (B, L, 2); they are views of
-    time-major (L, B, .) records.
+    inputs has shape (B, L, input_width).  Returns (hidden_potentials,
+    hidden_spikes, readout_potentials, readout_spikes) with shapes (B, L, H) /
+    (B, L, 2); they are views of time-major (L, B, .) records.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != model.input_width:
         raise ValueError(f"inputs of shape {inputs.shape} are not (B, L, {model.input_width}) for this model")
     B, L, _ = inputs.shape
     a_syn, a_mem, a_ref = model.decays()
-    oh, bh = _spike_layer(
-        inputs.transpose(1, 0, 2) @ model.input_weights.T,
-        a_syn, a_mem, a_ref, model.hidden_threshold, slope,
-    )
+    drive = inputs.transpose(1, 0, 2) @ model.input_weights.T
+    oh, bh = _spike_layer(drive, a_syn, a_mem, a_ref, model.hidden_threshold)
     rdrive = (bh.reshape(L * B, model.hidden_count) @ model.readout_weights.T).reshape(L, B, 2)
     orr = _synapse_filter(rdrive, a_syn, a_mem)
-    br = (orr > 0).astype(np.float64) if slope is None else sigmoid(slope * orr)
+    br = (orr > 0).astype(np.float64)
     return tuple(a.transpose(1, 0, 2) for a in (oh, bh, orr, br))
 
 

@@ -13,10 +13,10 @@ membrane recursions.  A readout potential is its filtered drive, with no
 refractory term, so its adjoint is the loss derivative filtered backwards in
 time; only the hidden layer steps an adjoint loop.  The only approximation
 is the usual surrogate step: the hidden threshold's derivative is replaced by
-the derivative of sigmoid(slope * x).  Run the same backward pass on the
-records of the fully smoothed twin network (forward_batch with a slope) and
-it is the exact gradient, which is how the finite-difference oracle checks
-it.
+the derivative of sigmoid(TrainConfig.surrogate_slope * x).  For the smoothed
+network whose spikes are that sigmoid, the same pass is the exact gradient:
+the tests check it against finite differences of their own step-by-step copy
+of that network.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ def backward(
     hidden_potentials: np.ndarray,
     hidden_spikes: np.ndarray,
     d_readout_potentials: np.ndarray,
-    slope: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse the unrolled recursions; returns batch-summed weight gradients.
 
@@ -132,7 +131,7 @@ def backward(
     # With e the incoming adjoint and ds the surrogate slope, g = (e + c)*ds
     # and c' = a_ref*(c - th*g) = A*c + U: a linear recurrence, stepped with
     # two in-place operations that leave c' in U[t].
-    dspike_h = _spike_slope(reversed_time(hidden_potentials), th_h, slope)
+    dspike_h = _spike_slope(reversed_time(hidden_potentials), th_h, TrainConfig.surrogate_slope)
     U = np.multiply(dspike_h, -a_ref * th_h)
     A = U + a_ref  # a_ref*(1 - th*ds)
     U *= g_drive   # -a_ref*th*ds*e
@@ -236,7 +235,7 @@ def train(model: SnnModel, dataset, cfg: TrainConfig, alpha: float | None = None
                 lc_sum += lc_batch
                 ls_sum += ls_batch
 
-                g_w_in, g_w_out = backward(model, inputs, oh, bh, d_or, cfg.surrogate_slope)
+                g_w_in, g_w_out = backward(model, inputs, oh, bh, d_or)
                 model = sgd_step(model, g_w_in / idx.size, g_w_out / idx.size, cfg.learning_rate)
 
                 correct, detect = score_frames(br, bits, n_data, sense_start)

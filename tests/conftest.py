@@ -1,9 +1,11 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
-the throughput that evaluation scores for hand-built decode spikes,
+the step-by-step reference network every engine oracle checks against, the
+throughput that evaluation scores for hand-built decode spikes,
 hand-checkable neuron constants, the traced memory peak of a call, a file
 loaded through a named pipe, and a check that no test leaves a child process
 behind."""
 
+import math
 import os
 import threading
 import tracemalloc
@@ -41,6 +43,47 @@ def criterion_line():
     return record
 
 
+def _reference_forward(model: SnnModel, frame: np.ndarray, slope: float | None):
+    """Step-by-step recursion from snn's module docstring on one (L, width)
+    frame, one matvec per step.  slope=None runs the hard network; a float
+    runs the smoothed network whose spikes are sigmoid(slope * (o - threshold))."""
+    if slope is None:
+        spike = lambda x: (x > 0).astype(float)
+    else:
+        spike = lambda x: 0.5 * (1.0 + np.tanh(0.5 * slope * x))
+    a_syn, a_mem, a_ref = (math.exp(-1.0 / t) for t in (model.tau_syn, model.tau_mem, model.tau_ref))
+    layers = [(model.input_weights, model.hidden_threshold), (model.readout_weights, model.readout_threshold)]
+    state = [[np.zeros(w.shape[0]) for _ in range(4)] for w, _ in layers]  # q, r, s, spikes
+    potentials, spikes = ([np.zeros((len(frame), w.shape[0])) for w, _ in layers] for _ in range(2))
+    for l, x in enumerate(frame):
+        for k, (w, th) in enumerate(layers):
+            q, r, s, b = state[k]
+            q = a_syn * q + w @ x
+            r = a_mem * r + q
+            s = a_ref * (s + b)
+            o = r - th * s
+            x = b = spike(o - th)  # this layer's spikes drive the next layer
+            state[k] = [q, r, s, b]
+            potentials[k][l], spikes[k][l] = o, b
+    return potentials[0], spikes[0], potentials[1], spikes[1]
+
+
+@pytest.fixture(scope="session")
+def reference_forward():
+    """reference_forward(model, inputs, slope=None): the oracle for
+    forward_batch, and with a slope the smoothed network whose finite
+    differences check backward.  Runs each (L, width) frame of the
+    (B, L, width) inputs alone and returns forward_batch's four (B, L, .)
+    records.  Session scope, as it holds no state: hypothesis tests may
+    use it."""
+
+    def run(model: SnnModel, inputs: np.ndarray, slope: float | None = None):
+        frames = [_reference_forward(model, frame, slope) for frame in inputs]
+        return tuple(np.stack(records) for records in zip(*frames))
+
+    return run
+
+
 @pytest.fixture
 def neuron_constants(monkeypatch):
     """set(**values): replace SnnModel's hidden threshold and time constants
@@ -67,7 +110,7 @@ def scored_throughput(monkeypatch):
         readout = np.zeros((n, L, 2))
         readout[:, :, COMM] = decisions
 
-        def decode_spikes(model, inputs, slope=None):
+        def decode_spikes(model, inputs):
             return np.zeros((n, L, 1)), np.zeros((n, L, 1)), np.zeros((n, L, 2)), readout
 
         monkeypatch.setattr(metrics_module, "forward_batch", decode_spikes)

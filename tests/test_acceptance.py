@@ -35,7 +35,6 @@ from nisaclab.modem import ppm_modulate, slot_split
 from nisaclab.snn import (
     SENSE,
     forward,
-    forward_batch,
     init_model,
     load_model,
     save_model,
@@ -148,18 +147,19 @@ def _max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 # --- criteria ----------------------------------------------------------------
 
-def test_gradient_oracle(criterion_line):
-    """Reverse-mode gradients of the smoothed network match central differences."""
+def test_gradient_oracle(criterion_line, reference_forward):
+    """Reverse-mode gradients of the reference network, smoothed at the
+    surrogate slope, match central differences."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     model = init_model(3, 1, rng)
     inputs = rng.standard_normal((5, 4))
     bits = rng.integers(0, 2, size=5)
-    target, beta, slope, h = 1, 0.5, 1.0, 1e-5
+    target, beta, slope, h = 1, 0.5, TrainConfig.surrogate_slope, 1e-5
     frame_bits, frame_target = bits[None].astype(np.float64), np.array([target], dtype=np.float64)
 
     def loss_at(m):
-        orr = forward_batch(m, inputs[None], slope)[2]
+        orr = reference_forward(m, inputs[None], slope)[2]
         lc, ls, _ = objective(orr, frame_bits, frame_target, beta, len(bits), 0)
         return beta * lc + (1.0 - beta) * ls
 
@@ -174,9 +174,9 @@ def test_gradient_oracle(criterion_line):
         return grad / (2 * h)
 
     # the calls train makes for a batch, here a batch of one frame
-    oh, bh, orr, _ = forward_batch(model, inputs[None], slope)
+    oh, bh, orr, _ = reference_forward(model, inputs[None], slope)
     _, _, d_or = objective(orr, frame_bits, frame_target, beta, len(bits), 0)
-    g_w_in, g_w_out = backward(model, inputs[None], oh, bh, d_or, slope)
+    g_w_in, g_w_out = backward(model, inputs[None], oh, bh, d_or)
     rel = max(
         _max_rel_error(g_w_in, fd("input_weights")),
         _max_rel_error(g_w_out, fd("readout_weights")),

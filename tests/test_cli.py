@@ -181,6 +181,14 @@ class TestTrain:
         ])
         assert code == 3
 
+    def test_zero_count_header_is_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "zero.nisd"
+        bad.write_bytes(struct.pack("<4sIIIIdQ", b"NISD", 1, 0, 2**31, 1, 10.0, 0))  # n = 0, L = 2**31
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.nism"), "--epochs", "1"])
+        assert code == 3
+        assert "invalid dataset" in capsys.readouterr().err
+        assert not (tmp_path / "m.nism").exists()
+
 
 class TestEval:
     def test_writes_one_row(self, workdir, tmp_path):

@@ -467,6 +467,16 @@ class TestPersistence:
             with pytest.raises(InvalidContentError, match="n >= 1 examples, L >= 1 slots and L_b >= 1"):
                 load_dataset(path)
 
+    def test_zero_count_header_with_unbuildable_record_rejected(self, small, tmp_path):
+        # n = 0 promises no payload whatever L is, and L = 2**31 fits no record dtype
+        path = tmp_path / "d.nisd"
+        save_dataset(small, path)
+        raw = bytearray(path.read_bytes()[:36])
+        raw[8:16] = (0).to_bytes(4, "little") + (2**31).to_bytes(4, "little")  # n, L
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidContentError, match="invalid dataset"):
+            load_dataset(path)
+
 
 class TestMemory:
     """A load holds the file's bytes and little more, and a save a small

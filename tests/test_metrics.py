@@ -113,7 +113,7 @@ class TestDetectionError:
 
     @pytest.fixture
     def scored_error(self, monkeypatch):
-        def echo_votes(model, inputs, slope=None):
+        def echo_votes(model, inputs):
             readout = np.zeros(inputs.shape[:2] + (2,))
             readout[:, :, SENSE] = inputs[:, :, 0]
             return None, np.zeros(inputs.shape[:2] + (1,)), None, readout
@@ -188,8 +188,8 @@ class TestModelEvaluation:
         alpha, n_data = 0.75, 6
         original = metrics_module.forward_batch
 
-        def votes_on_data_slots(model, inputs, slope=None):
-            oh, bh, orr, br = original(model, inputs, slope)
+        def votes_on_data_slots(model, inputs):
+            oh, bh, orr, br = original(model, inputs)
             br = br.copy()
             br[:, :, SENSE] = 0.0
             br[:, :n_data, SENSE] = 1.0
@@ -242,9 +242,9 @@ class TestBlockedEvaluation:
     def calls(self, monkeypatch):
         seen = []
 
-        def spy(model, inputs, slope=None):
+        def spy(model, inputs):
             seen.append(np.array(inputs))
-            return forward_batch(model, inputs, slope)
+            return forward_batch(model, inputs)
 
         monkeypatch.setattr(metrics_module, "_BLOCK", 7)
         monkeypatch.setattr(metrics_module, "forward_batch", spy)
@@ -361,9 +361,9 @@ class TestForkedEvaluation:
         isac, ssac = _head(isac, n), _head(ssac, n)
         real_fork, forks, seen = os.fork, [], set()
 
-        def spy(model, inputs, slope=None):
+        def spy(model, inputs):
             seen.add(blas_threads())  # in this process only; a child's is checked below
-            return forward_batch(model, inputs, slope)
+            return forward_batch(model, inputs)
 
         monkeypatch.setattr(metrics_module, "forward_batch", spy)
         _affinity(monkeypatch, 1)
@@ -383,10 +383,10 @@ class TestForkedEvaluation:
     def test_a_child_runs_one_blas_thread(self, monkeypatch, sets, blas_threads):
         isac, _, (model, _, _) = sets
 
-        def one_thread_only(model, inputs, slope=None):
+        def one_thread_only(model, inputs):
             if blas_threads() != 1:
                 raise AssertionError(f"{blas_threads()} BLAS threads in process {os.getpid()}")
-            return forward_batch(model, inputs, slope)
+            return forward_batch(model, inputs)
 
         _affinity(monkeypatch, 2)
         monkeypatch.setattr(metrics_module, "forward_batch", one_thread_only)
@@ -396,10 +396,10 @@ class TestForkedEvaluation:
         isac, _, (model, _, _) = sets
         parent = os.getpid()
 
-        def child_fails(model, inputs, slope=None):
+        def child_fails(model, inputs):
             if os.getpid() != parent:
                 raise RuntimeError("child fault")
-            return forward_batch(model, inputs, slope)
+            return forward_batch(model, inputs)
 
         _affinity(monkeypatch, 2)
         monkeypatch.setattr(metrics_module, "forward_batch", child_fails)
@@ -411,7 +411,7 @@ class TestForkedEvaluation:
         _, ssac, (_, comm, sense) = sets
         parent, pids, real_fork = os.getpid(), [], os.fork
 
-        def parent_fails(model, inputs, slope=None):
+        def parent_fails(model, inputs):
             if os.getpid() == parent:
                 raise KeyError("parent fault")
             time.sleep(60)  # only SIGKILL ends the child in time

@@ -57,31 +57,7 @@ def _random_model(seed, h=4, L_b=1) -> SnnModel:
     return init_model(h, L_b, np.random.default_rng(seed))
 
 
-def _reference_forward(model: SnnModel, frame: np.ndarray, slope: float | None = None):
-    """Step-by-step recursion from the module docstring, one matvec per step;
-    the oracle the batched engine is checked against."""
-    if slope is None:
-        spike = lambda x: (x > 0).astype(float)
-    else:
-        spike = lambda x: 0.5 * (1.0 + np.tanh(0.5 * slope * x))
-    a_syn, a_mem, a_ref = (math.exp(-1.0 / t) for t in (model.tau_syn, model.tau_mem, model.tau_ref))
-    layers = [(model.input_weights, model.hidden_threshold), (model.readout_weights, model.readout_threshold)]
-    state = [[np.zeros(w.shape[0]) for _ in range(4)] for w, _ in layers]  # q, r, s, spikes
-    potentials, spikes = ([np.zeros((len(frame), w.shape[0])) for w, _ in layers] for _ in range(2))
-    for l, x in enumerate(frame):
-        for k, (w, th) in enumerate(layers):
-            q, r, s, b = state[k]
-            q = a_syn * q + w @ x
-            r = a_mem * r + q
-            s = a_ref * (s + b)
-            o = r - th * s
-            x = b = spike(o - th)  # this layer's spikes drive the next layer
-            state[k] = [q, r, s, b]
-            potentials[k][l], spikes[k][l] = o, b
-    return potentials[0], spikes[0], potentials[1], spikes[1]
-
-
-def _stepped_spike_layer(r: np.ndarray, a_ref: float, threshold: float, slope: float | None):
+def _stepped_spike_layer(r: np.ndarray, a_ref: float, threshold: float):
     """The refractory/spike loop written with a temporary per operation, on
     the time-major membrane input r (L, B, H): the oracle for the in-place
     loop of forward_batch, which must do the same operations in the same
@@ -92,10 +68,7 @@ def _stepped_spike_layer(r: np.ndarray, a_ref: float, threshold: float, slope: f
     for o, b_next in zip(potentials, spikes):
         s = a_ref * (s + b)
         o -= threshold * s
-        if slope is None:
-            np.greater(o, threshold, out=b_next)
-        else:
-            b_next[...] = sigmoid(slope * (o - threshold))
+        np.greater(o, threshold, out=b_next)
         b = b_next
     return potentials, spikes
 
@@ -169,6 +142,16 @@ class TestForward:
         assert (spiking.hidden_potentials[fired] < quiet.hidden_potentials[fired]).all()
         assert np.array_equal(spiking.hidden_potentials[~fired], quiet.hidden_potentials[~fired])
 
+    def test_potential_at_threshold_does_not_spike(self, hand_model):
+        # a neuron spikes only when its potential exceeds its threshold:
+        # hidden potential 1.0 at threshold 1.0, readout potential 0 at 0
+        m = hand_model(1, 4, w_in=[[1.0, 0.0, 0.0, 0.0]])
+        trace = forward(m, np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert trace.hidden_potentials[0, 0] == 1.0 == m.hidden_threshold
+        assert trace.hidden_spikes[0, 0] == 0.0
+        assert trace.readout_potentials[0].tolist() == [0.0, 0.0]
+        assert not trace.readout_spikes.any()
+
     def test_readout_uses_its_own_threshold(self, hand_model):
         w_in = [[2.0, 0.0, 0.0, 0.0]]
         frame = np.array([[1.0, 0.0, 0.0, 0.0]])
@@ -241,43 +224,36 @@ class TestForward:
 
 
 class TestForwardBatch:
-    def test_matches_single_frame_forward(self):
+    def test_matches_single_frame_forward(self, reference_forward):
         m = _random_model(11, h=5, L_b=2)
         inputs = np.random.default_rng(12).standard_normal((3, 7, 8)) * 2
-        for slope in (None, 2.0):
-            batch = forward_batch(m, inputs, slope)
-            for i in range(3):
-                ref = _reference_forward(m, inputs[i], slope)
-                for k, (got, want) in enumerate(zip(batch, ref)):
-                    assert np.allclose(got[i], want, rtol=0, atol=1e-12)
-                    if slope is None and k % 2:  # hard spikes agree exactly
-                        assert np.array_equal(got[i], want)
-            if slope is None:
-                assert batch[1].any()  # the frames exercise the refractory path
+        batch = forward_batch(m, inputs)
+        for k, (got, want) in enumerate(zip(batch, reference_forward(m, inputs))):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            if k % 2:  # spikes agree exactly
+                assert np.array_equal(got, want)
+        assert batch[1].any()  # the frames exercise the refractory path
 
     @settings(max_examples=40, deadline=None)
     @given(
         B=st.integers(1, 4), L=st.integers(1, 12), H=st.integers(1, 6), L_b=st.integers(1, 3),
-        slope=st.one_of(st.none(), st.floats(0.1, 10.0)), seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_shapes_match_reference_and_b1_view(self, B, L, H, L_b, slope, seed):
+    def test_random_shapes_match_reference_and_b1_view(self, reference_forward, B, L, H, L_b, seed):
         rng = np.random.default_rng(seed)
         m = init_model(H, L_b, rng)
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 3
-        batch = forward_batch(m, inputs, slope)
+        batch = forward_batch(m, inputs)
+        ref = reference_forward(m, inputs)
         for i in range(B):
-            ref = _reference_forward(m, inputs[i], slope)
-            if slope is None:
-                trace = forward(m, inputs[i])
-                view = (trace.hidden_potentials, trace.hidden_spikes,
-                        trace.readout_potentials, trace.readout_spikes)
-            else:
-                view = [a[0] for a in forward_batch(m, inputs[i][None], slope)]
+            trace = forward(m, inputs[i])
+            view = (trace.hidden_potentials, trace.hidden_spikes,
+                    trace.readout_potentials, trace.readout_spikes)
             for k, (got, want, b1) in enumerate(zip(batch, ref, view)):
-                assert np.allclose(got[i], want, rtol=0, atol=1e-12)
+                assert np.allclose(got[i], want[i], rtol=0, atol=1e-12)
                 assert np.allclose(b1, got[i], rtol=0, atol=1e-12)
-                if slope is None and k % 2:  # hard spikes agree exactly
-                    assert np.array_equal(got[i], want)
+                if k % 2:  # spikes agree exactly
+                    assert np.array_equal(got[i], want[i])
                     assert np.array_equal(b1, got[i])
 
     @pytest.mark.parametrize("B, L", [
@@ -285,47 +261,36 @@ class TestForwardBatch:
         # last blocks of one and two steps after a carried block
         (1, 2 * _BLOCK + 1), (1, 2 * _BLOCK + 2),
     ])
-    def test_block_boundaries_match_reference(self, B, L, neuron_constants):
+    def test_block_boundaries_match_reference(self, B, L, neuron_constants, reference_forward):
         # slow time constants, so the state a kernel block hands on still
         # matters tens of steps into the next block
         neuron_constants(tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
         rng = np.random.default_rng(L)
         m = init_model(5, 1, rng)
         inputs = rng.standard_normal((B, L, 4)) * 0.3
-        for slope in (None, 2.0):
-            batch = forward_batch(m, inputs, slope)
-            for i in range(B):
-                ref = _reference_forward(m, inputs[i], slope)
-                for k, (got, want) in enumerate(zip(batch, ref)):
-                    assert np.allclose(got[i], want, rtol=0, atol=1e-12)
-                    if slope is None and k % 2:
-                        assert np.array_equal(got[i], want)
-            if slope is None and L > _BLOCK:  # both layers spike past the first block
-                assert batch[1][:, _BLOCK:].any() and batch[3][:, _BLOCK:].any()
+        batch = forward_batch(m, inputs)
+        for k, (got, want) in enumerate(zip(batch, reference_forward(m, inputs))):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            if k % 2:
+                assert np.array_equal(got, want)
+        if L > _BLOCK:  # both layers spike past the first block
+            assert batch[1][:, _BLOCK:].any() and batch[3][:, _BLOCK:].any()
 
     @settings(max_examples=30, deadline=None)
     @given(
         B=st.sampled_from([1, 7, 32]), L=st.integers(1, 2 * _BLOCK + 3), H=st.integers(1, 12),
-        L_b=st.integers(1, 3), slope=st.one_of(st.none(), st.floats(0.1, 10.0)),
-        seed=st.integers(0, 2**32 - 1),
+        L_b=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
     )
-    def test_hidden_layer_bit_equal_to_stepped_oracle(self, B, L, H, L_b, slope, seed):
+    def test_hidden_layer_bit_equal_to_stepped_oracle(self, B, L, H, L_b, seed):
         rng = np.random.default_rng(seed)
         m = init_model(H, L_b, rng)
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 3
-        oh, bh, _, _ = forward_batch(m, inputs, slope)
+        oh, bh, _, _ = forward_batch(m, inputs)
         a_syn, a_mem, a_ref = m.decays()
         r = _synapse_filter(inputs.transpose(1, 0, 2) @ m.input_weights.T, a_syn, a_mem)
-        want_o, want_b = _stepped_spike_layer(r, a_ref, m.hidden_threshold, slope)
+        want_o, want_b = _stepped_spike_layer(r, a_ref, m.hidden_threshold)
         assert np.array_equal(oh.view(np.uint64), want_o.transpose(1, 0, 2).view(np.uint64))
         assert np.array_equal(bh.view(np.uint64), want_b.transpose(1, 0, 2).view(np.uint64))
-
-    def test_smoothed_mode_is_sigmoid_of_potential(self):
-        m = _random_model(13)
-        inputs = np.random.default_rng(14).standard_normal((2, 5, 4))
-        oh, bh, orr, br = forward_batch(m, inputs, slope=2.0)
-        assert np.allclose(bh, sigmoid(2.0 * (oh - m.hidden_threshold)))
-        assert np.allclose(br, sigmoid(2.0 * (orr - m.readout_threshold)))
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ Likewise every field of a config class, or of SnnModel, is set by some
 caller: a field that only tests set is an option with one value in use,
 which is a constant.  So is a command-line flag that only tests pass:
 every option the parser defines appears in README.md or perfbench/.  A flag
-that several subcommands define parses and reads the same in each."""
+that several subcommands define parses and reads the same in each.  And a
+parameter default of a public function that no call in src/ or perfbench/
+overrides is a constant as well."""
 
 import argparse
 import ast
@@ -144,3 +146,53 @@ def test_shared_flags_agree():
             spec = (action.type, action.default, action.choices, action.required, action.nargs, help_text)
             specs.setdefault(flag, {})[command] = spec
     assert {flag: by_command for flag, by_command in specs.items() if len(set(by_command.values())) > 1} == {}
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, position, first line, last line) of each
+    parameter with a default of a public top-level function in the package;
+    the position is None for a keyword-only parameter."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                required = len(positional) - len(args.defaults)
+                defaulted = [(arg, i) for i, arg in enumerate(positional) if i >= required]
+                defaulted += [(arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                for arg, position in defaulted:
+                    yield path.stem, node.name, arg.arg, position, node.lineno, node.end_lineno
+
+
+def _calls():
+    """(module, callee name, call) of every call by name or attribute in the
+    package and in perfbench/."""
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]:
+        module = path.stem if path.parent == SRC else None
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                yield module, callee, node
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether the call passes the parameter, by keyword or by position; a
+    * or ** argument may pass anything."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_overridden_by_a_caller():
+    calls = list(_calls())
+    unpassed = []
+    for module, function, parameter, position, first, last in _defaulted_parameters():
+        if not any(
+            callee == function and _passes(call, parameter, position)
+            and not (where == module and first <= call.lineno <= last)
+            for where, callee, call in calls
+        ):
+            unpassed.append(f"{module}.{function}({parameter})")
+    assert unpassed == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
 from nisaclab.metrics import evaluate_ssac
-from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward, forward_batch, init_model, sigmoid
+from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward_batch, init_model, sigmoid
 from nisaclab.training import (
     PROB_EPS,
     TrainConfig,
@@ -160,27 +160,30 @@ class TestProbabilityClamp:
         assert math.isfinite(lc) and math.isfinite(ls) and np.isfinite(d).all()
 
 
-def _gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_start=0):
-    """The calls train makes for one batch: forward_batch, objective and
-    backward, on (B, L, width) inputs, (B, L) bits and (B,) targets."""
+def _gradients(reference, model, inputs, bits, targets, beta, n_data=None, sense_start=0):
+    """The calls train makes for one batch, objective and backward, on the
+    records of the reference network smoothed at the surrogate slope, for
+    (B, L, width) inputs, (B, L) bits and (B,) targets."""
     bits = np.asarray(bits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     n_data = bits.shape[1] if n_data is None else n_data
-    oh, bh, orr, _ = forward_batch(model, inputs, slope)
+    oh, bh, orr, _ = reference(model, inputs, TrainConfig.surrogate_slope)
     _, _, d_or = objective(orr, bits, targets, beta, n_data, sense_start)
-    return backward(model, inputs, oh, bh, d_or, slope)
+    return backward(model, inputs, oh, bh, d_or)
 
 
-def _smoothed_loss(model, inputs, bits, targets, beta, slope, n_data, sense_start) -> float:
+def _smoothed_loss(reference, model, inputs, bits, targets, beta, n_data, sense_start) -> float:
     bits = np.asarray(bits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    lc, ls, _ = objective(forward_batch(model, inputs, slope)[2], bits, targets, beta, n_data, sense_start)
+    orr = reference(model, inputs, TrainConfig.surrogate_slope)[2]
+    lc, ls, _ = objective(orr, bits, targets, beta, n_data, sense_start)
     return beta * lc + (1.0 - beta) * ls
 
 
-def _fd_gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_start=0, h=1e-5):
-    """Central finite differences of the smoothed batch loss over every
-    weight, as (input-weight gradient, readout-weight gradient)."""
+def _fd_gradients(reference, model, inputs, bits, targets, beta, n_data=None, sense_start=0, h=1e-5):
+    """Central finite differences of the smoothed reference network's batch
+    loss over every weight, as (input-weight gradient, readout-weight
+    gradient)."""
     n_data = bits.shape[1] if n_data is None else n_data
 
     def fd_matrix(attr):
@@ -191,7 +194,7 @@ def _fd_gradients(model, inputs, bits, targets, beta, slope, n_data=None, sense_
                 bumped = w.copy()
                 bumped[idx] += sign * h
                 m = dataclasses.replace(model, **{attr: bumped})
-                grad[idx] += sign * _smoothed_loss(m, inputs, bits, targets, beta, slope, n_data, sense_start)
+                grad[idx] += sign * _smoothed_loss(reference, m, inputs, bits, targets, beta, n_data, sense_start)
         return grad / (2 * h)
 
     return fd_matrix("input_weights"), fd_matrix("readout_weights")
@@ -203,15 +206,15 @@ def _max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_backward_matches_finite_differences(self, seed, neuron_constants):
+    def test_backward_matches_finite_differences(self, seed, neuron_constants, reference_forward):
         neuron_constants(tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
         rng = np.random.default_rng(seed)
         model = init_model(2, 1, rng)
         inputs = rng.standard_normal((4, 4))[None]
         bits = rng.integers(0, 2, size=4)[None]
-        targets, beta, slope = [1], 0.5, 1.0
-        got = _gradients(model, inputs, bits, targets, beta, slope)
-        want = _fd_gradients(model, inputs, bits, targets, beta, slope)
+        targets, beta = [1], 0.5
+        got = _gradients(reference_forward, model, inputs, bits, targets, beta)
+        want = _fd_gradients(reference_forward, model, inputs, bits, targets, beta)
         for g, w in zip(got, want):
             assert _max_rel_error(g, w) <= 1e-4
 
@@ -224,7 +227,8 @@ class TestGradients:
     )
     @example(H=3, L_b=2, L=_BLOCK + 5, seed=0)
     @example(H=3, L_b=2, L=2 * _BLOCK + 1, seed=0)  # the adjoint crosses two carries
-    def test_backward_matches_finite_differences_on_random_shapes(self, neuron_constants, H, L_b, L, seed):
+    def test_backward_matches_finite_differences_on_random_shapes(self, neuron_constants, reference_forward,
+                                                                  H, L_b, L, seed):
         # L up to 85 crosses a kernel block boundary; these time constants keep
         # the readout potentials clear of the PROB_EPS clamp, where the
         # finite-difference loss goes flat
@@ -233,15 +237,16 @@ class TestGradients:
         model = init_model(H, L_b, rng)
         inputs = rng.standard_normal((L, 4 * L_b))[None] * 0.3
         bits = rng.integers(0, 2, size=L)[None]
-        targets, beta, slope = [int(rng.integers(0, 2))], 0.5, 1.0
-        got = _gradients(model, inputs, bits, targets, beta, slope)
-        want = _fd_gradients(model, inputs, bits, targets, beta, slope)
+        targets, beta = [int(rng.integers(0, 2))], 0.5
+        got = _gradients(reference_forward, model, inputs, bits, targets, beta)
+        want = _fd_gradients(reference_forward, model, inputs, bits, targets, beta)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-6 * max(1.0, np.abs(w).max())
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("B", [2, 3])
-    def test_batch_with_ssac_slot_ranges_matches_finite_differences(self, B, beta, neuron_constants):
+    def test_batch_with_ssac_slot_ranges_matches_finite_differences(self, B, beta, neuron_constants,
+                                                                    reference_forward):
         # decode loss on the leading 4 of 9 slots, detection loss from slot 3:
         # the ranges overlap and neither covers the frame
         neuron_constants(tau_mem=4.0, tau_syn=2.0, tau_ref=2.0)
@@ -251,46 +256,47 @@ class TestGradients:
         inputs = rng.standard_normal((B, L, 4)) * 0.3
         bits = rng.integers(0, 2, size=(B, L))
         targets = np.arange(B) % 2  # both labels in every batch
-        slope = 1.0
-        got = _gradients(model, inputs, bits, targets, beta, slope, n_data, sense_start)
-        want = _fd_gradients(model, inputs, bits, targets, beta, slope, n_data, sense_start)
+        got = _gradients(reference_forward, model, inputs, bits, targets, beta, n_data, sense_start)
+        want = _fd_gradients(reference_forward, model, inputs, bits, targets, beta, n_data, sense_start)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-6 * max(1.0, np.abs(w).max())
 
-    def test_gradient_of_duplicated_example_doubles(self):
+    def test_gradient_of_duplicated_example_doubles(self, reference_forward):
         rng = np.random.default_rng(3)
         model = init_model(3, 1, rng)
         inputs = rng.standard_normal((5, 4))[None]
         bits = rng.integers(0, 2, size=5)[None]
-        once = _gradients(model, inputs, bits, [0], 0.5, 1.0)
-        twice = _gradients(model, np.concatenate([inputs] * 2), np.concatenate([bits] * 2), [0, 0], 0.5, 1.0)
+        once = _gradients(reference_forward, model, inputs, bits, [0], 0.5)
+        twice = _gradients(reference_forward, model, np.concatenate([inputs] * 2), np.concatenate([bits] * 2),
+                           [0, 0], 0.5)
         for g1, g2 in zip(once, twice):
             np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-12 * np.abs(g1).max())
 
-    def test_beta_one_ignores_the_sensing_label(self):
+    def test_beta_one_ignores_the_sensing_label(self, reference_forward):
         rng = np.random.default_rng(4)
         model = init_model(3, 1, rng)
         inputs = rng.standard_normal((6, 4))[None]
         bits = rng.integers(0, 2, size=6)[None]
-        g0 = _gradients(model, inputs, bits, [0], 1.0, 1.0)
-        g1 = _gradients(model, inputs, bits, [1], 1.0, 1.0)
+        g0 = _gradients(reference_forward, model, inputs, bits, [0], 1.0)
+        g1 = _gradients(reference_forward, model, inputs, bits, [1], 1.0)
         assert np.array_equal(g0[0], g1[0])
         assert np.array_equal(g0[1], g1[1])
 
-    def test_beta_zero_ignores_the_bits(self):
+    def test_beta_zero_ignores_the_bits(self, reference_forward):
         rng = np.random.default_rng(5)
         model = init_model(3, 1, rng)
         inputs = rng.standard_normal((6, 4))[None]
-        ga = _gradients(model, inputs, np.zeros((1, 6)), [1], 0.0, 1.0)
-        gb = _gradients(model, inputs, np.ones((1, 6)), [1], 0.0, 1.0)
+        ga = _gradients(reference_forward, model, inputs, np.zeros((1, 6)), [1], 0.0)
+        gb = _gradients(reference_forward, model, inputs, np.ones((1, 6)), [1], 0.0)
         assert np.array_equal(ga[0], gb[0])
 
 
-def _stepped_backward_batch(model, inputs, hidden_potentials, hidden_spikes, d_readout_potentials, slope):
+def _stepped_backward_batch(model, inputs, hidden_potentials, hidden_spikes, d_readout_potentials):
     """backward with the hidden adjoint stepped as g = (e + c)*ds,
     c' = a_ref*(c - th*g), and the surrogate slope taken from sigmoid: the
     oracle for the linear-recurrence form."""
     B, L, width = inputs.shape
+    slope = TrainConfig.surrogate_slope
     H = model.hidden_count
     a_syn, a_mem, a_ref = model.decays()
     th = model.hidden_threshold
@@ -320,14 +326,17 @@ class TestAdjointRecurrence:
         L_b=st.integers(1, 3), smoothed=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
     @example(B=1, L=_BLOCK + 7, H=10, L_b=1, smoothed=False, seed=0)
-    def test_matches_stepped_adjoint(self, B, L, H, L_b, smoothed, seed):
+    def test_matches_stepped_adjoint(self, reference_forward, B, L, H, L_b, smoothed, seed):
         rng = np.random.default_rng(seed)
         model = init_model(H, L_b, rng)
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 2
-        oh, bh, orr, _ = forward_batch(model, inputs, 1.0 if smoothed else None)
+        if smoothed:
+            oh, bh, orr, _ = reference_forward(model, inputs, TrainConfig.surrogate_slope)
+        else:
+            oh, bh, orr, _ = forward_batch(model, inputs)
         d_or = rng.standard_normal(orr.shape)
-        got = backward(model, inputs, oh, bh, d_or, 1.0)
-        want = _stepped_backward_batch(model, inputs, oh, bh, d_or, 1.0)
+        got = backward(model, inputs, oh, bh, d_or)
+        want = _stepped_backward_batch(model, inputs, oh, bh, d_or)
         # reassociation moves each product by an ulp or so; an entry summed
         # over L*B rows can cancel, so its error is bounded by the array scale
         for g, w in zip(got, want):
@@ -353,36 +362,6 @@ class TestAdjointRecurrence:
             got = _spike_slope(np.array([-np.inf, np.inf, np.nan]), 0.75, slope)
             assert got[:2].tolist() == [0.0, 0.0]
             assert np.isnan(got[2])
-
-
-class TestSurrogateForward:
-    """The smoothed twin of the forward pass: forward_batch with a slope."""
-
-    def test_zero_weight_model_soft_spikes(self):
-        model = init_model(3, 1, np.random.default_rng(0))
-        model = dataclasses.replace(
-            model,
-            input_weights=np.zeros_like(model.input_weights),
-            readout_weights=np.zeros_like(model.readout_weights),
-        )
-        slope = 2.0
-        _, hidden_spikes, _, readout_spikes = forward_batch(model, np.ones((1, 4, 4)), slope)
-        # step 0 has no refractory history yet
-        assert np.allclose(hidden_spikes[0, 0], sigmoid(np.array(-slope * model.hidden_threshold)))
-        # the soft spikes feed the refractory state, pushing later potentials down
-        per_step = hidden_spikes[0, :, 0]
-        assert (np.diff(per_step) < 0).all()
-        # zero potential and zero threshold make the readout refractory inert
-        assert np.allclose(readout_spikes, 0.5)
-
-    def test_large_slope_approaches_hard_spikes(self):
-        rng = np.random.default_rng(6)
-        model = init_model(4, 1, rng)
-        inputs = rng.standard_normal((8, 4)) * 3
-        hard = forward(model, inputs)
-        soft_spikes = forward_batch(model, inputs[None], 1e6)[1][0]
-        # boundary-free potentials only; smoothing perturbs later steps slightly
-        assert np.allclose(soft_spikes[0], hard.hidden_spikes[0], atol=1e-6)
 
 
 class TestSgdStep:
@@ -468,8 +447,8 @@ class TestTrain:
     def test_nan_loss_aborts_with_diagnostic(self, tiny_dataset, monkeypatch):
         import nisaclab.training as training_module
 
-        def poisoned(model, inputs, slope=None):
-            oh, bh, orr, br = original(model, inputs, slope)
+        def poisoned(model, inputs):
+            oh, bh, orr, br = original(model, inputs)
             return oh, bh, np.full_like(orr, np.nan), br
 
         original = training_module.forward_batch
