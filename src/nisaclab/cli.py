@@ -294,7 +294,7 @@ def cmd_trace(args) -> int:
     samples = apply_channel(np.concatenate(chips), taps, noise_var, rng)
     trace = forward(model, frame_received(samples, L_b, noise_var).slot_inputs)
     counts = spike_count(trace)
-    rows = [[slot, seg, int(c), args.seed] for slot, (seg, c) in enumerate(zip(segments, counts))]
+    rows = [[slot, seg, c, args.seed] for slot, (seg, c) in enumerate(zip(segments, counts.tolist()))]
     _write_csv(args.out, TRACE_COLUMNS, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0

@@ -42,6 +42,8 @@ from nisaclab.snn import (
 )
 from nisaclab.training import TrainConfig, backward, objective, train
 
+pytestmark = pytest.mark.acceptance
+
 SNR_DB = 10.0
 L = 80
 N_TRAIN = 4000

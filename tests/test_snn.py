@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nisaclab.snn as snn_module
 from nisaclab.channel import frame_received
 from nisaclab.errors import (
     BadMagicError,
@@ -71,6 +72,38 @@ def _stepped_spike_layer(r: np.ndarray, a_ref: float, threshold: float):
         np.greater(o, threshold, out=b_next)
         b = b_next
     return potentials, spikes
+
+
+def _stepped_forward(m: SnnModel, inputs: np.ndarray):
+    """forward_batch's four (B, L, .) records with the hidden layer run by
+    _stepped_spike_layer over the whole time axis, one step at a time."""
+    B, L, _ = inputs.shape
+    a_syn, a_mem, a_ref = m.decays()
+    r = _synapse_filter(inputs.transpose(1, 0, 2) @ m.input_weights.T, a_syn, a_mem)
+    oh, bh = _stepped_spike_layer(r, a_ref, m.hidden_threshold)
+    rdrive = (bh.reshape(L * B, m.hidden_count) @ m.readout_weights.T).reshape(L, B, 2)
+    orr = _synapse_filter(rdrive, a_syn, a_mem)
+    return tuple(a.transpose(1, 0, 2) for a in (oh, bh, orr, (orr > 0).astype(np.float64)))
+
+
+def _assert_bit_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.fixture
+def loop_passes(monkeypatch):
+    """loop_passes(): how many passes the hidden step loop has made since
+    the test started; each pass makes snn's one zip call."""
+    passes = []
+
+    def counting_zip(*iterables):
+        passes.append(None)
+        return zip(*iterables)
+
+    monkeypatch.setattr(snn_module, "zip", counting_zip, raising=False)
+    return lambda: len(passes)
 
 
 class TestInitModel:
@@ -285,16 +318,83 @@ class TestForwardBatch:
         rng = np.random.default_rng(seed)
         m = init_model(H, L_b, rng)
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 3
-        oh, bh, _, _ = forward_batch(m, inputs)
-        a_syn, a_mem, a_ref = m.decays()
-        r = _synapse_filter(inputs.transpose(1, 0, 2) @ m.input_weights.T, a_syn, a_mem)
-        want_o, want_b = _stepped_spike_layer(r, a_ref, m.hidden_threshold)
-        assert np.array_equal(oh.view(np.uint64), want_o.transpose(1, 0, 2).view(np.uint64))
-        assert np.array_equal(bh.view(np.uint64), want_b.transpose(1, 0, 2).view(np.uint64))
+        _assert_bit_equal(forward_batch(m, inputs), _stepped_forward(m, inputs))
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             forward_batch(_random_model(0), np.zeros((2, 3, 6)))
+
+
+class TestTimeChunks:
+    """A long trace runs as time chunks side by side, in passes, until each
+    chunk starts from the end of the one before; the result must be the
+    stepped oracle's, bit for bit, on all four records."""
+
+    @pytest.mark.parametrize("L", [_BLOCK + 1, 2 * _BLOCK + 7, 4000])
+    @pytest.mark.parametrize("B", [1, 3, 8])
+    def test_bit_equal_to_stepped_oracle(self, B, L, loop_passes):
+        rng = np.random.default_rng(100 * B + L)
+        m = init_model(4, 1, rng)
+        inputs = rng.standard_normal((B, L, 4)) * 3
+        _assert_bit_equal(forward_batch(m, inputs), _stepped_forward(m, inputs))
+        # the 4000-step trace is chunked and settles within the 6-pass
+        # horizon of the shipped constants; the short ones run in one pass
+        assert (1 < loop_passes() <= 6) == (L == 4000)
+
+    @pytest.mark.parametrize("B", [1, 3, 8])
+    def test_near_silent_stretch_decays_through_subnormals(self, B, loop_passes):
+        rng = np.random.default_rng(B)
+        m = init_model(4, 1, rng)
+        inputs = rng.standard_normal((B, 4000, 4)) * 3
+        inputs[:, 300:3700] = 0  # many chunks with no drive at all
+        got = forward_batch(m, inputs)
+        _assert_bit_equal(got, _stepped_forward(m, inputs))
+        oh = got[0]
+        assert ((oh != 0) & (np.abs(oh) < np.finfo(np.float64).tiny)).any()
+        assert 1 < loop_passes() <= 6
+
+    def test_slow_refractory_trace_needs_many_passes(self, neuron_constants, loop_passes):
+        # a_ref = e^-1: a silent trace takes 745 steps to underflow, so each
+        # pass settles one more of the 80-step chunks along the silence
+        neuron_constants(tau_ref=1.0)
+        rng = np.random.default_rng(7)
+        m = init_model(4, 1, rng)
+        inputs = rng.standard_normal((1, 4000, 4)) * 3
+        inputs[:, 300:3700] = 0
+        _assert_bit_equal(forward_batch(m, inputs), _stepped_forward(m, inputs))
+        assert loop_passes() >= 9
+
+    @pytest.mark.parametrize("B, L, tau_ref", [
+        (1, _BLOCK, 0.5),  # one synapse block
+        (1, 180, 0.5),     # too few chunks to beat the 6-pass horizon
+        (64, 4000, 0.5),   # a step of B*H values is already wider than the cap
+        (1, 4000, 2.0),    # a_ref > 1/2: a silent trace sticks at 2^-1074
+    ])
+    def test_runs_one_pass_where_chunks_cannot_pay(self, B, L, tau_ref, neuron_constants, loop_passes):
+        neuron_constants(tau_ref=tau_ref)
+        rng = np.random.default_rng(L)
+        m = init_model(10, 1, rng)
+        inputs = rng.standard_normal((B, L, 4)) * 3
+        _assert_bit_equal(forward_batch(m, inputs), _stepped_forward(m, inputs))
+        assert loop_passes() == 1
+
+    @pytest.mark.parametrize("B, L", [(0, 5000), (3, 0)])
+    def test_empty_batch_or_trace(self, B, L):
+        m = init_model(4, 1, np.random.default_rng(0))
+        records = forward_batch(m, np.zeros((B, L, 4)))
+        assert [a.shape for a in records] == [(B, L, 4), (B, L, 4), (B, L, 2), (B, L, 2)]
+
+    def test_training_batch_allocates_only_its_records(self, peak_bytes):
+        # B=32, L=80 is one chunk: the drive array becomes the potential
+        # record, so the peak is the four records and the (L, B, 2) boolean
+        # readout decision, plus Python objects
+        B, L, H = 32, 80, 10
+        m = init_model(H, 4, np.random.default_rng(0))
+        inputs = np.random.default_rng(1).standard_normal((B, L, 16))
+        forward_batch(m, inputs)  # warm the synapse kernel cache
+        records = 8 * L * B * (2 * H + 2 * 2)
+        assert peak_bytes(lambda: forward_batch(m, inputs)) <= records + L * B * 2 + 8 * B * H
+
 
 
 def _sigmoid_by_masks(x):
