@@ -126,8 +126,11 @@ def apply_channel(
     y = np.zeros((len(s), 2, S))
     for m in reversed(range(min(h.shape[2], S))):
         y[:, :, m:] += h[:, :, m, None] * s[:, None, : S - m]
-    y += math.sqrt(noise_var / 2.0) * np.array([g.standard_normal((2, S)) for g in rng])
     samples = np.empty(s.shape, dtype=np.complex128)
+    noise = samples.view(np.float64).reshape(y.shape)  # drawn into the output's bytes, added, then overwritten
+    for g, out in zip(rng, noise):
+        g.standard_normal((2, S), out=out)
+    y += np.multiply(noise, math.sqrt(noise_var / 2.0), out=noise)
     samples.real, samples.imag = y[:, 0], y[:, 1]
     return samples
 

@@ -23,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelConfig, apply_channel, draw_channel, frame_received, noise_variance_from_snr
-from .dataset import Dataset, generate_dataset, load_dataset, save_dataset
+# save_dataset is unused here, but perfbench's tracer wraps it under this module's name
+from .dataset import Dataset, generate_dataset, load_dataset, save_dataset, stream_dataset
 from .errors import FileFormatError
 from .fileio import staged_path
 from .metrics import evaluate, evaluate_ssac
 from .modem import ppm_modulate, slot_split
 from .snn import SnnModel, forward, init_model, load_model, save_model, spike_count
 from .training import TrainConfig, train
+from .workers import _one_blas_thread
 
 TRAIN_LOG_COLUMNS = [
     "epoch", "comm_loss", "sense_loss", "total_loss",
@@ -89,16 +91,15 @@ def _lb_of(model: SnnModel, what: str, L_b: int | None = None) -> int:
     return width // 4
 
 
-def _splits(args, L_b: int, alpha: float | None) -> list[Dataset]:
-    """The train and test sets, seeded seed and seed+1; both are checked before either is drawn."""
-    cfg = ChannelConfig(snr_db=args.snr_db)
+def _split_specs(args) -> list[tuple[int, int]]:
+    """(n, seed) of the train and test splits; both are checked before either is drawn or written."""
     specs = [(args.n_train, args.seed), (args.n_test, args.seed + 1)]
     for n, seed in specs:
         if n < 1:
             raise ValueError(f"split sizes must be positive, got {n}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"split seed {seed} does not fit an unsigned 64-bit integer")
-    return [generate_dataset(cfg, args.L, L_b, n, master_seed=seed, alpha=alpha) for n, seed in specs]
+    return specs
 
 
 def _networks(alpha: float | None, beta: float | None) -> dict:
@@ -118,12 +119,13 @@ def _train_config(args, beta: float) -> TrainConfig:
 
 
 def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -> dict:
-    """Fit each network of the receiver; returns {name: (model, history)}."""
+    """Fit each network of the receiver, on one BLAS thread; returns {name: (model, history)}."""
     rng = np.random.default_rng(args.seed)  # read only by init_model
     fits = {}
     for name, net_beta in _networks(alpha, beta).items():
         cfg = _train_config(args, net_beta)
-        fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
+        with _one_blas_thread():
+            fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
     return fits
 
 
@@ -139,15 +141,15 @@ def _score(models: dict, dataset: Dataset, alpha: float | None):
 def cmd_gen(args) -> int:
     alpha = _alpha(args, args.mode)
     _distinct_outputs(args, [("--out-train", args.out_train), ("--out-test", args.out_test)])
-    datasets = _splits(args, args.Lb, alpha)
+    cfg, specs = ChannelConfig(snr_db=args.snr_db), _split_specs(args)
     # both files appear together or neither does
     with staged_path(args.out_train) as train_tmp, staged_path(args.out_test) as test_tmp:
-        for ds, tmp in zip(datasets, (train_tmp, test_tmp)):
-            save_dataset(ds, tmp)
-    for path, ds in zip((args.out_train, args.out_test), datasets):
+        for (n, seed), tmp in zip(specs, (train_tmp, test_tmp)):
+            stream_dataset(tmp, cfg, args.L, args.Lb, n, seed, alpha)
+    for path, (n, seed) in zip((args.out_train, args.out_test), specs):
         print(
-            f"wrote {path}: n={ds.example_count} L={args.L} L_b={args.Lb} "
-            f"snr_db={args.snr_db} mode={args.mode} seed={ds.master_seed}"
+            f"wrote {path}: n={n} L={args.L} L_b={args.Lb} "
+            f"snr_db={args.snr_db} mode={args.mode} seed={seed}"
         )
     return 0
 
@@ -240,11 +242,11 @@ def cmd_sweep(args) -> int:
             _train_config(args, net_beta)
     _distinct_outputs(args, [("--out", args.out)])
 
-    cache: dict = {}
-    rows = []
+    cfg, cache, rows = ChannelConfig(snr_db=args.snr_db), {}, []
     for beta, alpha, L_b in points:
         if (L_b, alpha) not in cache:
-            cache[L_b, alpha] = _splits(args, L_b, alpha)
+            cache[L_b, alpha] = [generate_dataset(cfg, args.L, L_b, n, master_seed=seed, alpha=alpha)
+                                 for n, seed in _split_specs(args)]
         train_ds, test_ds = cache[L_b, alpha]
         fits = _train_on(train_ds, args, alpha, beta)
         result = _score({name: model for name, (model, _) in fits.items()}, test_ds, alpha)

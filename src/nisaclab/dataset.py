@@ -12,8 +12,9 @@ through the same functions with a leading frame axis, by up to one process per u
 Inputs are held as 32-bit floats, in memory as in the file (they are noisy
 measurements; no point storing more), so the save/load round trip is
 bit-exact; the engines cast each batch or block to 64-bit as they read it.
-A loaded dataset's three arrays are read-only views of the file's records,
-read in one pass, and a save writes the records in chunks of _SAVE_CHUNK frames.
+Blocks are drawn as NISD records, and a generated or loaded dataset's three arrays are views of
+records (a loaded one's read-only, read in one pass); a save writes them in chunks of _SAVE_CHUNK
+frames, and stream_dataset (gen) writes each block as it lands, from one reused block.
 """
 
 from __future__ import annotations
@@ -155,6 +156,39 @@ def example_rng(master_seed: int, index):
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
+def _draw_records(cfg: ChannelConfig, L: int, L_b: int, n: int, master_seed: int, alpha, out=None):
+    """Check a request for n frames, then draw them block by block as NISD records: into an (n,)
+    array it returns, or, given a file out, into one reused block written there (after the header)."""
+    if L < 1 or L_b < 1 or n < 1:
+        raise ValueError("L, L_b and n must all be positive")
+    n_data, _ = slot_split(alpha, L)
+    example_rng(master_seed, n - 1)  # the seed and index range checks, before any fork
+    noise_var = noise_variance_from_snr(cfg)
+    records = np.empty(n if out is None else min(n, _BLOCK), dtype=_payload_dtype(L, L_b))
+
+    # block j's records: its own rows of the (n,) array, or the whole reused block
+    block = lambda j: records[j * _BLOCK % len(records):][:min(_BLOCK, n - j * _BLOCK)]
+
+    def fill(j):
+        rows = block(j)
+        rngs = example_rng(master_seed, np.arange(j * _BLOCK, j * _BLOCK + len(rows)))
+        targets, bits = rows["v"], rows["bits"]
+        for i, rng in enumerate(rngs):
+            draw = rng.integers(0, 2, size=L + 1)  # the target's draw, then the bits'
+            targets[i], bits[i] = draw[0], draw[1:]
+        bits[:, n_data:] = 1
+        taps = draw_channel(cfg, targets, rngs)
+        samples = apply_channel(ppm_modulate(bits, L_b), taps, noise_var, rngs)
+        rows["inputs"] = frame_received(samples, L_b, noise_var).slot_inputs
+
+    if out is not None:
+        out.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, n, L, L_b, cfg.snr_db, master_seed))
+    # fill calls no BLAS, so it forks with BLAS threads unpinned, even without OpenBLAS's thread control.
+    _deal_blocks(fill, -(-n // _BLOCK), lambda j: (block(j),),
+                 landed=lambda j: out is None or out.write(block(j)))
+    return records
+
+
 def generate_dataset(
     cfg: ChannelConfig,
     L: int,
@@ -170,34 +204,19 @@ def generate_dataset(
     draws ISAC frames; an alpha draws SSAC frames, whose trailing sensing
     slots are overwritten with 1 after the bit draw, so the two receivers'
     sets consume identical random streams and share channels and noise
-    example for example.  RuntimeError: a forked worker stopped early.
+    example for example.  Its arrays are views of NISD records, as a loaded dataset's are.
     """
-    if L < 1 or L_b < 1 or n < 1:
-        raise ValueError("L, L_b and n must all be positive")
-    n_data, _ = slot_split(alpha, L)
-    example_rng(master_seed, n - 1)  # the seed and index range checks, before any fork
-
-    noise_var = noise_variance_from_snr(cfg)
-    inputs = np.empty((n, L, 4 * L_b), dtype=np.float32)
-    bits = np.empty((n, L), dtype=np.uint8)
-    targets = np.empty(n, dtype=np.uint8)
-
-    def fill(j):
-        rows = slice(j * _BLOCK, min(j * _BLOCK + _BLOCK, n))
-        rngs = example_rng(master_seed, np.arange(rows.start, rows.stop))
-        for i, rng in enumerate(rngs, rows.start):
-            draw = rng.integers(0, 2, size=L + 1)  # the target's draw, then the bits'
-            targets[i], bits[i] = draw[0], draw[1:]
-        bits[rows, n_data:] = 1
-        taps = draw_channel(cfg, targets[rows], rngs)
-        samples = apply_channel(ppm_modulate(bits[rows], L_b), taps, noise_var, rngs)
-        inputs[rows] = frame_received(samples, L_b, noise_var).slot_inputs
-
-    # fill calls no BLAS, so it forks with BLAS threads unpinned, even without OpenBLAS's thread control.
-    _deal_blocks(fill, -(-n // _BLOCK),
-                 lambda j: (a[j * _BLOCK:j * _BLOCK + _BLOCK] for a in (inputs, bits, targets)))
-    return Dataset(inputs=inputs, bits=bits, targets=targets,
+    records = _draw_records(cfg, L, L_b, n, master_seed, alpha)
+    return Dataset(inputs=records["inputs"], bits=records["bits"], targets=records["v"],
                    L_b=L_b, snr_db=cfg.snr_db, master_seed=master_seed)
+
+
+def stream_dataset(path, cfg: ChannelConfig, L: int, L_b: int, n: int, master_seed: int,
+                   alpha: float | None) -> None:
+    """Write the NISD file of generate_dataset's dataset, byte for byte, holding one block of
+    records at a time: each block is written as soon as it is drawn."""
+    with staged_path(path) as tmp, open(tmp, "wb") as fh:
+        _draw_records(cfg, L, L_b, n, master_seed, alpha, fh)
 
 
 def _payload_dtype(L: int, L_b: int) -> np.dtype:

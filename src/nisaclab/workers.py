@@ -28,8 +28,8 @@ def _openblas_threads():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body on one OpenBLAS thread, and restore the old count however it ends."""
-    get, set_threads = _openblas_threads()
+    """Run the body on one OpenBLAS thread, if it can be set, and restore the old count however it ends."""
+    get, set_threads = _openblas_threads() or (lambda: None, lambda count: None)
     old = get()
     set_threads(1)
     try:
@@ -38,15 +38,17 @@ def _one_blas_thread():
         set_threads(old)
 
 
-def _deal_blocks(fill, count, rows, blas=False):
+def _deal_blocks(fill, count, rows, blas=False, landed=lambda j: None):
     """Run fill(j) for blocks j < count; it writes in place the contiguous arrays rows(j) yields.
     Block j goes to process j % workers: this one or a forked child, which pipes rows(j) here.
-    With blas (fill calls BLAS) BLAS runs one thread per process while forked, as 2 processes x
-    2 threads on 2 cores stall; without OpenBLAS's thread control the work stays serial."""
+    A block a child did not send, and its later blocks, are filled here, so a block's fault raises
+    here as itself.  landed(j) runs here once block j's rows are in place, in block order.  With blas
+    (fill calls BLAS) BLAS runs one thread per process, as 2 processes x 2 threads on 2 cores stall;
+    without OpenBLAS's thread control the work stays serial."""
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and (not blas or _openblas_threads())
     workers = max(1, min(len(os.sched_getaffinity(0)), count // _FORK_BLOCKS)) if can_fork else 1
-    pids, pipes = [], []
-    with _one_blas_thread() if blas and workers > 1 else contextlib.nullcontext():
+    pids, pipes = [0], []  # pids[k] is worker k's; 0 for this process and a reaped child
+    with _one_blas_thread() if blas else contextlib.nullcontext():
         try:
             for k in range(1, workers):
                 read_end, write_end = os.pipe()
@@ -65,13 +67,17 @@ def _deal_blocks(fill, count, rows, blas=False):
                             os._exit(1)
                 pids.append(pid)
             for j in range(count):
-                if j % workers == 0:
+                k = j % workers
+                if (child := pids[k]) and any(pipes[k - 1].readinto(row) != row.nbytes for row in rows(j)):
+                    os.kill(child, signal.SIGKILL)  # it stopped early: reap it and fill its blocks here
+                    os.waitpid(child, 0)
+                    pids[k] = child = 0
+                if not child:
                     fill(j)
-                elif any(pipes[j % workers - 1].readinto(row) != row.nbytes for row in rows(j)):
-                    raise RuntimeError("a forked worker stopped before it sent all its blocks")
+                landed(j)
         finally:  # a child still running here has failed or is no longer needed
             for pipe in pipes:
                 pipe.close()
-            for pid in pids:
+            for pid in filter(None, pids):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import nisaclab.cli as cli_module
 import nisaclab.workers as workers_module
 from nisaclab.cli import EVAL_COLUMNS, SWEEP_COLUMNS, TRACE_COLUMNS, TRAIN_LOG_COLUMNS, main
 from nisaclab.dataset import load_dataset
@@ -83,6 +84,16 @@ class TestGen:
         assert f"split seed {2**64}" in capsys.readouterr().err  # the test split's seed+1
         assert list(tmp_path.iterdir()) == []
 
+    def test_seed_overflow_exits_2_before_drawing(self, tmp_path, monkeypatch):
+        for name in ("stream_dataset", "generate_dataset"):
+            monkeypatch.setattr(f"nisaclab.cli.{name}", lambda *a, **k: pytest.fail("drew a split"))
+        code = main([
+            "gen", "--n-train", "3", "--n-test", "2", "--L", "4", "--seed", str(2**64 - 1),
+            "--out-train", str(tmp_path / "a.nisd"), "--out-test", str(tmp_path / "b.nisd"),
+        ])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_test_path_leaves_no_file(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -95,7 +106,8 @@ class TestGen:
 
     @pytest.mark.parametrize("linked", [False, True], ids=["plain", "symlink"])
     def test_one_file_for_both_splits_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, linked):
-        monkeypatch.setattr("nisaclab.cli.generate_dataset", lambda *a, **k: pytest.fail("drew a split"))
+        for name in ("stream_dataset", "generate_dataset"):
+            monkeypatch.setattr(f"nisaclab.cli.{name}", lambda *a, **k: pytest.fail("drew a split"))
         same = tmp_path / "same.nisd"
         test = tmp_path / "link.nisd" if linked else same
         if linked:
@@ -173,6 +185,26 @@ class TestTrain:
         assert code == 2
         assert "--out and --log name the same file" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["fits", "error"])
+    def test_each_fit_runs_on_one_blas_thread(self, workdir, tmp_path, monkeypatch, fails):
+        # a stand-in for OpenBLAS's thread control, at 3 threads, so a restore cannot pass by resetting
+        threads, seen, real_train = [3], [], cli_module.train
+        monkeypatch.setattr(workers_module, "_openblas_threads",
+                            lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
+
+        def fit(*args):
+            seen.append(threads[0])
+            if fails:
+                raise FloatingPointError("non-finite loss")
+            return real_train(*args)
+
+        monkeypatch.setattr(cli_module, "train", fit)
+        code = main(["train", "--data", str(workdir["train"]), "--out", str(tmp_path / "m.nism"),
+                     "--mode", "ssac", "--alpha", "0.5", "--hidden", "3", "--epochs", "1"])
+        assert code == (2 if fails else 0)
+        assert seen == ([1] if fails else [1, 1])
+        assert threads == [3]
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         code = main([
@@ -475,7 +507,7 @@ class TestOutputNamesAnInput:
             "eval-out-model-sense", "trace-out-model", "gen-out-config", "train-log-config",
             "sweep-out-config"])
     def test_exits_2_before_reading(self, workdir, tmp_path, capsys, monkeypatch, argv, inp, out, linked):
-        for name in ("load_dataset", "load_model", "generate_dataset", "train"):
+        for name in ("load_dataset", "load_model", "stream_dataset", "generate_dataset", "train"):
             monkeypatch.setattr(f"nisaclab.cli.{name}", lambda *a, **k: pytest.fail("read, drew or trained"))
         files = {"data": tmp_path / "data.nisd", "model": tmp_path / "model.nism",
                  "sense": tmp_path / "sense.nism", "config": tmp_path / "cfg.json"}

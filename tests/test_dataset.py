@@ -22,6 +22,7 @@ from nisaclab.channel import (
     frame_received,
     noise_variance_from_snr,
 )
+from nisaclab.cli import main
 from nisaclab.dataset import (
     _BLOCK,
     Dataset,
@@ -30,6 +31,7 @@ from nisaclab.dataset import (
     generate_dataset,
     load_dataset,
     save_dataset,
+    stream_dataset,
 )
 from nisaclab.errors import (
     BadMagicError,
@@ -222,18 +224,49 @@ class TestForkedGeneration:
         monkeypatch.delattr(os, "fork")
         assert generate_dataset(CFG, 8, 1, 3 * _BLOCK, master_seed=5) == forked
 
-    def test_a_failing_child_fails_the_call(self, monkeypatch):
-        parent, draw = os.getpid(), dataset_module.draw_channel
+    @pytest.mark.parametrize("n", [63, 64, 65, 200])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_streamed_file_equals_the_saved_dataset(self, tmp_path, monkeypatch, n, cpus):
+        _affinity(monkeypatch, cpus)
+        save_dataset(generate_dataset(CFG, 8, 2, n, master_seed=5, alpha=0.5), tmp_path / "saved.nisd")
+        stream_dataset(tmp_path / "streamed.nisd", CFG, 8, 2, n, 5, 0.5)
+        assert (tmp_path / "streamed.nisd").read_bytes() == (tmp_path / "saved.nisd").read_bytes()
+
+    def test_a_block_a_child_did_not_send_is_drawn_here(self, monkeypatch, tmp_path):
+        # the child stops at its first block, so this process draws that block and its later ones
+        parent, draw, real_fork, forks = os.getpid(), dataset_module.draw_channel, os.fork, []
 
         def child_fails(cfg, v, rngs):
             if os.getpid() != parent:
                 raise RuntimeError("child fault")
             return draw(cfg, v, rngs)
 
+        _affinity(monkeypatch, 1)
+        serial = generate_dataset(CFG, 8, 1, 4 * _BLOCK + 5)
+        save_dataset(serial, tmp_path / "serial.nisd")
         _affinity(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(dataset_module, "draw_channel", child_fails)
-        with pytest.raises(RuntimeError, match="forked worker stopped before it sent all its blocks"):
-            generate_dataset(CFG, 8, 1, 2 * _BLOCK)
+        assert generate_dataset(CFG, 8, 1, 4 * _BLOCK + 5) == serial
+        stream_dataset(tmp_path / "streamed.nisd", CFG, 8, 1, 4 * _BLOCK + 5, 0, None)
+        assert (tmp_path / "streamed.nisd").read_bytes() == (tmp_path / "serial.nisd").read_bytes()
+        assert len(forks) == 2
+
+    def test_a_fault_of_a_childs_block_raises_here_as_itself(self, monkeypatch):
+        # keyed on the rows of block 1, which a child draws first, not on the process
+        real_rng, real_fork, forks = dataset_module.example_rng, os.fork, []
+
+        def block_1_fails(master_seed, index):
+            if np.ndim(index) and index[0] == _BLOCK:
+                raise ZeroDivisionError("block 1 fault")
+            return real_rng(master_seed, index)
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(dataset_module, "example_rng", block_1_fails)
+        with pytest.raises(ZeroDivisionError, match="block 1 fault"):
+            generate_dataset(CFG, 8, 1, 3 * _BLOCK)
+        assert len(forks) == 1
 
     def test_a_parent_fault_kills_and_reaps_the_children(self, monkeypatch):
         parent, pids, real_fork = os.getpid(), [], os.fork
@@ -479,7 +512,7 @@ class TestPersistence:
 
 
 class TestMemory:
-    """A load holds the file's bytes and little more, and a save a small
+    """A load holds the file's bytes and little more, and a save or gen a small
     fraction of them: no full-size copy of the records."""
 
     @pytest.fixture(scope="class")
@@ -498,6 +531,49 @@ class TestMemory:
         copy = tmp_path / "copy.nisd"
         assert peak_bytes(lambda: save_dataset(ds, copy)) <= 0.25 * path.stat().st_size
         assert copy.read_bytes() == path.read_bytes()
+
+    def test_gen_peak_does_not_grow_with_the_set(self, tmp_path, peak_bytes):
+        paths = [tmp_path / "train.nisd", tmp_path / "test.nisd"]
+
+        def gen(blocks):
+            n = str(blocks * _BLOCK)
+            assert main(["gen", "--n-train", n, "--n-test", n, "--L", "80", "--Lb", "4",
+                         "--out-train", str(paths[0]), "--out-test", str(paths[1])]) == 0
+
+        gen(1)  # the first call's one-off allocations are not the command's
+        small, large = (peak_bytes(lambda: gen(blocks)) for blocks in (4, 16))
+        assert abs(large - small) <= _BLOCK * _payload_dtype(80, 4).itemsize
+        assert large <= 0.25 * sum(path.stat().st_size for path in paths)
+
+    @pytest.mark.parametrize("blocks_written", [0, 2])
+    def test_a_failing_write_exits_3_and_leaves_nothing(self, monkeypatch, tmp_path, blocks_written):
+        real_open, real_fork, forks = open, os.fork, []
+
+        def full_disk_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            writes, real_write = [], fh.write
+
+            def write(data):  # the header, then blocks_written blocks
+                if len(writes) > blocks_written:
+                    raise OSError(28, "No space left on device")
+                writes.append(1)
+                return real_write(data)
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(workers_module, "_FORK_BLOCKS", 1)
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(dataset_module, "open", full_disk_open, raising=False)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["gen", "--n-train", str(4 * _BLOCK), "--n-test", "3", "--L", "8",
+                     "--out-train", str(out / "a.nisd"), "--out-test", str(out / "b.nisd")]) == 3
+        assert list(out.iterdir()) == []
+        assert forks
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestDatasetValidation:

@@ -369,14 +369,14 @@ class TestForkedEvaluation:
         _affinity(monkeypatch, 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
         serial = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
-        assert seen == {3}  # serial evaluation keeps the thread count it finds
+        assert seen == {1}  # serial evaluation runs one BLAS thread too
         seen.clear()
         _affinity(monkeypatch, cpus)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         forked = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
         blocks = -(-n // 256)
         assert len(forks) == 2 * (min(cpus, blocks) - 1)  # one set of children per call
-        assert seen == ({1} if blocks > 1 else {3})
+        assert seen == {1}
         assert [_bits(r) for r in forked] == [_bits(r) for r in serial]
         assert blas_threads() == 3
 
@@ -392,9 +392,10 @@ class TestForkedEvaluation:
         monkeypatch.setattr(metrics_module, "forward_batch", one_thread_only)
         assert _bits(evaluate(model, isac)) == _bits(evaluate(model, isac))  # no child raised
 
-    def test_a_failing_child_fails_the_call(self, monkeypatch, sets, blas_threads):
+    def test_a_block_a_child_did_not_send_is_scored_here(self, monkeypatch, sets, blas_threads):
         isac, _, (model, _, _) = sets
         parent = os.getpid()
+        serial = _bits(evaluate(model, isac))
 
         def child_fails(model, inputs):
             if os.getpid() != parent:
@@ -403,7 +404,21 @@ class TestForkedEvaluation:
 
         _affinity(monkeypatch, 2)
         monkeypatch.setattr(metrics_module, "forward_batch", child_fails)
-        with pytest.raises(RuntimeError, match="forked worker stopped before it sent all its blocks"):
+        assert _bits(evaluate(model, isac)) == serial
+        assert blas_threads() == 3
+
+    def test_a_fault_of_a_childs_block_raises_here_as_itself(self, monkeypatch, sets, blas_threads):
+        # keyed on the rows of the last block, which a child scores first, not on the process
+        isac, _, (model, _, _) = sets
+
+        def last_block_fails(model, inputs):
+            if len(inputs) == len(isac.inputs) % 256:
+                raise ZeroDivisionError("last block fault")
+            return forward_batch(model, inputs)
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(metrics_module, "forward_batch", last_block_fails)
+        with pytest.raises(ZeroDivisionError, match="last block fault"):
             evaluate(model, isac)
         assert blas_threads() == 3
 
