@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -71,23 +72,29 @@ def draw_channel(cfg: ChannelConfig, v, rng) -> np.ndarray:
     Draw order is fixed (target amplitude, clutter magnitudes, phases, delays)
     so a given rng state always yields the same realization; the target
     amplitude is drawn even when v=0 to keep the stream aligned across
-    hypotheses.  B indicators (B,) and a sequence of B generators give
-    (B, tap_count) taps, frame b drawing from rng[b]; one frame is a block of one.
+    hypotheses.  The phases are uniform(0, 2pi, size=N_c)'s values, read off raw
+    words.  B indicators (B,) and a sequence of B generators give (B, tap_count)
+    taps, frame b drawing from rng[b]; one frame is a block of one.
     """
     v = np.asarray(v)
     if v.ndim == 0:
         return draw_channel(cfg, v[None], [rng])[0]
-    if len(rng) != len(v) or not ((v == 0) | (v == 1)).all():
+    if len(rng) != len(v) or not set(v.ravel().tolist()) <= {0, 1}:
         raise ValueError(f"need one target indicator of 0 or 1 per generator, got {v} for {len(rng)}")
-    draws = [(g.normal(scale=math.sqrt(cfg.target_power / 2.0), size=2),
-              g.weibull(cfg.weibull_shape, size=cfg.num_clutter),
-              g.uniform(0.0, 2.0 * math.pi, size=cfg.num_clutter),
-              g.integers(0, cfg.max_clutter_delay + 1, size=cfg.num_clutter)) for g in rng]
-    target, mags, phases, delays = (np.array(d) for d in zip(*draws))
-
-    taps = np.zeros((len(v), cfg.tap_count), dtype=np.complex128)
-    taps[:, cfg.target_delay] += v * target.view(np.complex128)[:, 0]
-    np.add.at(taps, (np.arange(len(v))[:, None], delays), mags * np.exp(1j * phases))
+    B, n = len(v), cfg.num_clutter
+    target, mags, words = np.empty((B, 2)), np.empty((B, n)), np.empty((B, n), dtype=np.uint64)
+    at = np.full((B, 1 + n), cfg.target_delay)  # each term's tap: the target's, then the clutter delays
+    for b, g in enumerate(rng):
+        target[b] = g.normal(scale=math.sqrt(cfg.target_power / 2.0), size=2)
+        mags[b] = g.weibull(cfg.weibull_shape, size=n)
+        words[b] = g.bit_generator.random_raw(n)  # the phases' draw
+        at[b, 1:] = g.integers(0, cfg.max_clutter_delay + 1, size=n)
+    # uniform(0, 2pi, size=n) is 0.0 + 2pi * ((w >> 11) * 2**-53) of n raw words w; 2pi * 2**-53 is exact
+    terms = np.empty((B, 1 + n), dtype=np.complex128)
+    np.multiply(v, target.view(np.complex128)[:, 0], out=terms[:, 0])
+    np.multiply(mags, np.exp(1j * ((words >> 11) * (2.0 * math.pi / 2**53))), out=terms[:, 1:])
+    taps = np.zeros((B, cfg.tap_count), dtype=np.complex128)
+    np.add.at(taps, (np.arange(B)[:, None], at), terms)  # term by term, in draw order
     return taps
 
 
@@ -101,8 +108,12 @@ def apply_channel(
 
     y_i = sum_m h[m] * s_{i-m} with s_i = 0 before the sequence starts; the
     output has the same length as the input, so tails past the last chip are
-    dropped.  Noise variance is split equally between real and imaginary parts,
-    drawn from rng as one standard_normal((2, S)): real parts, then imaginary.
+    dropped.  Each sample sums its terms highest delay first, np.convolve's
+    order: on pulse-train and all-zero chips, where every product is exact, it
+    equals np.convolve's bit for bit, and on other real chips it agrees to
+    rounding.  A tap vector needs at least one tap.  Noise variance is split
+    equally between real and imaginary parts, drawn from rng as one
+    standard_normal((2, S)): real parts, then imaginary.
 
     chips (S,) goes through the (T,) tap vector taps with noise from the
     generator rng.  A block of chips (B, S) takes a (B, T) stack of tap
@@ -119,13 +130,16 @@ def apply_channel(
         raise ValueError(f"a block of {len(s)} frames needs {len(s)} tap vectors and "
                          f"{len(s)} generators, got taps of shape {taps.shape} and "
                          f"{len(rng)} generators")
-    S = s.shape[1]
-    h = np.stack([taps.real, taps.imag], axis=1)  # (B, 2, T): the chips are real
-    # Highest delay first, the order np.convolve sums in: on pulse-train chips
-    # the samples then equal np.convolve's bit for bit.
-    y = np.zeros((len(s), 2, S))
-    for m in reversed(range(min(h.shape[2], S))):
-        y[:, :, m:] += h[:, :, m, None] * s[:, None, : S - m]
+    B, S = s.shape
+    T = min(taps.shape[1], S)  # a tap past the last chip reaches no sample
+    h = np.stack([taps.real, taps.imag], axis=1)[:, :, T - 1::-1]  # (B, 2, T) reversed: the chips are real
+    # a sample is one vecdot of the taps and a chip window: numpy's own dot loop (negative-stride taps keep
+    # BLAS out), highest delay first; the first T-1 window a zero-led copy of the first T-1 chips
+    head = np.zeros((B, 2 * T - 1))
+    head[:, T - 1:-1] = s[:, : T - 1]
+    y = np.empty((B, 2, S))
+    np.vecdot(h[:, :, None], sliding_window_view(head, T, axis=1)[:, None, : T - 1], out=y[:, :, : T - 1])
+    np.vecdot(h[:, :, None], sliding_window_view(s, T, axis=1)[:, None], out=y[:, :, T - 1:])
     samples = np.empty(s.shape, dtype=np.complex128)
     noise = samples.view(np.float64).reshape(y.shape)  # drawn into the output's bytes, added, then overwritten
     for g, out in zip(rng, noise):

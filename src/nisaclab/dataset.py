@@ -5,10 +5,11 @@ receiver inputs after modulation, channel, noise and framing.  Example i
 draws every random value it uses from its own generator seeded by
 (master_seed, i), so any example can be regenerated alone with the
 single-frame calls, and example i does not depend on how many examples are
-generated.  Only those draws run per example; seeding, tap sums, modulation,
-convolution, noise sums and slot framing run once per block of _BLOCK frames,
-through the same functions with a leading frame axis, by up to one process per usable CPU
-(the caller and forked children that pipe their rows back), so no byte depends on the CPU count.
+generated.  Only those draws run per example, in that order (the target's and bits' integers(0, 2,
+size=L + 1) and the phases' uniform(0, 2pi) come from PCG64's raw words, bit for bit the same);
+seeding, tap sums, modulation, convolution, noise sums and slot framing run once per block of
+_BLOCK frames, through the same functions with a leading frame axis, by up to one process per usable
+CPU (the caller and forked children that pipe their rows back), so no byte depends on the CPU count.
 Inputs are held as 32-bit floats, in memory as in the file (they are noisy
 measurements; no point storing more), so the save/load round trip is
 bit-exact; the engines cast each batch or block to 64-bit as they read it.
@@ -173,9 +174,14 @@ def _draw_records(cfg: ChannelConfig, L: int, L_b: int, n: int, master_seed: int
         rows = block(j)
         rngs = example_rng(master_seed, np.arange(j * _BLOCK, j * _BLOCK + len(rows)))
         targets, bits = rows["v"], rows["bits"]
+        words = np.empty((len(rows), (L + 1) // 2), dtype=np.uint64)
         for i, rng in enumerate(rngs):
-            draw = rng.integers(0, 2, size=L + 1)  # the target's draw, then the bits'
-            targets[i], bits[i] = draw[0], draw[1:]
+            words[i] = rng.bit_generator.random_raw(words.shape[1])
+            if L % 2 == 0:  # an odd count ends on a real call: it buffers the spare half, as one call did
+                bits[i, -1] = rng.integers(0, 2)
+        # integers(0, 2, size=L + 1) of a fresh generator: the top bit of each 32-bit half, low half first
+        draw = words.astype("<u8", copy=False).view("<u4") >> 31
+        targets[:], bits[:, : draw.shape[1] - 1] = draw[:, 0], draw[:, 1:]
         bits[:, n_data:] = 1
         taps = draw_channel(cfg, targets, rngs)
         samples = apply_channel(ppm_modulate(bits, L_b), taps, noise_var, rngs)

@@ -1,9 +1,9 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
-the step-by-step reference network every engine oracle checks against, the
-throughput that evaluation scores for hand-built decode spikes,
-hand-checkable neuron constants, the traced memory peak of a call, a file
-loaded through a named pipe, and a check that no test leaves a child process
-behind."""
+the step-by-step reference network every engine oracle checks against,
+channel taps rebuilt from numpy's own draws, the throughput that evaluation
+scores for hand-built decode spikes, hand-checkable neuron constants, the
+traced memory peak of a call, a file loaded through a named pipe, and a check
+that no test leaves a child process behind."""
 
 import math
 import os
@@ -66,6 +66,25 @@ def _reference_forward(model: SnnModel, frame: np.ndarray, slope: float | None):
             state[k] = [q, r, s, b]
             potentials[k][l], spikes[k][l] = o, b
     return potentials[0], spikes[0], potentials[1], spikes[1]
+
+
+@pytest.fixture(scope="session")
+def numpy_taps():
+    """numpy_taps(rng, v): draw_channel's default-channel taps for indicator v, rebuilt from
+    numpy's own Generator calls (normal, weibull, uniform(0, 2pi), integers(0, 5)) and summed
+    term by term in draw order: the target, then clutter tap by tap."""
+
+    def taps(rng, v):
+        re, im = rng.normal(scale=math.sqrt(0.5), size=2)
+        mags, phases = rng.weibull(2.0, size=5), rng.uniform(0.0, 2.0 * math.pi, size=5)
+        delays = rng.integers(0, 5, size=5)
+        expected = [0j] * 5
+        expected[0] += int(v) * complex(re, im)
+        for k in range(5):
+            expected[delays[k]] += mags[k] * np.exp(1j * phases[k])
+        return np.array(expected)
+
+    return taps
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisaclab.channel import (
     ChannelConfig,
@@ -13,6 +15,7 @@ from nisaclab.channel import (
     frame_received,
     noise_variance_from_snr,
 )
+from nisaclab.dataset import example_rng
 from nisaclab.modem import ppm_modulate
 
 
@@ -159,6 +162,30 @@ class TestDrawChannel:
             assert block[b].tobytes() == np.array(expected).tobytes()
         assert repeats == {0, 1}  # frames with a repeated delay, at both indicators
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), v=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+           halves=st.integers(0, 3))
+    def test_phases_are_numpys_uniform(self, numpy_taps, seed, v, halves):
+        """The phases come from raw words, not from Generator.uniform: each frame's
+        taps equal those rebuilt from numpy's own uniform(0, 2pi, size=5) and other
+        calls, after an odd or even count of 32-bit draws (a spare half buffered
+        or not), and the generator ends where numpy's calls leave it, so the
+        delays and the noise after them stay aligned.  A numpy release that
+        changes uniform or integers fails this test by name."""
+        block = example_rng(seed, np.arange(len(v)))
+        ref = example_rng(seed, np.arange(len(v)))
+        for g in block + ref:
+            g.integers(0, 2, size=halves)
+        taps = draw_channel(ChannelConfig(), np.array(v), block)
+        for b, (got, want) in enumerate(zip(block, ref)):
+            assert taps[b].tobytes() == numpy_taps(want, v[b]).tobytes()
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+        # one frame is a block of one
+        alone, ref = example_rng(seed, 0), example_rng(seed, 0)
+        assert draw_channel(ChannelConfig(), v[0], alone).tobytes() == numpy_taps(ref, v[0]).tobytes()
+        assert alone.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("v, generators", [([0, 1, 1], 2), ([0, 2, 1], 3), ([0, -1, 1], 3)],
                              ids=["two-generators-for-three-frames", "v-2", "v--1"])
     def test_block_checks_come_before_any_draw(self, v, generators):
@@ -196,16 +223,36 @@ class TestApplyChannel:
         assert np.allclose(y3, 3.0 * y1)
 
     def test_pulse_trains_equal_np_convolve_bit_for_bit(self):
-        # at L_b=1 a sample can sum pulses through up to three taps, so the sum
-        # order shows; highest delay first is np.convolve's order
+        # a sample sums pulses through up to three taps at L_b=1 and two at
+        # L_b=2-4, so the sum order shows; highest delay first is np.convolve's
         B, L = 64, 80
-        rngs = [np.random.default_rng(seed) for seed in range(B)]
+        for L_b in range(1, 5):
+            rngs = [np.random.default_rng(seed) for seed in range(B)]
+            taps = draw_channel(ChannelConfig(), np.arange(B) % 2, rngs)
+            chips = ppm_modulate(np.random.default_rng(B).integers(0, 2, size=(B, L)), L_b)
+            y = apply_channel(chips, taps, 0.0, rngs)
+            for b in range(B):
+                expected = np.convolve(chips[b], taps[b])[: 2 * L_b * L]
+                assert y[b].tobytes() == expected.tobytes()
+        # a single frame; a tap vector longer than its chips; criterion 3's
+        # one-tap silent channel on zero chips
+        rng = np.random.default_rng(5)
+        long_taps = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        for chips, taps in [(ppm_modulate([1, 0, 1, 1], 1), draw_channel(ChannelConfig(), 1, rng)),
+                            (ppm_modulate([1, 0, 0], 1), long_taps),
+                            (np.zeros(1000), np.zeros(1, dtype=np.complex128))]:
+            y = apply_channel(chips, taps, 0.0, rng)
+            assert y.tobytes() == np.convolve(chips, taps)[: len(chips)].tobytes()
+
+    def test_block_holds_its_output_and_one_sum_buffer(self, peak_bytes):
+        # the windows are views of the chips: no padded copy of the block, and
+        # no per-tap temporaries, beyond a zero-led copy of the first T-1 chips
+        B, L, L_b = 64, 80, 4
+        rngs = example_rng(0, np.arange(B))
         taps = draw_channel(ChannelConfig(), np.arange(B) % 2, rngs)
-        chips = ppm_modulate(np.random.default_rng(B).integers(0, 2, size=(B, L)), 1)
-        y = apply_channel(chips, taps, 0.0, rngs)
-        for b in range(B):
-            expected = np.convolve(chips[b], taps[b])[: 2 * L]
-            assert y[b].tobytes() == expected.tobytes()
+        chips = ppm_modulate(np.zeros((B, L), dtype=np.uint8), L_b)
+        output = B * chips.shape[1] * 16
+        assert peak_bytes(lambda: apply_channel(chips, taps, 0.5, rngs)) <= 2 * output + 16 * 1024
 
     def test_noise_calibration(self):
         z = apply_channel(np.zeros(100_000), [0], 0.55, np.random.default_rng(5))

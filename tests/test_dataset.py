@@ -1,5 +1,6 @@
 """Frame generation determinism and the binary dataset format."""
 
+import copy
 import hashlib
 import os
 import select
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nisaclab.dataset as dataset_module
 import nisaclab.workers as workers_module
@@ -173,9 +176,10 @@ class TestRegeneration:
 
 
 class TestOneDrawForTargetAndBits:
-    """generate_dataset draws a frame's target and bits with one
-    integers(0, 2, size=L + 1); it matches the two-call form value for value
-    and leaves the generator in the same state."""
+    """A frame's target and bits are the values of one integers(0, 2,
+    size=L + 1) (TestRawWordDraws); it matches the two-call form of the
+    single-frame rebuild value for value and leaves the generator in the
+    same state."""
 
     @pytest.mark.parametrize("L", [1, 8, 80])
     def test_one_call_equals_target_then_bits(self, L):
@@ -192,6 +196,51 @@ class TestOneDrawForTargetAndBits:
 
 def _affinity(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestRawWordDraws:
+    """The block body reads each frame's target and bits off PCG64's raw words
+    and draw_channel its phases: per frame, through generate_dataset, they equal
+    numpy's integers(0, 2, size=L + 1) and uniform(0, 2pi, size=5) on a fresh
+    example_rng(seed, i), for L odd and even, and the generator reaches the
+    channel draw in the state numpy's call leaves, so the delays and the noise
+    after them stay aligned.  A numpy release that changes integers or uniform
+    fails this test by name, before the golden digests do."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), L=st.integers(1, 24), n=st.integers(1, 3),
+           alpha=st.sampled_from([None, 0.5]))
+    def test_targets_bits_and_phases_equal_numpys_calls(self, numpy_taps, seed, L, n, alpha):
+        if alpha is not None and L < 2:
+            L = 2  # SSAC needs a data slot and a sensing slot
+        seen = []
+
+        def spy(cfg, v, rngs):  # each frame's generator and taps, as the channel draw sees them
+            states = [copy.deepcopy(g) for g in rngs]
+            taps = draw_channel(cfg, v, rngs)
+            seen.extend(zip(states, taps))
+            return taps
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dataset_module, "draw_channel", spy)
+            ds = generate_dataset(CFG, L, 1, n, master_seed=seed, alpha=alpha)
+        n_data = slot_split(alpha, L)[0]
+        assert len(seen) == n
+        for i, (got, taps) in enumerate(seen):
+            want = example_rng(seed, i)
+            draw = want.integers(0, 2, size=L + 1)
+            draw[1 + n_data:] = 1
+            assert ds.targets[i] == draw[0]
+            assert ds.bits[i].tolist() == draw[1:].tolist()
+            # the same words taken, and the same spare 32-bit half buffered, or none
+            # (a spent half's stale value stays in numpy's state but is never read)
+            ours, numpys = got.bit_generator.state, want.bit_generator.state
+            assert ours["state"] == numpys["state"]
+            assert ours["has_uint32"] == numpys["has_uint32"]
+            assert not ours["has_uint32"] or ours["uinteger"] == numpys["uinteger"]
+            assert taps.tobytes() == numpy_taps(want, draw[0]).tobytes()
+            numpy_taps(got, draw[0])  # the channel's draws, delays last, then the first noise normals
+            assert got.standard_normal(4).tobytes() == want.standard_normal(4).tobytes()
 
 
 class TestForkedGeneration:
