@@ -10,12 +10,12 @@ size=L + 1) and the phases' uniform(0, 2pi) come from PCG64's raw words, bit for
 seeding, tap sums, modulation, convolution, noise sums and slot framing run once per block of
 _BLOCK frames, through the same functions with a leading frame axis, by up to one process per usable
 CPU (the caller and forked children that pipe their rows back), so no byte depends on the CPU count.
-Inputs are held as 32-bit floats, in memory as in the file (they are noisy
-measurements; no point storing more), so the save/load round trip is
-bit-exact; the engines cast each batch or block to 64-bit as they read it.
-Blocks are drawn as NISD records, and a generated or loaded dataset's three arrays are views of
-records (a loaded one's read-only, read in one pass); a save writes them in chunks of _SAVE_CHUNK
-frames, and stream_dataset (gen) writes each block as it lands, from one reused block.
+A dataset is its (n,) array of NISD records, the file's payload, plus the header's snr_db and
+master_seed; its inputs, bits and targets are views of the records.  Inputs are 32-bit floats, in
+memory as in the file (noisy measurements; no point storing more), so the save/load round trip is
+bit-exact; the engines cast each batch or block to 64-bit as they read it.  A save writes the header,
+then the records in one call; a load is a read-only view of the file, read in one pass; and
+stream_dataset (gen) writes each block as it lands, from one reused block.
 """
 
 from __future__ import annotations
@@ -46,44 +46,31 @@ _HEADER = struct.Struct("<4sIIIIdQ")  # magic, version, n, L, L_b, snr_db, maste
 # temporaries stay a few MiB.
 _BLOCK = 64
 
-# Frames per records buffer when saving; the buffer stays ~1 MiB at L_b=4.
-_SAVE_CHUNK = 256
 
 @dataclass(eq=False)
 class Dataset:
-    """In-memory dataset; exactly the fields the NISD file persists."""
+    """In-memory dataset: the NISD file's records and the header fields they do not hold."""
 
-    inputs: np.ndarray   # (n, L, 4*L_b) float32
-    bits: np.ndarray     # (n, L) uint8
-    targets: np.ndarray  # (n,) uint8
-    L_b: int
+    records: np.ndarray  # (n,) of _payload_dtype(L, L_b): target v, (L,) bits, (L, 4*L_b) inputs
     snr_db: float
     master_seed: int
 
     def __post_init__(self):
-        self.L_b, self.master_seed = operator.index(self.L_b), operator.index(self.master_seed)
-        inputs, bits, targets = np.asarray(self.inputs), np.asarray(self.bits), np.asarray(self.targets)
-        n, L, width = inputs.shape
+        self.master_seed, records = operator.index(self.master_seed), self.records
+        # the inputs field's (L, 4*L_b) shape gives the counts, which fix the whole record dtype
+        if not (isinstance(records, np.ndarray) and records.ndim == 1
+                and records.dtype.names == ("v", "bits", "inputs") and records.dtype["inputs"].ndim == 2
+                and records.dtype == _payload_dtype(self.slot_count, self.L_b)):
+            raise ValueError("records must be a 1-D array of NISD records, _payload_dtype(L, L_b)")
         # the NISD header counts; this is load_dataset's check of them too
-        if n < 1 or L < 1 or self.L_b < 1:
+        if self.example_count < 1 or self.slot_count < 1 or self.L_b < 1:
             raise ValueError("a dataset needs n >= 1 examples, L >= 1 slots and L_b >= 1")
-        if bits.shape != (n, L) or targets.shape != (n,):
-            raise ValueError("inputs, bits and targets disagree on example count or length")
-        if width != 4 * self.L_b:
-            raise ValueError(f"slot width {width} does not match 4*L_b={4 * self.L_b}")
-        # checked before the uint8 cast, which would wrap or truncate other values;
-        # a uint8 array, as generated or loaded, is checked without a temporary array
-        if not all((a.dtype == np.uint8 and a.max(initial=0) <= 1) or ((a == 0) | (a == 1)).all()
-                   for a in (bits, targets)):
+        if max(self.bits.max(), self.targets.max()) > 1:
             raise ValueError("bits and targets must be 0 or 1")
-        self.bits, self.targets = bits.astype(np.uint8, copy=False), targets.astype(np.uint8, copy=False)
-        # a float64 sum of float32 values cannot overflow, so it is finite
-        # iff every input is, and it needs no full-size temporary; a value
-        # past float32's range overflows in the cast, and a signalling NaN (a
-        # corrupted file can hold one) or inf - inf sets the invalid flag,
-        # each the ValueError below, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.inputs = inputs.astype(np.float32, copy=False)
+        # a float64 sum of float32 values cannot overflow, so it is finite iff every input
+        # is, and it needs no full-size temporary; a signalling NaN (a corrupted file can
+        # hold one) or inf - inf sets the invalid flag, the ValueError below, not a warning
+        with np.errstate(invalid="ignore"):
             total = self.inputs.sum(dtype=np.float64)
         if not np.isfinite(total):
             raise ValueError("inputs must be finite")
@@ -94,22 +81,18 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.L_b == other.L_b
-            and self.snr_db == other.snr_db
-            and self.master_seed == other.master_seed
-            and np.array_equal(self.inputs, other.inputs)
-            and np.array_equal(self.bits, other.bits)
-            and np.array_equal(self.targets, other.targets)
-        )
+        # records of one dtype compare field by field, so -0.0 equals 0.0, as the values do
+        return ((self.snr_db, self.master_seed) == (other.snr_db, other.master_seed)
+                and self.records.dtype == other.records.dtype
+                and np.array_equal(self.records, other.records))
 
-    @property
-    def example_count(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def slot_count(self) -> int:
-        return self.inputs.shape[1]
+    # the records' fields, as views, and the counts that their dtype fixes
+    inputs = property(lambda self: self.records["inputs"])  # (n, L, 4*L_b) float32
+    bits = property(lambda self: self.records["bits"])  # (n, L) uint8
+    targets = property(lambda self: self.records["v"])  # (n,) uint8
+    example_count = property(lambda self: len(self.records))
+    slot_count = property(lambda self: self.records.dtype["inputs"].shape[0])
+    L_b = property(lambda self: self.records.dtype["inputs"].shape[1] // 4)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): hashes 16-19 of its entropy
@@ -210,11 +193,9 @@ def generate_dataset(
     draws ISAC frames; an alpha draws SSAC frames, whose trailing sensing
     slots are overwritten with 1 after the bit draw, so the two receivers'
     sets consume identical random streams and share channels and noise
-    example for example.  Its arrays are views of NISD records, as a loaded dataset's are.
+    example for example.  The dataset holds the drawn NISD records, as a loaded one holds the file's.
     """
-    records = _draw_records(cfg, L, L_b, n, master_seed, alpha)
-    return Dataset(inputs=records["inputs"], bits=records["bits"], targets=records["v"],
-                   L_b=L_b, snr_db=cfg.snr_db, master_seed=master_seed)
+    return Dataset(_draw_records(cfg, L, L_b, n, master_seed, alpha), cfg.snr_db, master_seed)
 
 
 def stream_dataset(path, cfg: ChannelConfig, L: int, L_b: int, n: int, master_seed: int,
@@ -230,32 +211,23 @@ def _payload_dtype(L: int, L_b: int) -> np.dtype:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset in the little-endian NISD layout, _SAVE_CHUNK records at a time."""
-    n = dataset.example_count
+    """Write the dataset in the little-endian NISD layout: the header, then its records."""
     header = _HEADER.pack(
         DATASET_MAGIC, DATASET_VERSION,
-        n, dataset.slot_count, dataset.L_b,
+        dataset.example_count, dataset.slot_count, dataset.L_b,
         dataset.snr_db, dataset.master_seed,
     )
-    chunk = np.empty(min(n, _SAVE_CHUNK), dtype=_payload_dtype(dataset.slot_count, dataset.L_b))
     with staged_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
-        for start in range(0, n, _SAVE_CHUNK):
-            stop = min(start + _SAVE_CHUNK, n)
-            rows, records = slice(start, stop), chunk[: stop - start]
-            records["v"] = dataset.targets[rows]
-            records["bits"] = dataset.bits[rows]
-            records["inputs"] = dataset.inputs[rows]
-            fh.write(records.data)
+        fh.write(np.ascontiguousarray(dataset.records))  # a copy only of a strided view
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset; round trip is bit-exact.
 
-    The file is read once, into one buffer, and the dataset's inputs, bits
-    and targets are read-only views of its records.  The read is a plain
-    read, not np.fromfile, which must know the file position and so cannot
-    read a pipe.
+    The file is read once, into one buffer, and the dataset's records are a
+    read-only view of it.  The read is a plain read, not np.fromfile, which
+    must know the file position and so cannot read a pipe.
     """
     # the record size is _payload_dtype(L, L_b).itemsize, computed without
     # building the dtype, so a corrupt count fails the size check first
@@ -263,14 +235,6 @@ def load_dataset(path) -> Dataset:
                                 lambda n, L, L_b, *_: n * (1 + L + 16 * L * L_b))
     n, L, L_b, snr_db, master_seed = fields
     try:  # n = 0 passes the size check for any L and L_b, which the dtype may refuse
-        records = np.frombuffer(payload, dtype=_payload_dtype(L, L_b))
-        return Dataset(
-            inputs=records["inputs"],
-            bits=records["bits"],
-            targets=records["v"],
-            L_b=L_b,
-            snr_db=snr_db,
-            master_seed=master_seed,
-        )
+        return Dataset(np.frombuffer(payload, dtype=_payload_dtype(L, L_b)), snr_db, master_seed)
     except ValueError as exc:
         raise InvalidContentError(f"dataset file holds an invalid dataset: {exc}") from exc

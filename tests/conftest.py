@@ -1,10 +1,12 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
 the step-by-step reference network every engine oracle checks against,
 channel taps rebuilt from numpy's own draws, the throughput that evaluation
-scores for hand-built decode spikes, hand-checkable neuron constants, the
-traced memory peak of a call, a file loaded through a named pipe, and a check
-that no test leaves a child process behind."""
+scores for hand-built decode spikes, datasets built from zeroed NISD records,
+hand-checkable neuron constants, the traced memory peak of a call and its
+resident-set growth, a file loaded through a named pipe, and a check that no
+test leaves a child process behind."""
 
+import ctypes
 import math
 import os
 import threading
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import nisaclab.metrics as metrics_module
-from nisaclab.dataset import Dataset
+from nisaclab.dataset import Dataset, _payload_dtype
 from nisaclab.metrics import evaluate, evaluate_ssac
 from nisaclab.snn import COMM, SnnModel
 
@@ -117,8 +119,23 @@ def neuron_constants(monkeypatch):
     return set_constants
 
 
+@pytest.fixture(scope="session")
+def nisd_dataset():
+    """nisd_dataset(n, L, L_b=1, snr_db=10.0, master_seed=0, **fields): a Dataset
+    of n zeroed _payload_dtype(L, L_b) records, with the named fields (v, bits,
+    inputs) set to the values given."""
+
+    def build(n, L, L_b=1, snr_db=10.0, master_seed=0, **fields) -> Dataset:
+        records = np.zeros(n, _payload_dtype(L, L_b))
+        for name, value in fields.items():
+            records[name] = value
+        return Dataset(records, snr_db, master_seed)
+
+    return build
+
+
 @pytest.fixture
-def scored_throughput(monkeypatch):
+def scored_throughput(monkeypatch, nisd_dataset):
     """throughput(decisions, bits, alpha=None): what evaluate (alpha=None) or
     evaluate_ssac at alpha reports when the decode readout spikes are the
     (n, L) decisions and the dataset's bits are the (n, L) bits."""
@@ -133,7 +150,7 @@ def scored_throughput(monkeypatch):
             return np.zeros((n, L, 1)), np.zeros((n, L, 1)), np.zeros((n, L, 2)), readout
 
         monkeypatch.setattr(metrics_module, "forward_batch", decode_spikes)
-        data = Dataset(np.zeros((n, L, 4)), bits, np.zeros(n), L_b=1, snr_db=10.0, master_seed=0)
+        data = nisd_dataset(n, L, bits=bits)
         model = SnnModel(input_weights=np.zeros((1, 4)), readout_weights=np.zeros((2, 1)))
         if alpha is None:
             return evaluate(model, data).throughput
@@ -145,8 +162,9 @@ def scored_throughput(monkeypatch):
 @pytest.fixture
 def peak_bytes():
     """peak_bytes(call): the most memory call() held at once beyond what was
-    held when it started, as tracemalloc sees it; numpy reports its buffers
-    to tracemalloc."""
+    held when it started, as tracemalloc sees it; numpy reports its arrays'
+    buffers to tracemalloc, but not the buffers it makes inside a call (see
+    rss_growth)."""
 
     def measure(call) -> int:
         tracemalloc.start()
@@ -157,6 +175,54 @@ def peak_bytes():
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+
+    return measure
+
+
+@pytest.fixture
+def rss_growth():
+    """rss_growth(call): how far call() raised the peak resident set above the
+    resident set it started with, in bytes, less the file pages (code) that it
+    faulted in.  Unlike peak_bytes it sees numpy's internal buffers.  call runs
+    in a forked child, whose peak starts at its own resident set, not at this
+    process's peak, and which is reaped before this returns.  Free heap pages
+    are returned to the system first, so an allocation cannot reuse them
+    unseen; and fork does not copy the page table of code mappings, so the
+    child faults in again the code it runs.  Tests that use it skip where
+    os.fork, /proc or glibc's malloc_trim is missing."""
+    if not (hasattr(os, "fork") and os.path.exists("/proc/self/status")):
+        pytest.skip("needs os.fork and /proc")
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "malloc_trim"):
+        pytest.skip("needs glibc's malloc_trim")
+    libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+
+    def status() -> dict:  # the resident set's peak, size and file pages, in bytes
+        with open("/proc/self/status") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return {k: int(fields[k].split()[0]) * 1024 for k in ("VmHWM", "VmRSS", "RssFile")}
+
+    def measure(call) -> int:
+        read, write = os.pipe()
+        libc.malloc_trim(0)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                start = status()
+                call()
+                end = status()
+                os.write(write, str(end["VmHWM"] - start["VmRSS"] - (end["RssFile"] - start["RssFile"])).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read) as pipe:
+            reported = pipe.read()
+        _, code = os.waitpid(pid, 0)
+        assert code == 0, "the measured call failed in the child"
+        return int(reported)
 
     return measure
 

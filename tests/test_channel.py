@@ -244,15 +244,19 @@ class TestApplyChannel:
             y = apply_channel(chips, taps, 0.0, rng)
             assert y.tobytes() == np.convolve(chips, taps)[: len(chips)].tobytes()
 
-    def test_block_holds_its_output_and_one_sum_buffer(self, peak_bytes):
+    def test_block_holds_its_output_and_one_sum_buffer(self, peak_bytes, rss_growth):
         # the windows are views of the chips: no padded copy of the block, and
-        # no per-tap temporaries, beyond a zero-led copy of the first T-1 chips
+        # no per-tap temporaries, beyond a zero-led copy of the first T-1 chips;
+        # rss_growth also sees copies numpy makes inside a call, as np.matmul
+        # makes of a window view for BLAS in a block of one
         B, L, L_b = 64, 80, 4
         rngs = example_rng(0, np.arange(B))
         taps = draw_channel(ChannelConfig(), np.arange(B) % 2, rngs)
-        chips = ppm_modulate(np.zeros((B, L), dtype=np.uint8), L_b)
-        output = B * chips.shape[1] * 16
-        assert peak_bytes(lambda: apply_channel(chips, taps, 0.5, rngs)) <= 2 * output + 16 * 1024
+        for args in [(ppm_modulate(np.zeros((B, L), dtype=np.uint8), L_b), taps, 0.5, rngs),
+                     (ppm_modulate(np.zeros(20_000, dtype=np.uint8), L_b), taps[0], 0.5, rngs[0])]:
+            output = args[0].size * 16
+            assert peak_bytes(lambda: apply_channel(*args)) <= 2 * output + 16 * 1024
+            assert rss_growth(lambda: apply_channel(*args)) <= 2 * output + 64 * 1024
 
     def test_noise_calibration(self):
         z = apply_channel(np.zeros(100_000), [0], 0.55, np.random.default_rng(5))

@@ -447,18 +447,6 @@ class TestPersistence:
         assert loaded.snr_db == 10.0
         assert loaded.master_seed == 42
 
-    def test_float64_inputs_are_quantized_once(self, tmp_path):
-        rng = np.random.default_rng(0)
-        ds = Dataset(
-            inputs=rng.standard_normal((5, 3, 8)), bits=rng.integers(0, 2, (5, 3)),
-            targets=rng.integers(0, 2, 5), L_b=2, snr_db=3.0, master_seed=9,
-        )
-        assert ds.inputs.dtype == np.float32
-        save_dataset(ds, tmp_path / "d.nisd")
-        loaded = load_dataset(tmp_path / "d.nisd")
-        assert loaded == ds
-        assert loaded.inputs.dtype == np.float32
-
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_loads_from_a_pipe(self, small, tmp_path, load_through_pipe):
         path = tmp_path / "d.nisd"
@@ -470,6 +458,14 @@ class TestPersistence:
         save_dataset(small, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_strided_view_saves_as_its_copy(self, small, tmp_path):
+        view = Dataset(small.records[::2], small.snr_db, small.master_seed)
+        assert not view.records.flags.c_contiguous
+        save_dataset(view, tmp_path / "view.nisd")
+        save_dataset(Dataset(view.records.copy(), small.snr_db, small.master_seed), tmp_path / "copy.nisd")
+        assert (tmp_path / "view.nisd").read_bytes() == (tmp_path / "copy.nisd").read_bytes()
+        assert load_dataset(tmp_path / "view.nisd") == view
 
     def test_bad_magic(self, small, tmp_path):
         path = tmp_path / "d.nisd"
@@ -576,9 +572,10 @@ class TestMemory:
         assert peak_bytes(lambda: load_dataset(path)) <= 1.3 * path.stat().st_size
 
     def test_save_peak_is_a_fraction_of_the_file(self, saved, tmp_path, peak_bytes):
+        # the records are written as they are held: no buffer that grows with the set
         ds, path = saved
         copy = tmp_path / "copy.nisd"
-        assert peak_bytes(lambda: save_dataset(ds, copy)) <= 0.25 * path.stat().st_size
+        assert peak_bytes(lambda: save_dataset(ds, copy)) <= 64 * 1024
         assert copy.read_bytes() == path.read_bytes()
 
     def test_gen_peak_does_not_grow_with_the_set(self, tmp_path, peak_bytes):
@@ -626,85 +623,77 @@ class TestMemory:
 
 
 class TestDatasetValidation:
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Dataset(
-                inputs=np.zeros((2, 4, 4)), bits=np.zeros((3, 4), dtype=np.uint8),
-                targets=np.zeros(2, dtype=np.uint8), L_b=1, snr_db=10.0, master_seed=0,
-            )
+    @pytest.mark.parametrize("records", [
+        np.zeros((2, 1), _payload_dtype(3, 1)),
+        np.zeros(2, [("v", "u1"), ("bits", "u1", (4,)), ("inputs", "<f4", (3, 4))]),
+        np.zeros(2, [("v", "u1"), ("bits", "u1", (3,)), ("inputs", "<f4", (3, 6))]),
+        np.zeros(2, [("v", "u1"), ("bits", "u1", (3,)), ("inputs", "<f8", (3, 4))]),
+        np.zeros(2, [("v", "u1"), ("bits", "u1", (3,)), ("inputs", ">f4", (3, 4))]),
+        np.zeros(2, np.dtype([("v", "u1"), ("bits", "u1", (2,)), ("inputs", "<f4", (2, 4))], align=True)),
+        np.zeros(2, [("target", "u1"), ("bits", "u1", (3,)), ("inputs", "<f4", (3, 4))]),
+        np.zeros(2, [("v", "u1"), ("bits", "u1", (3,)), ("x", "<f4", (3, 4))]),
+        np.zeros(2, [("v", "u1"), ("bits", "u1", (3,)), ("inputs", "<f4", (12,))]),
+        np.zeros(2, np.float32),
+        np.zeros((2, 3, 4), np.float32),
+        [(0, [0, 0, 0], np.zeros((3, 4)))],
+    ], ids=["two-d", "slots", "width", "float64", "big-endian", "aligned", "names", "no-inputs",
+            "flat-inputs", "plain-array", "inputs-array", "list"])
+    def test_rejects_records_other_than_nisd_records(self, records):
+        with pytest.raises(ValueError, match="NISD records"):
+            Dataset(records, snr_db=10.0, master_seed=0)
 
-    def test_rejects_non_finite_inputs(self):
-        bad = np.zeros((1, 2, 4))
-        bad[0, 0, 0] = np.inf
+    def test_rejects_non_finite_inputs(self, nisd_dataset):
+        inputs = np.zeros((1, 2, 4))
+        inputs[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
-            Dataset(
-                inputs=bad, bits=np.zeros((1, 2), dtype=np.uint8),
-                targets=np.zeros(1, dtype=np.uint8), L_b=1, snr_db=10.0, master_seed=0,
-            )
+            nisd_dataset(1, 2, inputs=inputs)
 
-    @pytest.mark.parametrize("shape, L_b", [((0, 2, 4), 1), ((3, 0, 4), 1), ((1, 2, 0), 0)],
+    @pytest.mark.parametrize("n, L, L_b", [(0, 2, 1), (3, 0, 1), (1, 2, 0)],
                              ids=["no-examples", "no-slots", "no-chips"])
-    def test_rejects_empty_counts_that_the_file_format_refuses(self, shape, L_b):
-        n, L, _ = shape
+    def test_rejects_empty_counts_that_the_file_format_refuses(self, nisd_dataset, n, L, L_b):
         with pytest.raises(ValueError, match="n >= 1"):
-            Dataset(np.zeros(shape), np.zeros((n, L)), np.zeros(n),
-                    L_b=L_b, snr_db=10.0, master_seed=0)
+            nisd_dataset(n, L, L_b)
 
-    @pytest.mark.parametrize("dtype, patterns", [
-        (np.float32, [0xFFB670D6]), (np.float32, [0x7F800000, 0xFF800000]),
-        (np.float64, [0x7FF0000000000001]), (np.float64, [0x7E37E43C8800759C]),  # 1e300
-    ], ids=["signalling-nan", "inf-and-minus-inf", "float64-signalling-nan", "float64-overflow"])
-    def test_rejects_invalid_float32_inputs_without_a_warning(self, dtype, patterns):
-        # float32 patterns set numpy's invalid flag in the finiteness sum,
-        # float64 ones the invalid or overflow flag in the float32 cast, and
-        # the tests turn warnings into errors; a byte flip in a NISD file made
-        # the signalling NaN, so a warning there escaped load_dataset
-        bad = np.zeros((1, 2, 4), dtype=dtype)
-        bad.view(f"u{bad.itemsize}")[0, 1, :len(patterns)] = patterns
+    @pytest.mark.parametrize("patterns", [[0xFFB670D6], [0x7F800000, 0xFF800000]],
+                             ids=["signalling-nan", "inf-and-minus-inf"])
+    def test_rejects_invalid_float32_inputs_without_a_warning(self, nisd_dataset, patterns):
+        # the patterns set numpy's invalid flag in the finiteness sum, and the
+        # tests turn warnings into errors; a byte flip in a NISD file made the
+        # signalling NaN, so a warning there escaped load_dataset
+        bad = np.zeros((1, 2, 4), dtype=np.float32)
+        bad.view(np.uint32)[0, 1, :len(patterns)] = patterns
         with pytest.raises(ValueError, match="finite"):
-            Dataset(bad, np.zeros((1, 2)), np.zeros(1), L_b=1, snr_db=10.0, master_seed=0)
+            nisd_dataset(1, 2, inputs=bad)
 
-    def test_rejects_width_mismatch(self):
-        with pytest.raises(ValueError):
-            Dataset(
-                inputs=np.zeros((1, 2, 6)), bits=np.zeros((1, 2), dtype=np.uint8),
-                targets=np.zeros(1, dtype=np.uint8), L_b=1, snr_db=10.0, master_seed=0,
-            )
-
-    @pytest.mark.parametrize("bits, targets", [
-        (np.full((2, 3), 0.7), np.array([0.9, 1.5])),
-        (np.full((2, 3), -255.0), np.zeros(2)),
-        (np.zeros((2, 3)), np.array([0, 257])),
-        (np.zeros((2, 3)), np.array([0.0, np.nan])),
-    ], ids=["fractions", "negative-bits", "wrapping-target", "nan-target"])
-    def test_rejects_labels_other_than_0_or_1_before_the_cast(self, bits, targets):
+    @pytest.mark.parametrize("field", ["bits", "v"])
+    def test_rejects_labels_other_than_0_or_1(self, nisd_dataset, field):
         with pytest.raises(ValueError, match="0 or 1"):
-            Dataset(np.zeros((2, 3, 4)), bits, targets, L_b=1, snr_db=10.0, master_seed=0)
+            nisd_dataset(2, 3, **{field: 2})
 
-    def test_exact_float_labels_are_accepted(self):
-        ds = Dataset(np.zeros((2, 3, 4)), np.ones((2, 3)), np.array([0.0, 1.0]),
-                     L_b=1, snr_db=10.0, master_seed=0)
-        assert ds.bits.dtype == ds.targets.dtype == np.uint8
-        assert ds.bits.tolist() == [[1, 1, 1]] * 2 and ds.targets.tolist() == [0, 1]
-
-    @pytest.mark.parametrize("field, value", [("L_b", 1.0), ("master_seed", 0.5)])
-    def test_counts_must_be_integers(self, field, value):
-        kwargs = {"L_b": 1, "snr_db": 10.0, "master_seed": 0, field: value}
+    @pytest.mark.parametrize("field, value", [("master_seed", 0.5)])
+    def test_counts_must_be_integers(self, nisd_dataset, field, value):
         with pytest.raises(TypeError):
-            Dataset(np.zeros((1, 2, 4)), np.zeros((1, 2)), np.zeros(1), **kwargs)
+            nisd_dataset(1, 2, **{field: value})
 
-    def test_numpy_integer_counts_build_a_saveable_dataset(self, tmp_path):
-        ds = Dataset(np.zeros((1, 2, 4)), np.zeros((1, 2)), np.zeros(1),
-                     L_b=np.int64(1), snr_db=10.0, master_seed=np.uint64(2**64 - 1))
+    def test_numpy_integer_counts_build_a_saveable_dataset(self, nisd_dataset, tmp_path):
+        ds = nisd_dataset(1, 2, master_seed=np.uint64(2**64 - 1))
         assert type(ds.L_b) is int and type(ds.master_seed) is int
         save_dataset(ds, tmp_path / "d.nisd")
         assert load_dataset(tmp_path / "d.nisd") == ds
 
     @pytest.mark.parametrize("master_seed", [-1, 2**64])
-    def test_rejects_seed_outside_64_bits(self, master_seed):
+    def test_rejects_seed_outside_64_bits(self, nisd_dataset, master_seed):
         with pytest.raises(ValueError, match="master_seed"):
-            Dataset(np.zeros((1, 2, 4)), np.zeros((1, 2)), np.zeros(1),
-                    L_b=1, snr_db=10.0, master_seed=master_seed)
+            nisd_dataset(1, 2, master_seed=master_seed)
+
+    def test_equality_compares_values_and_record_dtypes(self, nisd_dataset):
+        zeros, minus_zeros = nisd_dataset(2, 3), nisd_dataset(2, 3, inputs=-0.0)
+        assert np.signbit(minus_zeros.inputs).all()
+        assert zeros == minus_zeros  # -0.0 == 0.0, as the old per-array comparison had it
+        assert zeros != nisd_dataset(2, 3, L_b=2)
+        assert zeros != nisd_dataset(2, 4) and zeros != nisd_dataset(3, 3)
+        assert zeros != nisd_dataset(2, 3, snr_db=3.0) and zeros != nisd_dataset(2, 3, master_seed=1)
+        assert zeros != nisd_dataset(2, 3, bits=[1, 0, 0])
 
     def test_equality_with_a_non_dataset(self, small):
         assert small.__eq__(1) is NotImplemented

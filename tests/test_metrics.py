@@ -112,7 +112,7 @@ class TestDetectionError:
     so they reach evaluate however it blocks the frames."""
 
     @pytest.fixture
-    def scored_error(self, monkeypatch):
+    def scored_error(self, monkeypatch, nisd_dataset):
         def echo_votes(model, inputs):
             readout = np.zeros(inputs.shape[:2] + (2,))
             readout[:, :, SENSE] = inputs[:, :, 0]
@@ -124,7 +124,7 @@ class TestDetectionError:
             n, L = votes.shape
             inputs = np.zeros((n, L, 4))
             inputs[:, :, 0] = votes
-            data = Dataset(inputs, np.zeros((n, L)), targets, L_b=1, snr_db=10.0, master_seed=0)
+            data = nisd_dataset(n, L, v=targets, inputs=inputs)
             return evaluate(_silent_model(hidden=1), data).detection_error
 
         return error
@@ -204,9 +204,7 @@ class TestModelEvaluation:
     def test_empty_dataset_rejected(self, isac_data):
         # Dataset refuses to build an empty set, so empty a copy in place
         empty = dataclasses.replace(isac_data)
-        empty.inputs = isac_data.inputs[:0]
-        empty.bits = isac_data.bits[:0]
-        empty.targets = isac_data.targets[:0]
+        empty.records = isac_data.records[:0]
         with pytest.raises(ValueError):
             evaluate(_silent_model(), empty)
         with pytest.raises(ValueError):
@@ -303,8 +301,7 @@ class TestEvaluationMemory:
 
     def test_peak_is_small_and_flat_in_the_frame_count(self, peak_bytes):
         ds = generate_dataset(CFG, L=80, L_b=4, n=4000, master_seed=0)
-        first = Dataset(ds.inputs[:1000], ds.bits[:1000], ds.targets[:1000],
-                        L_b=ds.L_b, snr_db=ds.snr_db, master_seed=ds.master_seed)
+        first = _head(ds, 1000)
         model = init_model(10, 4, np.random.default_rng(0))
         whole = peak_bytes(lambda: evaluate(model, ds))
         part = peak_bytes(lambda: evaluate(model, first))
@@ -317,8 +314,7 @@ def _affinity(monkeypatch, cpus):
 
 
 def _head(ds, n):
-    return Dataset(ds.inputs[:n], ds.bits[:n], ds.targets[:n],
-                   L_b=ds.L_b, snr_db=ds.snr_db, master_seed=ds.master_seed)
+    return Dataset(ds.records[:n], ds.snr_db, ds.master_seed)
 
 
 def _bits(result):

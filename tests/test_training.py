@@ -489,9 +489,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self, tiny_dataset):
         model = init_model(4, 1, np.random.default_rng(5))
         empty = dataclasses.replace(tiny_dataset)
-        empty.inputs = tiny_dataset.inputs[:0]
-        empty.bits = tiny_dataset.bits[:0]
-        empty.targets = tiny_dataset.targets[:0]
+        empty.records = tiny_dataset.records[:0]
         with pytest.raises(ValueError):
             train(model, empty, TrainConfig(beta=0.5, epochs=1, seed=0))
 
