@@ -31,7 +31,6 @@ from .metrics import evaluate, evaluate_ssac
 from .modem import ppm_modulate, slot_split
 from .snn import SnnModel, forward, init_model, load_model, save_model, spike_count
 from .training import TrainConfig, train
-from .workers import _one_blas_thread
 
 TRAIN_LOG_COLUMNS = [
     "epoch", "comm_loss", "sense_loss", "total_loss",
@@ -119,13 +118,12 @@ def _train_config(args, beta: float) -> TrainConfig:
 
 
 def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -> dict:
-    """Fit each network of the receiver, on one BLAS thread; returns {name: (model, history)}."""
+    """Fit each network of the receiver; returns {name: (model, history)}."""
     rng = np.random.default_rng(args.seed)  # read only by init_model
     fits = {}
     for name, net_beta in _networks(alpha, beta).items():
         cfg = _train_config(args, net_beta)
-        with _one_blas_thread():
-            fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
+        fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
     return fits
 
 

@@ -22,6 +22,7 @@ of that network.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -30,6 +31,7 @@ import numpy as np
 from .metrics import score_frames
 from .modem import slot_split
 from .snn import COMM, SENSE, SnnModel, _synapse_filter, forward_batch, sigmoid
+from .workers import _one_blas_thread
 
 # Clamp keeps the logs finite; inert until |potential| exceeds log(1/eps) ~ 32.
 PROB_EPS = 1e-14
@@ -51,6 +53,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        self.epochs, self.batch_size = operator.index(self.epochs), operator.index(self.batch_size)
         for name in ("learning_rate", "epochs", "batch_size"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
@@ -210,9 +213,10 @@ def train(model: SnnModel, dataset, cfg: TrainConfig, alpha: float | None = None
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
 
-    # a diverging run overflows in the engine before its loss turns
-    # non-finite; the check below reports it as one FloatingPointError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one BLAS thread: a second gains these small matmuls nothing and stalls them while the other
+    # core is busy.  A diverging run overflows in the engine before its loss turns non-finite;
+    # the check below reports it as one FloatingPointError
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
             lc_sum = ls_sum = 0.0

@@ -2,9 +2,11 @@
 the step-by-step reference network every engine oracle checks against,
 channel taps rebuilt from numpy's own draws, the throughput that evaluation
 scores for hand-built decode spikes, datasets built from zeroed NISD records,
-hand-checkable neuron constants, the traced memory peak of a call and its
-resident-set growth, a file loaded through a named pipe, and a check that no
-test leaves a child process behind."""
+hand-checkable neuron constants, the largest relative error of a gradient,
+a stand-in CPU count, OpenBLAS's thread count set for a test, the traced
+memory peak of a call and its resident-set growth, a file loaded through a
+named pipe, and checks that no test leaves a child process behind or
+OpenBLAS's thread count changed."""
 
 import ctypes
 import math
@@ -16,11 +18,14 @@ import numpy as np
 import pytest
 
 import nisaclab.metrics as metrics_module
+import nisaclab.workers as workers_module
 from nisaclab.dataset import Dataset, _payload_dtype
 from nisaclab.metrics import evaluate, evaluate_ssac
 from nisaclab.snn import COMM, SnnModel
 
 _criterion_lines: list[tuple[int, str]] = []
+# the real getter, captured before any test stands one in for workers._openblas_threads
+_get_blas_threads = (workers_module._openblas_threads() or (None,))[0]
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +37,40 @@ def no_leaked_children():
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"the test left a child process unreaped: {f'pid {pid}' if pid else 'still running'}")
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_kept():
+    """Fail a test that leaves OpenBLAS's thread count other than it found it;
+    without OpenBLAS's thread control there is nothing to check."""
+    before = _get_blas_threads and _get_blas_threads()
+    yield
+    if _get_blas_threads and (after := _get_blas_threads()) != before:
+        pytest.fail(f"the test left OpenBLAS on {after} threads, not {before}")
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread count getter, with the count set to 3 for the test
+    (not the default, so a restore cannot pass by resetting it) and put back
+    after.  Tests that use it skip without OpenBLAS's thread control."""
+    if (control := workers_module._openblas_threads()) is None:
+        pytest.skip("needs OpenBLAS's thread control")
+    get, set_threads = control
+    old = get()
+    set_threads(3)
+    yield get
+    set_threads(old)
+
+
+@pytest.fixture
+def affinity(monkeypatch):
+    """affinity(cpus): os.sched_getaffinity reports cpus usable CPUs for the rest of the test."""
+
+    def set_cpus(cpus: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    return set_cpus
 
 
 @pytest.fixture
@@ -103,6 +142,17 @@ def reference_forward():
         return tuple(np.stack(records) for records in zip(*frames))
 
     return run
+
+
+@pytest.fixture(scope="session")
+def max_rel_error():
+    """max_rel_error(got, want): the largest |got - want| / |want| over the
+    entries, with |want| floored at 1e-8."""
+
+    def error(got: np.ndarray, want: np.ndarray) -> float:
+        return float((np.abs(got - want) / np.maximum(np.abs(want), 1e-8)).max())
+
+    return error
 
 
 @pytest.fixture

@@ -143,13 +143,9 @@ def narrow_beta_models(isac_lb1_data, timings):
     })
 
 
-def _max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
-    return float((np.abs(got - want) / np.maximum(np.abs(want), 1e-8)).max())
-
-
 # --- criteria ----------------------------------------------------------------
 
-def test_gradient_oracle(criterion_line, reference_forward):
+def test_gradient_oracle(criterion_line, reference_forward, max_rel_error):
     """Reverse-mode gradients of the reference network, smoothed at the
     surrogate slope, match central differences."""
     t0 = time.perf_counter()
@@ -180,8 +176,8 @@ def test_gradient_oracle(criterion_line, reference_forward):
     _, _, d_or = objective(orr, frame_bits, frame_target, beta, len(bits), 0)
     g_w_in, g_w_out = backward(model, inputs[None], oh, bh, d_or)
     rel = max(
-        _max_rel_error(g_w_in, fd("input_weights")),
-        _max_rel_error(g_w_out, fd("readout_weights")),
+        max_rel_error(g_w_in, fd("input_weights")),
+        max_rel_error(g_w_out, fd("readout_weights")),
     )
     elapsed = time.perf_counter() - t0
     ok = rel <= 1e-4 and elapsed < 10.0

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-import nisaclab.cli as cli_module
+import nisaclab.training as training_module
 import nisaclab.workers as workers_module
 from nisaclab.cli import EVAL_COLUMNS, SWEEP_COLUMNS, TRACE_COLUMNS, TRAIN_LOG_COLUMNS, main
 from nisaclab.dataset import load_dataset
@@ -188,18 +188,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("fails", [False, True], ids=["fits", "error"])
     def test_each_fit_runs_on_one_blas_thread(self, workdir, tmp_path, monkeypatch, fails):
-        # a stand-in for OpenBLAS's thread control, at 3 threads, so a restore cannot pass by resetting
-        threads, seen, real_train = [3], [], cli_module.train
+        # a stand-in for OpenBLAS's thread control, at 3 threads, so a restore cannot pass by resetting;
+        # the spy reads it inside train, once per batch: one batch per fit of the 12 frames
+        threads, seen, real_forward = [3], [], training_module.forward_batch
         monkeypatch.setattr(workers_module, "_openblas_threads",
                             lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
 
-        def fit(*args):
+        def spy(model, inputs):
             seen.append(threads[0])
             if fails:
                 raise FloatingPointError("non-finite loss")
-            return real_train(*args)
+            return real_forward(model, inputs)
 
-        monkeypatch.setattr(cli_module, "train", fit)
+        monkeypatch.setattr(training_module, "forward_batch", spy)
         code = main(["train", "--data", str(workdir["train"]), "--out", str(tmp_path / "m.nism"),
                      "--mode", "ssac", "--alpha", "0.5", "--hidden", "3", "--epochs", "1"])
         assert code == (2 if fails else 0)

@@ -194,10 +194,6 @@ class TestOneDrawForTargetAndBits:
                 assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
 
 
-def _affinity(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 class TestRawWordDraws:
     """The block body reads each frame's target and bits off PCG64's raw words
     and draw_channel its phases: per frame, through generate_dataset, they equal
@@ -255,33 +251,33 @@ class TestForkedGeneration:
     @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
     @pytest.mark.parametrize("L_b", [1, 2, 4])
     @pytest.mark.parametrize("alpha", [None, 0.5], ids=["isac-None", "ssac-0.5"])
-    def test_forked_equals_serial_byte_for_byte(self, monkeypatch, n, L_b, alpha):
+    def test_forked_equals_serial_byte_for_byte(self, affinity, monkeypatch, n, L_b, alpha):
         real_fork, forks = os.fork, []
-        _affinity(monkeypatch, 1)
+        affinity(1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
         serial = generate_dataset(CFG, 80, L_b, n, master_seed=5, alpha=alpha)
-        _affinity(monkeypatch, 3)
+        affinity(3)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         forked = generate_dataset(CFG, 80, L_b, n, master_seed=5, alpha=alpha)
         assert len(forks) == min(3, -(-n // _BLOCK)) - 1
         for name in ("inputs", "bits", "targets"):
             assert getattr(forked, name).tobytes() == getattr(serial, name).tobytes()
 
-    def test_serial_without_fork(self, monkeypatch):
-        _affinity(monkeypatch, 2)
+    def test_serial_without_fork(self, affinity, monkeypatch):
+        affinity(2)
         forked = generate_dataset(CFG, 8, 1, 3 * _BLOCK, master_seed=5)
         monkeypatch.delattr(os, "fork")
         assert generate_dataset(CFG, 8, 1, 3 * _BLOCK, master_seed=5) == forked
 
     @pytest.mark.parametrize("n", [63, 64, 65, 200])
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_streamed_file_equals_the_saved_dataset(self, tmp_path, monkeypatch, n, cpus):
-        _affinity(monkeypatch, cpus)
+    def test_streamed_file_equals_the_saved_dataset(self, affinity, tmp_path, n, cpus):
+        affinity(cpus)
         save_dataset(generate_dataset(CFG, 8, 2, n, master_seed=5, alpha=0.5), tmp_path / "saved.nisd")
         stream_dataset(tmp_path / "streamed.nisd", CFG, 8, 2, n, 5, 0.5)
         assert (tmp_path / "streamed.nisd").read_bytes() == (tmp_path / "saved.nisd").read_bytes()
 
-    def test_a_block_a_child_did_not_send_is_drawn_here(self, monkeypatch, tmp_path):
+    def test_a_block_a_child_did_not_send_is_drawn_here(self, affinity, monkeypatch, tmp_path):
         # the child stops at its first block, so this process draws that block and its later ones
         parent, draw, real_fork, forks = os.getpid(), dataset_module.draw_channel, os.fork, []
 
@@ -290,10 +286,10 @@ class TestForkedGeneration:
                 raise RuntimeError("child fault")
             return draw(cfg, v, rngs)
 
-        _affinity(monkeypatch, 1)
+        affinity(1)
         serial = generate_dataset(CFG, 8, 1, 4 * _BLOCK + 5)
         save_dataset(serial, tmp_path / "serial.nisd")
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(dataset_module, "draw_channel", child_fails)
         assert generate_dataset(CFG, 8, 1, 4 * _BLOCK + 5) == serial
@@ -301,7 +297,7 @@ class TestForkedGeneration:
         assert (tmp_path / "streamed.nisd").read_bytes() == (tmp_path / "serial.nisd").read_bytes()
         assert len(forks) == 2
 
-    def test_a_fault_of_a_childs_block_raises_here_as_itself(self, monkeypatch):
+    def test_a_fault_of_a_childs_block_raises_here_as_itself(self, affinity, monkeypatch):
         # keyed on the rows of block 1, which a child draws first, not on the process
         real_rng, real_fork, forks = dataset_module.example_rng, os.fork, []
 
@@ -310,14 +306,14 @@ class TestForkedGeneration:
                 raise ZeroDivisionError("block 1 fault")
             return real_rng(master_seed, index)
 
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(dataset_module, "example_rng", block_1_fails)
         with pytest.raises(ZeroDivisionError, match="block 1 fault"):
             generate_dataset(CFG, 8, 1, 3 * _BLOCK)
         assert len(forks) == 1
 
-    def test_a_parent_fault_kills_and_reaps_the_children(self, monkeypatch):
+    def test_a_parent_fault_kills_and_reaps_the_children(self, affinity, monkeypatch):
         parent, pids, real_fork = os.getpid(), [], os.fork
 
         def parent_fails(cfg, v, rngs):
@@ -330,7 +326,7 @@ class TestForkedGeneration:
             pids.append(pid)
             return pid
 
-        _affinity(monkeypatch, 3)
+        affinity(3)
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(dataset_module, "draw_channel", parent_fails)
         t0 = time.perf_counter()
@@ -379,16 +375,16 @@ class TestForkedGeneration:
             os.kill(child, signal.SIGKILL)
         assert gone, "a child outlived its killed parent"
 
-    def test_small_set_draws_serially(self, monkeypatch):
+    def test_small_set_draws_serially(self, affinity, monkeypatch):
         monkeypatch.setattr(workers_module, "_FORK_BLOCKS", _FORK_BLOCKS)  # the module's own rule
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a 4-block set"))
         serial = generate_dataset(CFG, 8, 1, 4 * _BLOCK, master_seed=5)
         monkeypatch.delattr(os, "fork")
         assert generate_dataset(CFG, 8, 1, 4 * _BLOCK, master_seed=5) == serial
 
-    def test_checks_run_before_any_fork(self, monkeypatch):
-        _affinity(monkeypatch, 2)
+    def test_checks_run_before_any_fork(self, affinity, monkeypatch):
+        affinity(2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         for kwargs in (dict(n=2 * _BLOCK, master_seed=2**64), dict(n=2**32 + 1),
                        dict(n=2 * _BLOCK, alpha=1.0), dict(n=2 * _BLOCK, L_b=0)):
@@ -592,7 +588,7 @@ class TestMemory:
         assert large <= 0.25 * sum(path.stat().st_size for path in paths)
 
     @pytest.mark.parametrize("blocks_written", [0, 2])
-    def test_a_failing_write_exits_3_and_leaves_nothing(self, monkeypatch, tmp_path, blocks_written):
+    def test_a_failing_write_exits_3_and_leaves_nothing(self, affinity, monkeypatch, tmp_path, blocks_written):
         real_open, real_fork, forks = open, os.fork, []
 
         def full_disk_open(*args, **kwargs):
@@ -609,7 +605,7 @@ class TestMemory:
             return fh
 
         monkeypatch.setattr(workers_module, "_FORK_BLOCKS", 1)
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(dataset_module, "open", full_disk_open, raising=False)
         out = tmp_path / "out"

@@ -237,7 +237,7 @@ class TestBlockedEvaluation:
         return isac, ssac
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, affinity):
         seen = []
 
         def spy(model, inputs):
@@ -247,7 +247,7 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(metrics_module, "_BLOCK", 7)
         monkeypatch.setattr(metrics_module, "forward_batch", spy)
         # the spy sees only this process's calls, so this process scores every block
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        affinity(1)
         return seen
 
     @staticmethod
@@ -309,10 +309,6 @@ class TestEvaluationMemory:
         assert whole <= 1.1 * part
 
 
-def _affinity(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _head(ds, n):
     return Dataset(ds.records[:n], ds.snr_db, ds.master_seed)
 
@@ -340,19 +336,9 @@ class TestForkedEvaluation:
         rng = np.random.default_rng(4)
         return isac, ssac, [init_model(10, 1, rng) for _ in range(3)]
 
-    @pytest.fixture
-    def blas_threads(self):
-        """The OpenBLAS thread count, set to 3 for the test (not the default, so
-        a restore cannot pass by resetting it) and put back after."""
-        get, set_threads = workers_module._openblas_threads()
-        old = get()
-        set_threads(3)
-        yield get
-        set_threads(old)
-
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_forked_equals_serial_bit_for_bit(self, monkeypatch, sets, blas_threads, n, cpus):
+    def test_forked_equals_serial_bit_for_bit(self, affinity, monkeypatch, sets, blas_threads, n, cpus):
         isac, ssac, (model, comm, sense) = sets
         isac, ssac = _head(isac, n), _head(ssac, n)
         real_fork, forks, seen = os.fork, [], set()
@@ -362,12 +348,12 @@ class TestForkedEvaluation:
             return forward_batch(model, inputs)
 
         monkeypatch.setattr(metrics_module, "forward_batch", spy)
-        _affinity(monkeypatch, 1)
+        affinity(1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
         serial = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
         assert seen == {1}  # serial evaluation runs one BLAS thread too
         seen.clear()
-        _affinity(monkeypatch, cpus)
+        affinity(cpus)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         forked = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
         blocks = -(-n // 256)
@@ -376,7 +362,7 @@ class TestForkedEvaluation:
         assert [_bits(r) for r in forked] == [_bits(r) for r in serial]
         assert blas_threads() == 3
 
-    def test_a_child_runs_one_blas_thread(self, monkeypatch, sets, blas_threads):
+    def test_a_child_runs_one_blas_thread(self, affinity, monkeypatch, sets, blas_threads):
         isac, _, (model, _, _) = sets
 
         def one_thread_only(model, inputs):
@@ -384,11 +370,11 @@ class TestForkedEvaluation:
                 raise AssertionError(f"{blas_threads()} BLAS threads in process {os.getpid()}")
             return forward_batch(model, inputs)
 
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(metrics_module, "forward_batch", one_thread_only)
         assert _bits(evaluate(model, isac)) == _bits(evaluate(model, isac))  # no child raised
 
-    def test_a_block_a_child_did_not_send_is_scored_here(self, monkeypatch, sets, blas_threads):
+    def test_a_block_a_child_did_not_send_is_scored_here(self, affinity, monkeypatch, sets, blas_threads):
         isac, _, (model, _, _) = sets
         parent = os.getpid()
         serial = _bits(evaluate(model, isac))
@@ -398,12 +384,12 @@ class TestForkedEvaluation:
                 raise RuntimeError("child fault")
             return forward_batch(model, inputs)
 
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(metrics_module, "forward_batch", child_fails)
         assert _bits(evaluate(model, isac)) == serial
         assert blas_threads() == 3
 
-    def test_a_fault_of_a_childs_block_raises_here_as_itself(self, monkeypatch, sets, blas_threads):
+    def test_a_fault_of_a_childs_block_raises_here_as_itself(self, affinity, monkeypatch, sets, blas_threads):
         # keyed on the rows of the last block, which a child scores first, not on the process
         isac, _, (model, _, _) = sets
 
@@ -412,13 +398,13 @@ class TestForkedEvaluation:
                 raise ZeroDivisionError("last block fault")
             return forward_batch(model, inputs)
 
-        _affinity(monkeypatch, 2)
+        affinity(2)
         monkeypatch.setattr(metrics_module, "forward_batch", last_block_fails)
         with pytest.raises(ZeroDivisionError, match="last block fault"):
             evaluate(model, isac)
         assert blas_threads() == 3
 
-    def test_a_parent_fault_kills_and_reaps_the_children(self, monkeypatch, sets, blas_threads):
+    def test_a_parent_fault_kills_and_reaps_the_children(self, affinity, monkeypatch, sets, blas_threads):
         _, ssac, (_, comm, sense) = sets
         parent, pids, real_fork = os.getpid(), [], os.fork
 
@@ -432,7 +418,7 @@ class TestForkedEvaluation:
             pids.append(pid)
             return pid
 
-        _affinity(monkeypatch, 3)
+        affinity(3)
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(metrics_module, "forward_batch", parent_fails)
         t0 = time.perf_counter()
@@ -445,9 +431,9 @@ class TestForkedEvaluation:
                 os.waitpid(pid, os.WNOHANG)
         assert blas_threads() == 3
 
-    def test_serial_without_openblas_thread_control(self, monkeypatch, sets):
+    def test_serial_without_openblas_thread_control(self, affinity, monkeypatch, sets):
         isac, ssac, (model, comm, sense) = sets
-        _affinity(monkeypatch, 2)
+        affinity(2)
         forked = evaluate(model, isac), evaluate_ssac(comm, sense, ssac, alpha=0.5)
         real_fork, forks = os.fork, []
         monkeypatch.setattr(workers_module, "_openblas_threads", lambda: None)

@@ -1,5 +1,6 @@
 """Loss arithmetic, gradient correctness against finite differences, SGD."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -200,13 +201,10 @@ def _fd_gradients(reference, model, inputs, bits, targets, beta, n_data=None, se
     return fd_matrix("input_weights"), fd_matrix("readout_weights")
 
 
-def _max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
-    return float((np.abs(got - want) / np.maximum(np.abs(want), 1e-8)).max())
-
-
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_backward_matches_finite_differences(self, seed, neuron_constants, reference_forward):
+    def test_backward_matches_finite_differences(self, seed, neuron_constants, reference_forward,
+                                                 max_rel_error):
         neuron_constants(tau_mem=10.0, tau_syn=5.0, tau_ref=5.0)
         rng = np.random.default_rng(seed)
         model = init_model(2, 1, rng)
@@ -216,7 +214,7 @@ class TestGradients:
         got = _gradients(reference_forward, model, inputs, bits, targets, beta)
         want = _fd_gradients(reference_forward, model, inputs, bits, targets, beta)
         for g, w in zip(got, want):
-            assert _max_rel_error(g, w) <= 1e-4
+            assert max_rel_error(g, w) <= 1e-4
 
     # the patched constants hold for every example, so the function-scoped
     # fixture is safe to share
@@ -403,6 +401,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             TrainConfig(beta=0.5, **{name: value})
 
+    # a count that is not an integer fails here, not later in train's range()
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", 2.0), ("batch_size", np.float64(4.0)), ("batch_size", "32"),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(TypeError):
+            TrainConfig(beta=0.5, **{name: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = TrainConfig(beta=0.5, epochs=np.int64(2), batch_size=np.uint8(4))
+        assert (type(cfg.epochs), type(cfg.batch_size)) == (int, int)
+        assert (cfg.epochs, cfg.batch_size) == (2, 4)
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
@@ -485,6 +496,27 @@ class TestTrain:
         scored = evaluate_ssac(model, model, ds, 0.5)
         assert logged.detection_error == scored.detection_error
         assert logged.throughput == pytest.approx(scored.throughput, rel=1e-12)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["fits", "error"])
+    def test_every_batch_runs_on_one_blas_thread(self, tiny_dataset, monkeypatch, blas_threads, fails):
+        # blas_threads starts at 3, so a restore cannot pass by resetting; 48 frames are 2 batches an
+        # epoch, and the failing fit raises in its second epoch
+        import nisaclab.training as training_module
+
+        seen, real_forward = [], training_module.forward_batch
+
+        def spy(model, inputs):
+            seen.append(blas_threads())
+            if fails and len(seen) == 3:
+                raise FloatingPointError("non-finite loss")
+            return real_forward(model, inputs)
+
+        monkeypatch.setattr(training_module, "forward_batch", spy)
+        model = init_model(4, 1, np.random.default_rng(7))
+        with pytest.raises(FloatingPointError) if fails else contextlib.nullcontext():
+            train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=2, seed=0))
+        assert seen == [1] * (3 if fails else 4)
+        assert blas_threads() == 3
 
     def test_empty_dataset_rejected(self, tiny_dataset):
         model = init_model(4, 1, np.random.default_rng(5))
