@@ -119,12 +119,10 @@ def _train_config(args, beta: float) -> TrainConfig:
 
 def _train_on(dataset: Dataset, args, alpha: float | None, beta: float | None) -> dict:
     """Fit each network of the receiver; returns {name: (model, history)}."""
+    cfgs = {name: _train_config(args, net_beta) for name, net_beta in _networks(alpha, beta).items()}
     rng = np.random.default_rng(args.seed)  # read only by init_model
-    fits = {}
-    for name, net_beta in _networks(alpha, beta).items():
-        cfg = _train_config(args, net_beta)
-        fits[name] = train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
-    return fits
+    return {name: train(init_model(args.hidden, dataset.L_b, rng), dataset, cfg, alpha)
+            for name, cfg in cfgs.items()}
 
 
 def _score(models: dict, dataset: Dataset, alpha: float | None):
@@ -268,6 +266,8 @@ def cmd_trace(args) -> int:
         raise ValueError("--frame-slots and --idle-slots must be non-negative")
     if args.frame_slots == args.idle_slots == 0:
         raise ValueError("--frame-slots and --idle-slots are both 0: the trace has no slot")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed {args.seed} does not fit an unsigned 64-bit integer")
     _distinct_outputs(args, [("--out", args.out)], [("--model", args.model)])
     model = load_model(args.model)
     L_b = _lb_of(model, "model")

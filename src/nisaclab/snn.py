@@ -24,9 +24,10 @@ The q/r pair is linear, so it is computed as a filter, not stepped: unrolled,
 r_t = sum_{m<=t} k(t-m) * drive_m with the impulse response
 k(n) = sum_{j=0..n} a_syn^j * a_mem^(n-j), i.e. r = K @ drive for the
 lower-triangular Toeplitz kernel K[t, m] = k(t-m).  K is applied in blocks of
-_BLOCK steps, so a long frame never builds an (L x L) kernel.  Eliminating q
-gives r_t = (a_syn + a_mem) r_{t-1} - a_syn a_mem r_{t-2} + drive_t, so a
-block at t0 > 0 starts from rest once its first drive gains
+_BLOCK steps, so a long frame never builds an (L x L) kernel, or of
+_SHORT_BLOCK steps, a quarter of the flops, on _WIDE columns or more.
+Eliminating q gives r_t = (a_syn + a_mem) r_{t-1} - a_syn a_mem r_{t-2} +
+drive_t, so a block at t0 > 0 starts from rest once its first drive gains
 (a_syn + a_mem) r_{t0-1} - a_syn a_mem r_{t0-2} and its second loses
 a_syn a_mem r_{t0-1}, the last two outputs of the block before.  Only the
 hidden refractory/spike recursion, which is nonlinear, is stepped.  The
@@ -71,6 +72,12 @@ _STORED_CONSTANTS = ("hidden_threshold", "readout_threshold", "tau_mem", "tau_sy
 # Steps per synaptic-kernel block: an 80-slot frame is one block, and a long
 # B=1 trace multiplies (80 x 80) blocks instead of one (L x L) kernel.
 _BLOCK = 80
+# From _WIDE columns (evaluation's 256-frame blocks) a filter runs blocks of
+# _SHORT_BLOCK steps: 80 steps on one BLAS thread took 393 against 1014 us at
+# 2,560 columns, 105 against 184 at 512 and 76 against 116 at 320 (2-core
+# Xeon).  Training's 320 and 64 columns (B=32, H=10) keep _BLOCK, and its bytes.
+_WIDE = 512
+_SHORT_BLOCK = 16
 # Values per call in a chunked spike-loop step: its five calls cost twice
 # their overhead at ~600 values (3.0 us at 10, 6.3 us at 640; 2-core Xeon).
 _STEP_WIDTH = 512
@@ -196,8 +203,9 @@ def _synapse_filter(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
     K = _synapse_kernel(a_syn, a_mem)
     L = x.shape[0]
     flat = x.reshape(L, math.prod(x.shape[1:]))  # a view: x is contiguous
-    for t0 in range(0, L, _BLOCK):
-        block = flat[t0 : t0 + _BLOCK]
+    step = _SHORT_BLOCK if flat.shape[1] >= _WIDE else _BLOCK
+    for t0 in range(0, L, step):
+        block = flat[t0 : t0 + step]
         if t0:
             block[0] += (a_syn + a_mem) * flat[t0 - 1] - a_syn * a_mem * flat[t0 - 2]
             block[1:2] -= a_syn * a_mem * flat[t0 - 1]  # empty for a one-step block

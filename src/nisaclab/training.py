@@ -53,7 +53,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        self.epochs, self.batch_size = operator.index(self.epochs), operator.index(self.batch_size)
+        self.epochs, self.batch_size, self.seed = map(operator.index, (self.epochs, self.batch_size, self.seed))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} does not fit an unsigned 64-bit integer")
         for name in ("learning_rate", "epochs", "batch_size"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too

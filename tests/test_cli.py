@@ -781,6 +781,14 @@ class TestConfigFile:
                      "--out-train", "a", "--out-test", "b"]) == 3
 
 
+SEED_CASES = [
+    pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", "--seed=-1"], id="command19"),
+    pytest.param(["train", "--data", "{train}", "--out", "{root}/m.nism", f"--seed={2**64}"], id="command20"),
+    pytest.param(["trace", "--model", "{model}", "--out", "{root}/t.csv", "--seed=-1"], id="command21"),
+    pytest.param(["trace", "--model", "{model}", "--out", "{root}/t.csv", f"--seed={2**64}"], id="command22"),
+]
+
+
 class TestOutOfRangeValues:
     # each case carries its id, so adding or removing a case renames no other
     @pytest.mark.parametrize("command", [
@@ -818,6 +826,8 @@ class TestOutOfRangeValues:
         pytest.param(["sweep", "--param", "beta", "--values", "0.5", "--n-train", "12", "--n-test", "6",
                       "--L", "8", "--hidden", "4", "--epochs", "2", "--lr", "1.7e308", "--out", "{root}/s.csv"],
                      id="command18"),
+        # seeds outside an unsigned 64-bit integer
+        *SEED_CASES,
     ])
     def test_exit_2_without_traceback(self, workdir, tmp_path, capsys, command):
         paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],
@@ -826,6 +836,16 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", SEED_CASES)
+    def test_bad_seed_is_named_and_nothing_is_written(self, workdir, tmp_path, capsys, command):
+        paths = {"root": tmp_path, "train": workdir["train"], "test": workdir["test"],
+                 "model": workdir["model"]}
+        assert main([arg.format(**paths) for arg in command]) == 2
+        seed = command[-1].removeprefix("--seed=")
+        flag = "--seed" if command[0] == "trace" else "seed"
+        assert capsys.readouterr().err == f"error: {flag} {seed} does not fit an unsigned 64-bit integer\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_diverging_train_prints_one_line(self, workdir, tmp_path, capsys):
         # numpy warns when it overflows; the run must print only its error line

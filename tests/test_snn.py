@@ -20,11 +20,14 @@ from nisaclab.errors import (
 )
 from nisaclab.snn import (
     _BLOCK,
+    _SHORT_BLOCK,
+    _WIDE,
     COMM,
     SENSE,
     ForwardTrace,
     SnnModel,
     _synapse_filter,
+    _synapse_kernel,
     forward,
     forward_batch,
     init_model,
@@ -323,6 +326,67 @@ class TestForwardBatch:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             forward_batch(_random_model(0), np.zeros((2, 3, 6)))
+
+
+def _filter_in_80_step_blocks(x: np.ndarray, a_syn: float, a_mem: float) -> np.ndarray:
+    """The synapse filter as one (80 x 80) kernel matmul per 80 steps, on a
+    copy of x (L, ...): the form narrow calls must keep bit for bit."""
+    K, flat = _synapse_kernel(a_syn, a_mem), x.reshape(len(x), -1).copy()
+    for t0 in range(0, len(flat), 80):
+        block = flat[t0 : t0 + 80]
+        if t0:
+            block[0] += (a_syn + a_mem) * flat[t0 - 1] - a_syn * a_mem * flat[t0 - 2]
+            block[1:2] -= a_syn * a_mem * flat[t0 - 1]
+        block[...] = K[: len(block), : len(block)] @ block
+    return flat.reshape(x.shape)
+
+
+class TestSynapseFilterWidth:
+    """Calls of _WIDE columns or more filter in _SHORT_BLOCK-step blocks;
+    narrower calls keep one 80-step kernel matmul per block."""
+
+    @pytest.mark.parametrize("L", [
+        _SHORT_BLOCK - 3,          # shorter than one short block
+        3 * _SHORT_BLOCK,          # whole short blocks
+        2 * _SHORT_BLOCK + 5,      # a partial last block
+        _BLOCK + 7,                # past an 80-step block, too
+        2 * _BLOCK + _SHORT_BLOCK + 1,  # a last block of one step
+    ])
+    def test_wide_call_matches_column_by_column(self, L, neuron_constants):
+        # slow constants, so the carries between blocks matter for many steps
+        neuron_constants(tau_mem=20.0, tau_syn=10.0, tau_ref=5.0)
+        a_syn, a_mem, _ = _random_model(0).decays()
+        x = np.random.default_rng(L).standard_normal((L, _WIDE // 4, 4))
+        columns = [_synapse_filter(x[:, b, h, None].copy(), a_syn, a_mem) for b in range(_WIDE // 4)
+                   for h in range(4)]
+        want = np.stack(columns, axis=1).reshape(x.shape)
+        got = _synapse_filter(x.copy(), a_syn, a_mem)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_wide_batch_matches_per_frame_forward(self):
+        # 256 frames of H=4: 1,024 hidden and 512 readout columns, both wide
+        B, H = 256, 4
+        assert 2 * B >= _WIDE
+        m = _random_model(3, h=H)
+        inputs = np.random.default_rng(4).standard_normal((B, 80, 4)) * 3
+        batch = forward_batch(m, inputs)
+        for i in range(B):
+            trace = forward(m, inputs[i])
+            for k, (got, b1) in enumerate(zip(batch, (trace.hidden_potentials, trace.hidden_spikes,
+                                                      trace.readout_potentials, trace.readout_spikes))):
+                if k % 2:
+                    assert np.array_equal(got[i], b1)
+                else:
+                    assert np.abs(got[i] - b1).max() <= 1e-12
+        assert batch[1].any() and batch[3].any()
+
+    # a training batch's hidden and readout drives (B=32, H=10), and a B=1 trace
+    @pytest.mark.parametrize("shape", [(80, 32, 10), (80, 32, 2), (4000, 1, 10), (4000, 1, 2)])
+    def test_narrow_call_bit_equal_to_80_step_blocks(self, shape):
+        assert math.prod(shape[1:]) < _WIDE
+        a_syn, a_mem, _ = _random_model(0).decays()
+        x = np.random.default_rng(shape[0]).standard_normal(shape)
+        _assert_bit_equal([_synapse_filter(x.copy(), a_syn, a_mem)], [_filter_in_80_step_blocks(x, a_syn, a_mem)])
 
 
 class TestTimeChunks:

@@ -409,6 +409,16 @@ class TestTrainConfig:
         with pytest.raises(TypeError):
             TrainConfig(beta=0.5, **{name: value})
 
+    # default_rng would refuse -1 and 2.5 only once training starts, and takes 2**64
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2**64, ValueError), (2.5, TypeError)])
+    def test_seed_must_fit_an_unsigned_64_bit_integer(self, seed, error):
+        with pytest.raises(error, match=None if error is TypeError else f"seed {seed} does not fit"):
+            TrainConfig(beta=0.5, seed=seed)
+
+    def test_numpy_integer_seed_becomes_an_int(self):
+        cfg = TrainConfig(beta=0.5, seed=np.uint64(2**64 - 1))
+        assert type(cfg.seed) is int and cfg.seed == 2**64 - 1
+
     def test_numpy_integer_counts_become_ints(self):
         cfg = TrainConfig(beta=0.5, epochs=np.int64(2), batch_size=np.uint8(4))
         assert (type(cfg.epochs), type(cfg.batch_size)) == (int, int)
