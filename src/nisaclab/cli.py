@@ -29,7 +29,7 @@ from .errors import FileFormatError
 from .fileio import staged_path
 from .metrics import evaluate, evaluate_ssac
 from .modem import ppm_modulate, slot_split
-from .snn import SnnModel, forward, init_model, load_model, save_model, spike_count
+from .snn import SnnModel, forward, init_model, load_model, save_model
 from .training import TrainConfig, train
 
 TRAIN_LOG_COLUMNS = [
@@ -293,8 +293,8 @@ def cmd_trace(args) -> int:
     taps = draw_channel(cfg, 1, rng)  # the target is present
     samples = apply_channel(np.concatenate(chips), taps, noise_var, rng)
     trace = forward(model, frame_received(samples, L_b, noise_var).slot_inputs)
-    counts = spike_count(trace)
-    rows = [[slot, seg, c, args.seed] for slot, (seg, c) in enumerate(zip(segments, counts.tolist()))]
+    counts = trace.hidden_spikes.sum(axis=1) + trace.readout_spikes.sum(axis=1)
+    rows = [[slot, seg, int(c), args.seed] for slot, (seg, c) in enumerate(zip(segments, counts))]
     _write_csv(args.out, TRACE_COLUMNS, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0

@@ -47,16 +47,17 @@ _HEADER = struct.Struct("<4sIIIIdQ")  # magic, version, n, L, L_b, snr_db, maste
 _BLOCK = 64
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Dataset:
-    """In-memory dataset: the NISD file's records and the header fields they do not hold."""
+    """In-memory dataset, frozen once valid: the NISD file's records and the header fields they do not hold."""
 
     records: np.ndarray  # (n,) of _payload_dtype(L, L_b): target v, (L,) bits, (L, 4*L_b) inputs
     snr_db: float
     master_seed: int
 
     def __post_init__(self):
-        self.master_seed, records = operator.index(self.master_seed), self.records
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        records = self.records
         # the inputs field's (L, 4*L_b) shape gives the counts, which fix the whole record dtype
         if not (isinstance(records, np.ndarray) and records.ndim == 1
                 and records.dtype.names == ("v", "bits", "inputs") and records.dtype["inputs"].ndim == 2

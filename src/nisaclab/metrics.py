@@ -49,8 +49,6 @@ def _frame_counts(models, dataset, alpha: float | None):
     """score_frames of each model over the dataset, one block at a time, on the slots slot_split(alpha)
     gives: (n, models) correct counts and detections, and each model's total spike count."""
     n = dataset.example_count
-    if n == 0:
-        raise ValueError("dataset is empty")
     n_data, sense_start = slot_split(alpha, dataset.slot_count)
     blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
     correct = np.empty((n, len(models)), dtype=np.int64)

@@ -83,14 +83,6 @@ _SHORT_BLOCK = 16
 _STEP_WIDTH = 512
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # never overflows; exp(-x) for x >= 0, exp(x) below
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
 @dataclass
 class SnnModel:
     """All trainable weights; the thresholds and time constants are fixed.
@@ -269,11 +261,6 @@ def forward_batch(model: SnnModel, inputs: np.ndarray):
     orr = _synapse_filter(rdrive, a_syn, a_mem)
     br = (orr > 0).astype(np.float64)
     return tuple(a.transpose(1, 0, 2) for a in (oh, bh, orr, br))
-
-
-def spike_count(trace: ForwardTrace) -> np.ndarray:
-    """Total spikes (hidden + readout) emitted at each step."""
-    return (trace.hidden_spikes.sum(axis=1) + trace.readout_spikes.sum(axis=1)).astype(np.int64)
 
 
 def save_model(model: SnnModel, path) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .metrics import score_frames
 from .modem import slot_split
-from .snn import COMM, SENSE, SnnModel, _synapse_filter, forward_batch, sigmoid
+from .snn import COMM, SENSE, SnnModel, _synapse_filter, forward_batch
 from .workers import _one_blas_thread
 
 # Clamp keeps the logs finite; inert until |potential| exceeds log(1/eps) ~ 32.
@@ -74,14 +74,17 @@ class EpochStats:
     detection_error: float
 
 
-def _binary_cross_entropy(o: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Cross entropy of sigmoid(o) against labels, from the potential, as
-    log(1 + exp(-|o|)) + (max(o, 0) - labels*o).  Taking the logs of p itself
-    loses the digits of 1 - p as p nears 1; the bracket is exact for 0/1
-    labels.  Clamping o to +-logit(1 - PROB_EPS) is clamping p to
-    [PROB_EPS, 1 - PROB_EPS]."""
+def _cross_entropy(o: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed cross entropy of sigmoid(o) against labels, and sigmoid(o) - labels,
+    from one exp: with e = exp(-|o|), the loss is log(1 + e) + (max(o, 0) -
+    labels*o), and sigmoid(o) is 1/(1 + e) for o >= 0, e/(1 + e) below.  Taking
+    the logs of p itself loses the digits of 1 - p as p nears 1; the bracket is
+    exact for 0/1 labels.  Clamping o to +-logit(1 - PROB_EPS) is clamping p to
+    [PROB_EPS, 1 - PROB_EPS], in the loss and in its derivative alike."""
     o = np.clip(o, -_LOGIT_CLAMP, _LOGIT_CLAMP)
-    return np.log1p(np.exp(-np.abs(o))) + (np.maximum(o, 0.0) - labels * o)
+    e = np.exp(-np.abs(o))  # never overflows
+    loss = float((np.log1p(e) + (np.maximum(o, 0.0) - labels * o)).sum())
+    return loss, np.where(o >= 0, 1.0, e) / (1.0 + e) - labels
 
 
 def _spike_slope(potentials: np.ndarray, threshold: float, slope: float) -> np.ndarray:
@@ -176,15 +179,11 @@ def objective(
             f"bits {bits.shape} and targets {targets.shape} do not fit "
             f"readout potentials {readout_potentials.shape}"
         )
-    o_comm, data_bits = readout_potentials[:, :n_data, COMM], bits[:, :n_data]
-    o_sense, labels = readout_potentials[:, sense_start:, SENSE], targets[:, None]
-    lc = float(_binary_cross_entropy(o_comm, data_bits).sum())
-    ls = float(_binary_cross_entropy(o_sense, labels).sum())
-    p = sigmoid(readout_potentials)
-    p_comm, p_sense = p[:, :n_data, COMM], p[:, sense_start:, SENSE]
-    d = np.zeros_like(p)
-    d[:, :n_data, COMM] = beta * (p_comm - data_bits)
-    d[:, sense_start:, SENSE] = (1.0 - beta) * (p_sense - labels)
+    lc, d_comm = _cross_entropy(readout_potentials[:, :n_data, COMM], bits[:, :n_data])
+    ls, d_sense = _cross_entropy(readout_potentials[:, sense_start:, SENSE], targets[:, None])
+    d = np.zeros_like(readout_potentials, dtype=np.float64)
+    d[:, :n_data, COMM] = beta * d_comm
+    d[:, sense_start:, SENSE] = (1.0 - beta) * d_sense
     return lc, ls, d
 
 
@@ -207,8 +206,6 @@ def train(model: SnnModel, dataset, cfg: TrainConfig, alpha: float | None = None
     (cfg.seed, dataset, cfg): the only randomness is the per-epoch shuffle.
     """
     n = dataset.example_count
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
     L = dataset.slot_count
     n_data, sense_start = slot_split(alpha, L)
 

@@ -1,12 +1,12 @@
 """Shared test fixtures: acceptance-line recording for the terminal summary,
-the step-by-step reference network every engine oracle checks against,
-channel taps rebuilt from numpy's own draws, the throughput that evaluation
-scores for hand-built decode spikes, datasets built from zeroed NISD records,
-hand-checkable neuron constants, the largest relative error of a gradient,
-a stand-in CPU count, OpenBLAS's thread count set for a test, the traced
-memory peak of a call and its resident-set growth, a file loaded through a
-named pipe, and checks that no test leaves a child process behind or
-OpenBLAS's thread count changed."""
+the step-by-step reference network every engine oracle checks against, the
+reference logistic, channel taps rebuilt from numpy's own draws, the
+throughput that evaluation scores for hand-built decode spikes, datasets built
+from zeroed NISD records, hand-checkable neuron constants, the largest
+relative error of a gradient, a stand-in CPU count, OpenBLAS's thread count
+set for a test, the traced memory peak of a call and its resident-set growth,
+a file loaded through a named pipe, and checks that no test leaves a child
+process behind or OpenBLAS's thread count changed."""
 
 import ctypes
 import math
@@ -107,6 +107,26 @@ def _reference_forward(model: SnnModel, frame: np.ndarray, slope: float | None):
             state[k] = [q, r, s, b]
             potentials[k][l], spikes[k][l] = o, b
     return potentials[0], spikes[0], potentials[1], spikes[1]
+
+
+def _sigmoid_by_masks(x):
+    """Reference logistic: boolean masks, one exp per branch."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.fixture(scope="session")
+def sigmoid_by_masks():
+    """sigmoid_by_masks(x): the reference logistic of an array, 1/(1 + exp(-x))
+    where x >= 0 and exp(x)/(1 + exp(x)) elsewhere (NaN included), that the
+    gradient oracle, the readout-probability checks and objective's derivative
+    are checked against.  Session scope: hypothesis tests may use it."""
+    return _sigmoid_by_masks
 
 
 @pytest.fixture(scope="session")

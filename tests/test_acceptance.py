@@ -38,7 +38,6 @@ from nisaclab.snn import (
     init_model,
     load_model,
     save_model,
-    spike_count,
 )
 from nisaclab.training import TrainConfig, backward, objective, train
 
@@ -412,7 +411,8 @@ def test_idle_frame_sparsity(criterion_line, wide_beta_models):
             ])
             taps = draw_channel(CFG, target, rng)
             samples = apply_channel(chips, taps, noise_var, rng)
-            counts = spike_count(forward(model, frame_received(samples, 1, noise_var).slot_inputs))
+            trace = forward(model, frame_received(samples, 1, noise_var).slot_inputs)
+            counts = trace.hidden_spikes.sum(axis=1) + trace.readout_spikes.sum(axis=1)  # per slot
             idle_sum += int(counts[L:L + idle_gap].sum())
             active_sum += int(counts[:L].sum() + counts[L + idle_gap:].sum())
             idle_n += idle_gap

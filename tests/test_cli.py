@@ -14,7 +14,7 @@ import nisaclab.training as training_module
 import nisaclab.workers as workers_module
 from nisaclab.cli import EVAL_COLUMNS, SWEEP_COLUMNS, TRACE_COLUMNS, TRAIN_LOG_COLUMNS, main
 from nisaclab.dataset import load_dataset
-from nisaclab.snn import SnnModel, load_model, save_model
+from nisaclab.snn import SnnModel, forward, init_model, load_model, save_model
 
 
 def _read_csv(path):
@@ -646,6 +646,19 @@ class TestTrace:
         assert [r[1] for r in rows] == ["active1"] * 5 + ["idle"] * 3 + ["active2"] * 5
         assert all(r[2] == "0" for r in rows)  # zero weights never spike
         assert all(r[3] == "9" for r in rows)
+
+    def test_counts_sum_both_layers(self, monkeypatch, tmp_path):
+        # a random model spikes; each row counts the hidden and readout spikes of its step
+        model, traces = init_model(6, 1, np.random.default_rng(15)), []
+        save_model(model, tmp_path / "m.nism")
+        monkeypatch.setattr("nisaclab.cli.forward", lambda m, frame: traces.append(forward(m, frame)) or traces[0])
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--model", str(tmp_path / "m.nism"), "--frame-slots", "10",
+                     "--idle-slots", "4", "--out", str(out)]) == 0
+        (trace,) = traces
+        want = trace.hidden_spikes.sum(1).astype(int) + trace.readout_spikes.sum(1).astype(int)
+        assert [r[2] for r in _read_csv(out)[1]] == [str(c) for c in want]
+        assert trace.readout_spikes.any() and want.max() > 1 and (want <= 6 + 2).all()
 
     def test_zero_idle_slots(self, silent_model_path, tmp_path):
         out = tmp_path / "trace.csv"

@@ -1,6 +1,7 @@
 """Frame generation determinism and the binary dataset format."""
 
 import copy
+import dataclasses
 import hashlib
 import os
 import select
@@ -681,6 +682,15 @@ class TestDatasetValidation:
     def test_rejects_seed_outside_64_bits(self, nisd_dataset, master_seed):
         with pytest.raises(ValueError, match="master_seed"):
             nisd_dataset(1, 2, master_seed=master_seed)
+
+    @pytest.mark.parametrize("field", ["records", "snr_db", "master_seed"])
+    def test_frozen_once_valid(self, nisd_dataset, field):
+        # train and evaluation take a dataset's validity for granted: an empty one cannot be built
+        ds = nisd_dataset(2, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, field, getattr(ds, field))
+        with pytest.raises(ValueError, match="n >= 1"):
+            dataclasses.replace(ds, records=ds.records[:0])
 
     def test_equality_compares_values_and_record_dtypes(self, nisd_dataset):
         zeros, minus_zeros = nisd_dataset(2, 3), nisd_dataset(2, 3, inputs=-0.0)

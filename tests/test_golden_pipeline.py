@@ -6,17 +6,27 @@ here.  The test sets hold more than 1000 frames, so evaluation spans two
 blocks.
 
 Like the dataset pins in test_dataset.py, these digests hold for the numpy
-and BLAS build they were computed with.  A change that alters the arithmetic
-on purpose updates them and says why; a change that claims identical outputs
-leaves them alone."""
+and BLAS build they were computed with, on the CPU kernels they dispatch to
+here (numpy's AVX-512 loops, OpenBLAS's SkylakeX kernels).  Under AVX2
+kernels only the trained models and the training logs that print their
+losses move; a second run in a child process under that dispatch holds every
+other pin.  A change that alters the arithmetic on purpose updates them and
+says why; a change that claims identical outputs leaves them alone."""
 
 import contextlib
+import ctypes
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import nisaclab
 from nisaclab.cli import main
 
 
@@ -49,10 +59,8 @@ def _pipeline():
     ]
 
 
-@pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    """{output file or 'stdout: <command>': SHA-256} of one pipeline run."""
-    root = tmp_path_factory.mktemp("golden")
+def _digests(root):
+    """{output file or 'stdout: <command>': SHA-256} of one pipeline run in the directory root."""
     out = {}
     cwd = os.getcwd()
     os.chdir(root)  # relative paths keep the printed file names fixed
@@ -67,6 +75,11 @@ def digests(tmp_path_factory):
     for path in sorted(root.iterdir()):
         out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return _digests(tmp_path_factory.mktemp("golden"))
 
 
 GOLDEN = {
@@ -163,3 +176,47 @@ GOLDEN = {
 
 def test_pipeline_outputs_match_pins(digests):
     assert digests == GOLDEN
+
+
+# AVX2 kernels in place of numpy's AVX-512 loops and OpenBLAS's SkylakeX kernels
+OTHER_DISPATCH = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _openblas_core():
+    """The name of the kernel set OpenBLAS runs, or None where it cannot be read."""
+    try:  # the handle of numpy's extension module finds its dependencies' symbols too
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _can_dispatch_avx2():
+    """The CPU runs AVX2 and FMA3, and numpy dispatches the features OTHER_DISPATCH switches off."""
+    umath = np._core._multiarray_umath
+    return (umath.__cpu_features__.get("AVX2", False) and umath.__cpu_features__.get("FMA3", False)
+            and set(OTHER_DISPATCH["NPY_DISABLE_CPU_FEATURES"].split()) <= set(umath.__cpu_dispatch__))
+
+
+@pytest.mark.skipif(_openblas_core() is None or not _can_dispatch_avx2(),
+                    reason="needs OpenBLAS's kernel name, AVX2 and FMA3, and numpy's AVX-512 dispatch")
+def test_pipeline_outputs_hold_under_another_cpu_dispatch(tmp_path):
+    script = (
+        "import json, pathlib, sys\n"
+        "import numpy as np\n"
+        "from test_golden_pipeline import _digests, _openblas_core\n"
+        "features = np._core._multiarray_umath.__cpu_features__\n"
+        "print(json.dumps([_openblas_core(), features.get('X86_V4', False), _digests(pathlib.Path(sys.argv[1]))]))\n"
+    )
+    paths = [str(Path(nisaclab.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, **OTHER_DISPATCH, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    core, x86_v4, got = json.loads(run.stdout)
+    assert core == "Haswell" and not x86_v4  # the dispatch did change
+    # the six models and the four training logs move with the kernels; the other 34 pins hold
+    want = {k: v for k, v in GOLDEN.items() if not k.endswith((".nism", ".log.csv"))}
+    assert len(want) == 34
+    assert {k: got[k] for k in want} == want

@@ -1,8 +1,10 @@
 """Throughput, majority-rule detection, and whole-system evaluation."""
 
+import ctypes
 import dataclasses
 import os
 import time
+import types
 
 import numpy as np
 import pytest
@@ -202,13 +204,13 @@ class TestModelEvaluation:
         assert res.detection_error == says_zero
 
     def test_empty_dataset_rejected(self, isac_data):
-        # Dataset refuses to build an empty set, so empty a copy in place
-        empty = dataclasses.replace(isac_data)
-        empty.records = isac_data.records[:0]
-        with pytest.raises(ValueError):
-            evaluate(_silent_model(), empty)
-        with pytest.raises(ValueError):
-            evaluate_ssac(_silent_model(), _silent_model(), empty, alpha=0.5)
+        # evaluation no longer re-checks the size: a frozen Dataset cannot be emptied on its way in
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            isac_data.records = isac_data.records[:0]
+        with pytest.raises(ValueError, match="n >= 1"):
+            dataclasses.replace(isac_data, records=isac_data.records[:0])
+        assert evaluate(_silent_model(), isac_data).throughput >= 0.0
+        assert evaluate_ssac(_silent_model(), _silent_model(), isac_data, alpha=0.5).throughput >= 0.0
 
     def test_ssac_silent_closed_form(self, ssac_data):
         res = evaluate_ssac(_silent_model(), _silent_model(), ssac_data, alpha=0.5)
@@ -315,6 +317,10 @@ def _head(ds, n):
 
 def _bits(result):
     return [v.hex() for v in dataclasses.astuple(result)]
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
 
 
 @pytest.mark.skipif(workers_module._openblas_threads() is None,
@@ -430,6 +436,27 @@ class TestForkedEvaluation:
             with pytest.raises(ChildProcessError):  # reaped already
                 os.waitpid(pid, os.WNOHANG)
         assert blas_threads() == 3
+
+    @pytest.mark.parametrize("cdll", [_no_library, lambda path: types.SimpleNamespace()],
+                             ids=["no-library", "no-symbols"])  # the second, a handle without the symbols
+    def test_no_thread_control_where_openblas_cannot_be_read(self, affinity, monkeypatch, blas_threads, cdll):
+        affinity(2)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without BLAS thread control"))
+        workers_module._openblas_threads.cache_clear()
+        try:
+            assert workers_module._openblas_threads() is None
+            with workers_module._one_blas_thread():
+                assert blas_threads() == 3  # left alone
+            rows, pids = np.zeros((8, 3)), []
+            fill = lambda j: pids.append(os.getpid()) or rows[j].fill(j)
+            workers_module._deal_blocks(fill, len(rows), lambda j: (rows[j],), blas=True)
+            assert pids == [os.getpid()] * len(rows)
+            assert np.array_equal(rows, np.repeat(np.arange(len(rows)), 3).reshape(-1, 3))
+        finally:  # the real getter again, for the tests after this one
+            monkeypatch.undo()
+            workers_module._openblas_threads.cache_clear()
+        assert workers_module._openblas_threads() is not None
 
     def test_serial_without_openblas_thread_control(self, affinity, monkeypatch, sets):
         isac, ssac, (model, comm, sense) = sets

@@ -33,8 +33,6 @@ from nisaclab.snn import (
     init_model,
     load_model,
     save_model,
-    sigmoid,
-    spike_count,
 )
 
 
@@ -232,12 +230,12 @@ class TestForward:
         assert np.array_equal(trace.hidden_spikes, trace.hidden_potentials > m.hidden_threshold)
         assert np.array_equal(trace.readout_spikes, trace.readout_potentials > m.readout_threshold)
 
-    def test_readout_decision_matches_probability_rule(self):
+    def test_readout_decision_matches_probability_rule(self, sigmoid_by_masks):
         # hard decision is 1 exactly when the decode probability passes 0.5
         m = _random_model(7)
         frame = np.random.default_rng(8).standard_normal((30, 4)) * 3
         trace = forward(m, frame)
-        p = sigmoid(trace.readout_potentials)
+        p = sigmoid_by_masks(trace.readout_potentials)
         assert np.array_equal(trace.readout_spikes[:, COMM], p[:, COMM] > 0.5)
         assert np.array_equal(trace.readout_spikes[:, SENSE], p[:, SENSE] > 0.5)
 
@@ -460,59 +458,22 @@ class TestTimeChunks:
         assert peak_bytes(lambda: forward_batch(m, inputs)) <= records + L * B * 2 + 8 * B * H
 
 
-
-def _sigmoid_by_masks(x):
-    """Reference logistic: boolean masks, one exp per branch."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-class TestSigmoid:
-    def test_bit_equal_to_masked_formula(self):
-        tiny = np.finfo(float).tiny
-        extremes = np.array([
-            -np.inf, -1.8e308, -746.0, -745.1, -709.8, -40.0, -36.7, -1.0, -tiny, -5e-324, -0.0,
-            0.0, 5e-324, tiny, 1e-8, 0.5, 36.7, 40.0, 709.8, 745.1, 746.0, 1.8e308, np.inf,
-        ])
-        x = np.concatenate([extremes, np.random.default_rng(0).standard_normal(10_000) * 30])
-        assert np.array_equal(sigmoid(x).view(np.uint64), _sigmoid_by_masks(x).view(np.uint64))
-        assert sigmoid(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
-
-    def test_nan_stays_nan(self):
-        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
-
-
 class TestReadoutHelpers:
-    def test_probability_values(self):
+    def test_probability_values(self, sigmoid_by_masks):
         trace = ForwardTrace(
             hidden_potentials=np.zeros((3, 1)), hidden_spikes=np.zeros((3, 1)),
             readout_potentials=np.array([[0.0, 0.0], [math.log(3), 0.0], [50.0, -50.0]]),
             readout_spikes=np.zeros((3, 2)),
         )
-        p = sigmoid(trace.readout_potentials)
+        p = sigmoid_by_masks(trace.readout_potentials)
         assert p[0, COMM] == 0.5
         assert p[1, COMM] == pytest.approx(0.75, rel=1e-12)
         assert p[2, COMM] > 0.999999
         assert p[2, SENSE] < 1e-6
 
-    def test_spike_count_sums_layers(self):
-        m = _random_model(15, h=6)
-        frame = np.random.default_rng(16).standard_normal((10, 4)) * 2
-        trace = forward(m, frame)
-        counts = spike_count(trace)
-        assert counts.dtype == np.int64
-        assert (counts <= 6 + 2).all()
-        assert np.array_equal(
-            counts, trace.hidden_spikes.sum(1).astype(int) + trace.readout_spikes.sum(1).astype(int)
-        )
-
     def test_zero_model_counts_zero(self, hand_model):
         trace = forward(hand_model(4, 4), np.ones((5, 4)))
-        assert spike_count(trace).tolist() == [0] * 5
+        assert not trace.hidden_spikes.any() and not trace.readout_spikes.any()
 
 
 class TestPersistence:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from nisaclab.channel import ChannelConfig
 from nisaclab.dataset import generate_dataset
 from nisaclab.metrics import evaluate_ssac
-from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward_batch, init_model, sigmoid
+from nisaclab.snn import _BLOCK, COMM, SENSE, _synapse_filter, forward_batch, init_model
 from nisaclab.training import (
+    _LOGIT_CLAMP,
     PROB_EPS,
     TrainConfig,
     _spike_slope,
@@ -144,21 +145,71 @@ class TestObjective:
             objective(np.zeros((1, 4, 2)), np.zeros((1, 6)), np.array([0.0]), 0.5, 4, 0)
 
 
-class TestProbabilityClamp:
-    def test_inert_for_moderate_potentials(self):
-        # potentials up to |o|=30 map to probabilities inside the clamp window
-        for o in (-30.0, -10.0, 0.0, 10.0, 30.0):
-            p = sigmoid(np.array([o]))
-            assert PROB_EPS < p[0] < 1.0 - PROB_EPS
-            clipped = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-            assert clipped[0] == p[0]
+def _objective_per_value(o, label, beta=0.5):
+    """objective's losses and derivatives on a batch of one-slot frames, one
+    value of the (N,) potentials o per frame on both readouts, all labelled
+    label: (lc, ls, d_comm, d_sense), with d taken off its beta weights."""
+    o = np.asarray(o, dtype=np.float64)
+    lc, ls, d = objective(np.stack([o, o], axis=-1)[:, None], np.full((len(o), 1), label),
+                          np.full(len(o), label), beta, 1, 0)
+    return lc, ls, d[:, 0, COMM] / beta, d[:, 0, SENSE] / (1.0 - beta)
 
-    def test_keeps_extreme_probabilities_finite(self):
-        # p_comm rounds to exactly 1 against bit 0, p_sense to exactly 0 against target 1
+
+class TestProbabilityClamp:
+    def test_inert_for_moderate_potentials(self, sigmoid_by_masks):
+        # potentials up to |o|=30 map to probabilities inside the clamp window,
+        # and the derivative against label 0 is the unclamped probability
+        o = np.array([-30.0, -10.0, 0.0, 10.0, 30.0])
+        _, _, p_comm, p_sense = _objective_per_value(o, 0)
+        assert ((PROB_EPS < p_comm) & (p_comm < 1.0 - PROB_EPS)).all()
+        assert np.array_equal(p_comm, sigmoid_by_masks(o)) and np.array_equal(p_sense, p_comm)
+
+    def test_keeps_extreme_probabilities_finite(self, sigmoid_by_masks):
+        # unclamped, p_comm rounds to exactly 1 against bit 0 and p_sense to exactly 0 against target 1
         potentials = np.array([[[1e3, -1e3]]])
-        assert sigmoid(potentials).tolist() == [[[1.0, 0.0]]]
+        assert sigmoid_by_masks(potentials).tolist() == [[[1.0, 0.0]]]
         lc, ls, d = objective(potentials, np.array([[0.0]]), np.array([1.0]), 0.5, 1, 0)
         assert math.isfinite(lc) and math.isfinite(ls) and np.isfinite(d).all()
+        # the derivative takes the clamped probabilities 1 - PROB_EPS and PROB_EPS, as the losses do
+        p_comm, p_sense = d[0, 0, COMM] / 0.5, d[0, 0, SENSE] / 0.5 + 1.0
+        assert p_comm == pytest.approx(1.0 - PROB_EPS, abs=1e-16) and p_comm < 1.0
+        assert p_sense == pytest.approx(PROB_EPS, rel=1e-2)
+        assert (lc, ls) == pytest.approx((-math.log(PROB_EPS),) * 2, rel=1e-12)
+
+
+class TestLogitExtremes:
+    TINY = np.finfo(float).tiny
+    INSIDE = [-_LOGIT_CLAMP, -30.0, -1.0, -TINY, -5e-324, -0.0, 0.0, 5e-324, TINY, 1e-8, 0.5, 30.0, _LOGIT_CLAMP]
+    BEYOND = [-np.inf, -1.8e308, -1e3, -40.0, -36.7, 36.7, 40.0, 1e3, 1.8e308, np.inf]
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_bit_equal_to_reference_formulas(self, sigmoid_by_masks, label):
+        # for |o| <= _LOGIT_CLAMP the clamp is inert: the summed loss and the
+        # derivative are the reference formulas' values, bit for bit
+        x = np.concatenate([self.INSIDE, np.random.default_rng(0).standard_normal(10_000) * 30])
+        x = x[np.abs(x) <= _LOGIT_CLAMP][:, None]
+        lc, ls, d_comm, d_sense = _objective_per_value(x[:, 0], label)
+        want_loss = float((np.log1p(np.exp(-np.abs(x))) + (np.maximum(x, 0.0) - label * x)).sum())
+        want_d = sigmoid_by_masks(x[:, 0]) - label
+        assert lc == want_loss and ls == want_loss
+        for d in (d_comm, d_sense):
+            assert np.array_equal(d.view(np.uint64), want_d.view(np.uint64))
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_finite_beyond_the_clamp(self, sigmoid_by_masks, label):
+        lc, ls, d_comm, d_sense = _objective_per_value(self.BEYOND, label)
+        assert math.isfinite(lc) and math.isfinite(ls)
+        # the derivative takes the clamped probability, PROB_EPS (to rounding) from the logistic's
+        o = np.array(self.BEYOND)
+        clamped = sigmoid_by_masks(np.clip(o, -_LOGIT_CLAMP, _LOGIT_CLAMP)) - label
+        for d in (d_comm, d_sense):
+            assert np.array_equal(d, clamped)
+            assert (np.abs(d - (sigmoid_by_masks(o) - label)) <= PROB_EPS * (1 + 1e-9)).all()
+
+    def test_nan_stays_nan(self):
+        lc, ls, d_comm, d_sense = _objective_per_value([np.nan, -np.nan], 1)
+        assert math.isnan(lc) and math.isnan(ls)
+        assert np.isnan(d_comm).all() and np.isnan(d_sense).all()
 
 
 def _gradients(reference, model, inputs, bits, targets, beta, n_data=None, sense_start=0):
@@ -289,10 +340,10 @@ class TestGradients:
         assert np.array_equal(ga[0], gb[0])
 
 
-def _stepped_backward_batch(model, inputs, hidden_potentials, hidden_spikes, d_readout_potentials):
+def _stepped_backward_batch(model, inputs, hidden_potentials, hidden_spikes, d_readout_potentials, sigmoid):
     """backward with the hidden adjoint stepped as g = (e + c)*ds,
-    c' = a_ref*(c - th*g), and the surrogate slope taken from sigmoid: the
-    oracle for the linear-recurrence form."""
+    c' = a_ref*(c - th*g), and the surrogate slope taken from the reference
+    sigmoid: the oracle for the linear-recurrence form."""
     B, L, width = inputs.shape
     slope = TrainConfig.surrogate_slope
     H = model.hidden_count
@@ -324,7 +375,7 @@ class TestAdjointRecurrence:
         L_b=st.integers(1, 3), smoothed=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
     @example(B=1, L=_BLOCK + 7, H=10, L_b=1, smoothed=False, seed=0)
-    def test_matches_stepped_adjoint(self, reference_forward, B, L, H, L_b, smoothed, seed):
+    def test_matches_stepped_adjoint(self, reference_forward, sigmoid_by_masks, B, L, H, L_b, smoothed, seed):
         rng = np.random.default_rng(seed)
         model = init_model(H, L_b, rng)
         inputs = rng.standard_normal((B, L, 4 * L_b)) * 2
@@ -334,14 +385,14 @@ class TestAdjointRecurrence:
             oh, bh, orr, _ = forward_batch(model, inputs)
         d_or = rng.standard_normal(orr.shape)
         got = backward(model, inputs, oh, bh, d_or)
-        want = _stepped_backward_batch(model, inputs, oh, bh, d_or)
+        want = _stepped_backward_batch(model, inputs, oh, bh, d_or, sigmoid_by_masks)
         # reassociation moves each product by an ulp or so; an entry summed
         # over L*B rows can cancel, so its error is bounded by the array scale
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
     @pytest.mark.parametrize("slope", [0.3, 1.0, 2.5, 40.0, -2.0])
-    def test_spike_slope_within_4_ulp_of_sigmoid_form(self, slope):
+    def test_spike_slope_within_4_ulp_of_sigmoid_form(self, sigmoid_by_masks, slope):
         # the reference takes sg on the negative half, where 1 - sg does not
         # cancel; the slope is even in x, and a negative slope flips the sign
         potentials = np.concatenate([
@@ -350,7 +401,7 @@ class TestAdjointRecurrence:
             [0.0, 1e-300, -1e-300, 700.0, -745.0, 1e3, -1e3],
         ])
         x = slope * potentials
-        sg = sigmoid(-np.abs(x))
+        sg = sigmoid_by_masks(-np.abs(x))
         want = slope * sg * (1.0 - sg)
         got = _spike_slope(potentials, 0.0, slope)
         assert (np.abs(got - want) <= 4 * np.abs(np.spacing(want))).all()
@@ -529,11 +580,14 @@ class TestTrain:
         assert blas_threads() == 3
 
     def test_empty_dataset_rejected(self, tiny_dataset):
+        # train no longer re-checks the size: a frozen Dataset cannot be emptied on its way in
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_dataset.records = tiny_dataset.records[:0]
+        with pytest.raises(ValueError, match="n >= 1"):
+            dataclasses.replace(tiny_dataset, records=tiny_dataset.records[:0])
         model = init_model(4, 1, np.random.default_rng(5))
-        empty = dataclasses.replace(tiny_dataset)
-        empty.records = tiny_dataset.records[:0]
-        with pytest.raises(ValueError):
-            train(model, empty, TrainConfig(beta=0.5, epochs=1, seed=0))
+        _, history = train(model, tiny_dataset, TrainConfig(beta=0.5, epochs=1, seed=0))
+        assert len(history) == 1
 
 
 class TestLossDecreases:
